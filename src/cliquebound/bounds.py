@@ -9,20 +9,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List
+from typing import Dict, List
 
 from .counting import (
     CliqueVector,
     clique_vector,
     clique_weight,
+    clique_weights,
     cliques_of_size,
     independent_vector,
 )
-from .fixed_loss import fixed_loss, has_small_component
+from .fixed_loss import has_small_component
 from .graphs import Graph, turan
 from .records import ConsistencyRecord, not_applicable
-from .structure import TightStructure, clusters, tight_cliques
-from .transform import apply_fill
+from .structure import TightStructure
+from .transform import _k2_components
 
 
 @dataclass(frozen=True)
@@ -228,20 +229,16 @@ def galvin_bound(n: int, d: int) -> int:
     return (1 << d) + (1 << (n - d)) - 1
 
 
-def _fill_does_not_gain(g: Graph, r: int, ts: TightStructure) -> bool:
-    report = apply_fill(g, r, ts.T)
-    return report.k_after <= report.k_before
-
-
-def cluster_loss_check(g: Graph, r: int, cluster: TightStructure) -> ConsistencyRecord:
-    """When filling a cluster does not increase the clique count, its
-    deficiency graph must carry large fixed loss: phi(R) >= 2^r + s 2^t,
-    and 2^t < s (the log statement in integer form)."""
-    if not cluster.is_cluster or not _fill_does_not_gain(g, r, cluster):
+def cluster_loss_check(cluster: TightStructure, fill_gain: int) -> ConsistencyRecord:
+    """When filling a cluster does not increase the clique count (``fill_gain``,
+    the measured change, is at most 0), its deficiency graph must carry large
+    fixed loss: phi(R) >= 2^r + s 2^t, and 2^t < s (the log statement in
+    integer form)."""
+    if not cluster.is_cluster or fill_gain > 0:
         return not_applicable("cluster_large_loss", f"T={cluster.T:#x}")
-    phi = fixed_loss(cluster.R).phi
+    phi = cluster.phi
     t, s = cluster.t, cluster.s
-    rhs = (1 << r) + s * (1 << t)
+    rhs = (1 << cluster.r) + s * (1 << t)
     size_ok = (1 << t) < s
     return ConsistencyRecord(
         predicate="cluster_large_loss",
@@ -255,17 +252,18 @@ def cluster_loss_check(g: Graph, r: int, cluster: TightStructure) -> Consistency
 
 
 def associated_low_weight_check(
-    g: Graph, r: int, cluster: TightStructure, c: int
+    g: Graph, cluster: TightStructure, c: int, fill_gain: int
 ) -> ConsistencyRecord:
-    """A non-gaining cluster with no K_2 deficiency component must have at
-    least 2 C(t, c) associated c-cliques of weight at most r - c - 1."""
-    t = cluster.t
+    """A non-gaining cluster (measured ``fill_gain`` at most 0) with no K_2
+    deficiency component must have at least 2 C(t, c) associated c-cliques
+    of weight at most r - c - 1."""
+    t, r = cluster.t, cluster.r
     if (
         r < 3
         or not cluster.is_cluster
         or not 2 <= c <= t
         or has_small_component(cluster.R)
-        or not _fill_does_not_gain(g, r, cluster)
+        or fill_gain > 0
     ):
         return not_applicable("associated_low_weight", f"T={cluster.T:#x},c={c}")
     count = 0
@@ -283,8 +281,14 @@ def associated_low_weight_check(
     )
 
 
-def discharging_check(g: Graph, r: int) -> ConsistencyRecord:
+def discharging_check(
+    g: Graph, r: int, tights: List[TightStructure], fill_gains: Dict[int, int]
+) -> ConsistencyRecord:
     """Reweighting check behind the final case of the main result.
+
+    ``tights`` holds every tight clique of ``g`` under ``r``, derived, and
+    ``fill_gains`` maps each one's mask to the measured clique-count change
+    of its fill rewrite.
 
     Tight cliques lose 1; cliques associated with one cluster (of size >= 2)
     gain one half; 2-cliques associated with two clusters gain 1.  Weights
@@ -295,25 +299,20 @@ def discharging_check(g: Graph, r: int) -> ConsistencyRecord:
       (i)  per size, the doubled weight sum does not drop, and
       (ii) every doubled new weight is at most 2(r - size).
     """
-    from .counting import clique_weights
-
     subject = f"n={g.n},r={r}"
     if g.max_degree() > r:
         return not_applicable("discharging", subject)
     kvec = clique_vector(g)
     if kvec[r + 1] > 0:
         return not_applicable("discharging", subject, reason="contains K_{r+1}")
-    all_clusters = clusters(g, r)
-    tight_big = list(tight_cliques(g, r, 2))
-    if not tight_big:
+    if not any(ts.t >= 2 for ts in tights):
         return not_applicable("discharging", subject, reason="no tight clique of size >= 2")
-    from .transform import _k2_components
-
+    all_clusters = [ts for ts in tights if ts.is_cluster]
     for cl in all_clusters:
-        if _k2_components(cl) or not _fill_does_not_gain(g, r, cl):
+        if _k2_components(cl) or fill_gains[cl.T] > 0:
             return not_applicable("discharging", subject, reason="cluster hypotheses fail")
 
-    tight_set = set(tight_big) | set(tight_cliques(g, r, 1))
+    tight_set = {ts.T for ts in tights}
     big_clusters = [cl.T for cl in all_clusters if cl.t >= 2]
     old_sums = {}
     new_sums = {}

@@ -12,30 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from .graph6 import _encode_ordered, decode
 from .graphs import Graph, bits
-
-
-def _encode_ordered(n: int, adj, order) -> str:
-    """graph6 string of the graph relabeled so that order[k] becomes k."""
-    if n <= 62:
-        header = chr(n + 63)
-    else:
-        header = "~" + "".join(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
-    chunks = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = adj[order[j]]
-        for i in range(j):
-            acc = (acc << 1) | ((row >> order[i]) & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        chunks.append(chr((acc << (6 - nbits)) + 63))
-    return header + "".join(chunks)
 
 
 def _refine(n: int, nbrs, colors: List[int]) -> List[int]:
@@ -105,6 +83,4 @@ def canonical_form_raw(n: int, rows) -> str:
 
 def canonical_graph(g: Graph) -> Graph:
     """Canonically relabeled copy of ``g``."""
-    from . import graph6
-
-    return graph6.decode(canonical_form(g))
+    return decode(canonical_form(g))

@@ -19,16 +19,10 @@ from typing import List, Optional
 
 from . import __version__, graph6
 from .counting import clique_vector, independent_vector
-from .enumeration import (
-    GENERATION_MAX_VERTICES,
-    consistency_sweep,
-    generate,
-    generate_regular,
-    verify_main,
-)
+from .enumeration import consistency_sweep, generate, generate_regular, verify_main
 from .errors import CapacityError, Graph6ParseError
-from .graphs import Graph, bit_list, mask_of
-from .structure import clusters, tight_cliques
+from .graphs import bit_list, mask_of
+from .structure import clusters, derive, tight_cliques
 from .transform import RewriteReport, apply_fill, hill_climb
 
 EXIT_OK = 0
@@ -227,8 +221,7 @@ def cmd_transform(args) -> int:
         raise SystemExit(f"max degree {g.max_degree()} exceeds r={args.r}")
     if args.move is not None:
         vertices = [int(v) for v in args.move.split(",")]
-        tight = mask_of(vertices)
-        trace = [apply_fill(g, args.r, tight)]
+        trace = [apply_fill(g, derive(g, args.r, mask_of(vertices)))]
         final = trace[0].after
     else:
         trace = hill_climb(g, args.r)
@@ -266,8 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and verify the extremal bounds exhaustively on small graphs.",
     )
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized operations (reproducibility)")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--checkpoint", help="sweep checkpoint file")
     parser.add_argument("--out", help="write the report to a file instead of stdout")

@@ -10,6 +10,7 @@ output stream is independent of worker count and iteration order.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -18,7 +19,6 @@ from . import graph6
 from .bounds import (
     associated_low_weight_check,
     bounded_clique_checks,
-    chain_vs_main_compare,
     cluster_loss_check,
     discharging_check,
     kahn_zhao_check,
@@ -30,13 +30,19 @@ from .bounds import (
     zykov_check,
 )
 from .canon import canonical_form, canonical_form_raw
-from .counting import clique_vector, clique_weights, independent_vector, weight_sums
+from .counting import clique_vector, weight_sums
 from .errors import CapacityError
-from .fixed_loss import fixed_loss, has_small_component, max_bound_check, degree_one_bound_check
+from .fixed_loss import max_bound_check, degree_one_bound_check
 from .graphs import Graph, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
-from .structure import clusters, derive, outside_degree_check
-from .transform import apply_k2_move, fill_graph, _k2_components
+from .structure import clusters_among, derive, outside_degree_check, tight_cliques
+from .transform import (
+    _k2_components,
+    apply_k2_move,
+    fill_graph,
+    fill_profitable,
+    gain_lower_bound,
+)
 
 GENERATION_MAX_VERTICES = 12
 
@@ -298,53 +304,39 @@ def _capped_records(g: Graph, r: int) -> List[ConsistencyRecord]:
     )
     records.extend(rec for rec in bounded_clique_checks(g, r) if rec.applicable)
 
-    tights = [
-        (size, mask)
-        for mask, size, weight in clique_weights(g)
-        if size >= 1 and weight == r + 1 - size
-    ]
-    tights.sort()
-    has_big_tight = any(size >= 2 for size, _ in tights)
-
-    for _, t_mask in tights:
-        ts = derive(g, r, t_mask)
-        records.append(outside_degree_check(g, r, t_mask))
-        after = fill_graph(g, r, ts)
-        k_after = clique_vector(after).total
-        gain = k_after - k_total
-        i_r = independent_vector(ts.R).total
-        phi = fixed_loss(ts.R).phi
-        lower = (1 << (r + 1)) - (1 << ts.t) * i_r - phi
+    tights = [derive(g, r, t) for t in tight_cliques(g, r, 1)]
+    fill_gains = {}
+    for ts in tights:
+        subject = f"r={r},T={ts.T:#x}"
+        records.append(outside_degree_check(g, ts))
+        k_after = clique_vector(fill_graph(g, ts)).total
+        gain = fill_gains[ts.T] = k_after - k_total
+        lower = gain_lower_bound(ts)
         records.append(
             ConsistencyRecord(
                 "fill_gain_lower_bound",
-                f"r={r},T={t_mask:#x}",
+                subject,
                 k_total + lower,
                 k_after,
                 True,
                 k_after >= k_total + lower,
             )
         )
-        literal = (1 << ts.t) * ((1 << ts.s) - i_r + ts.s + 1) > phi
-        corrected = (1 << ts.t) * ((1 << ts.s) - i_r) > phi
-        if literal:
+        profitable = fill_profitable(ts)
+        if profitable.literal:
             records.append(
-                ConsistencyRecord(
-                    "fill_threshold_literal", f"r={r},T={t_mask:#x}", gain, 1, True, gain > 0
-                )
+                ConsistencyRecord("fill_threshold_literal", subject, gain, 1, True, gain > 0)
             )
-        if corrected:
+        if profitable.corrected:
             records.append(
-                ConsistencyRecord(
-                    "fill_threshold_corrected", f"r={r},T={t_mask:#x}", gain, 1, True, gain > 0
-                )
+                ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
             )
         if ts.t >= 2 and _k2_components(ts):
-            report = apply_k2_move(g, r, t_mask)
+            report = apply_k2_move(g, ts)
             records.append(
                 ConsistencyRecord(
                     "k2_move_gain",
-                    f"r={r},T={t_mask:#x}",
+                    subject,
                     report.k_after,
                     report.k_before,
                     True,
@@ -352,8 +344,9 @@ def _capped_records(g: Graph, r: int) -> List[ConsistencyRecord]:
                 )
             )
 
-    for cluster in clusters(g, r):
-        rec = cluster_loss_check(g, r, cluster)
+    for cluster in clusters_among(g, r, tights):
+        gain = fill_gains[cluster.T]
+        rec = cluster_loss_check(cluster, gain)
         if rec.applicable and cluster.t == 1:
             rec = ConsistencyRecord(
                 "cluster_large_loss_size1", rec.subject, rec.lhs, rec.rhs,
@@ -361,11 +354,11 @@ def _capped_records(g: Graph, r: int) -> List[ConsistencyRecord]:
             )
         records.append(rec)
         for c in range(2, cluster.t + 1):
-            records.append(associated_low_weight_check(g, r, cluster, c))
+            records.append(associated_low_weight_check(g, cluster, c, gain))
 
-    records.append(discharging_check(g, r))
+    records.append(discharging_check(g, r, tights, fill_gains))
 
-    if r >= 2 and not has_big_tight:
+    if r >= 2 and not any(ts.t >= 2 for ts in tights):
         strong = strong_inequalities(kv, r)
         records.append(
             ConsistencyRecord(
@@ -474,8 +467,6 @@ _CHECKPOINT_HEADER = "# cliquebound consistency-sweep checkpoint v1: one JSON li
 
 
 def _append_checkpoint(path: str, n: int, r_max: int, emitted: int, unit) -> None:
-    import os
-
     line = json.dumps(
         {"n": n, "r_max": r_max, "emitted": emitted, "tallies": unit[0], "failures": unit[1]},
         sort_keys=True,
@@ -489,17 +480,25 @@ def _append_checkpoint(path: str, n: int, r_max: int, emitted: int, unit) -> Non
 
 
 def _load_checkpoint(path: str, r_max: int) -> Dict[int, Tuple[Dict[str, List[int]], List[dict]]]:
-    import os
+    """Finished units recorded in ``path``.
 
+    A write cut short leaves an unterminated last line.  It is cut off the
+    file, so its unit is redone and the next append starts on a line of its
+    own.
+    """
     done: Dict[int, Tuple[Dict[str, List[int]], List[dict]]] = {}
     if not os.path.exists(path):
         return done
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entry = json.loads(line)
-            if entry.get("r_max") == r_max:
-                done[entry["n"]] = (entry["tallies"], entry["failures"])
+    with open(path, "rb") as fh:
+        data = fh.read()
+    intact = data[: data.rfind(b"\n") + 1]
+    if len(intact) < len(data):
+        os.truncate(path, len(intact))
+    for line in intact.decode("utf-8").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        entry = json.loads(line)
+        if entry.get("r_max") == r_max:
+            done[entry["n"]] = (entry["tallies"], entry["failures"])
     return done

@@ -12,7 +12,11 @@ from .graphs import MAX_VERTICES, Graph
 
 
 def encode(g: Graph) -> str:
-    n = g.n
+    return _encode_ordered(g.n, g.adj, range(g.n))
+
+
+def _encode_ordered(n: int, adj, order) -> str:
+    """graph6 string of the graph relabeled so that order[k] becomes k."""
     if n <= 62:
         header = chr(n + 63)
     else:
@@ -21,9 +25,9 @@ def encode(g: Graph) -> str:
     acc = 0
     nbits = 0
     for j in range(1, n):
-        col = g.adj[j] & ((1 << j) - 1)
+        row = adj[order[j]]
         for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
+            acc = (acc << 1) | ((row >> order[i]) & 1)
             nbits += 1
             if nbits == 6:
                 chunks.append(chr(acc + 63))
@@ -40,10 +44,10 @@ def decode(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6ParseError("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"invalid graph6 byte {byte!r}", off)
+    for off, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6ParseError(f"invalid graph6 character {ch!r}", off)
+    data = s.encode("ascii")
     if data[0] == 126:  # '~': long form size
         if len(data) >= 2 and data[1] == 126:
             raise Graph6ParseError("graphs over 258047 vertices unsupported", 1)

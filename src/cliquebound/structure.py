@@ -10,10 +10,12 @@ the clique-fill rewrite would add.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
-from .counting import clique_weights, cliques_of_size
+from .counting import clique_weights, cliques_of_size, independent_vector
 from .errors import InternalConsistencyError
+from .fixed_loss import fixed_loss
 from .graphs import Graph, bits, common_neighbors, complement, induced
 from .records import ConsistencyRecord
 
@@ -23,7 +25,9 @@ class TightStructure:
     """A tight clique with its common neighborhood and deficiency graph.
 
     ``label_map`` sends vertex i of R back to its original label in G;
-    R's vertices are S in increasing original-label order.
+    R's vertices are S in increasing original-label order.  i(R) and
+    phi(R) are computed on first use and kept with the structure, so every
+    rewrite and predicate handed the same structure shares them.
     """
 
     T: int
@@ -40,6 +44,25 @@ class TightStructure:
     def s(self) -> int:
         return self.S.bit_count()
 
+    @property
+    def r(self) -> int:
+        """The degree cap T is tight under: tightness makes s = r + 1 - t."""
+        return self.t + self.s - 1
+
+    @cached_property
+    def i_R(self) -> int:
+        """i(R): the number of independent sets of R, the empty set included."""
+        return independent_vector(self.R).total
+
+    @cached_property
+    def phi(self) -> int:
+        """phi(R): the fixed loss of the deficiency graph."""
+        return fixed_loss(self.R).phi
+
+
+def _meets_ceiling(weight: int, size: int, r: int) -> bool:
+    return weight == r + 1 - size
+
 
 def is_tight(g: Graph, r: int, c: int) -> bool:
     """Whether clique ``c`` meets the weight ceiling r+1-|c|.
@@ -50,7 +73,7 @@ def is_tight(g: Graph, r: int, c: int) -> bool:
         raise ValueError("tightness needs the degree cap to hold")
     if not g.is_clique(c):
         raise ValueError("tightness is defined only for cliques")
-    return common_neighbors(g, c).bit_count() == r + 1 - c.bit_count()
+    return _meets_ceiling(common_neighbors(g, c).bit_count(), c.bit_count(), r)
 
 
 def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
@@ -59,7 +82,7 @@ def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
         raise ValueError("tightness needs the degree cap to hold")
     found: List[Tuple[int, int]] = []
     for mask, size, weight in clique_weights(g):
-        if size >= min_size and weight == r + 1 - size:
+        if size >= min_size and _meets_ceiling(weight, size, r):
             found.append((size, mask))
     found.sort()
     return iter([mask for _, mask in found])
@@ -83,13 +106,19 @@ def derive(g: Graph, r: int, tight: int) -> TightStructure:
 
 def clusters(g: Graph, r: int) -> List[TightStructure]:
     """All maximal tight cliques, cross-validated against closed-neighborhood
+    equivalence classes of the degree-r vertices."""
+    return clusters_among(g, r, [derive(g, r, t) for t in tight_cliques(g, r, 1)])
+
+
+def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[TightStructure]:
+    """The maximal members of ``tights``, which holds every tight clique of
+    ``g`` under ``r``, derived; cross-validated against closed-neighborhood
     equivalence classes of the degree-r vertices.
 
     The two computations must agree; a mismatch raises rather than silently
     preferring one.
     """
-    maximal = [derive(g, r, t) for t in tight_cliques(g, r, 1)]
-    maximal = [ts for ts in maximal if ts.is_cluster]
+    maximal = [ts for ts in tights if ts.is_cluster]
 
     # Independent route: vertices lying in some tight clique all have degree
     # exactly r, and sharing a tight clique is the same as sharing a closed
@@ -117,11 +146,10 @@ def associated_cliques(g: Graph, cluster: int, c: int) -> Iterator[int]:
             yield mask
 
 
-def outside_degree_check(g: Graph, r: int, tight: int) -> ConsistencyRecord:
+def outside_degree_check(g: Graph, ts: TightStructure) -> ConsistencyRecord:
     """For each x in S: the number of G-neighbors outside T u S is at most
     the degree of x in R.  Violations are recorded, never raised."""
-    ts = derive(g, r, tight)
-    inside = tight | ts.S
+    inside = ts.T | ts.S
     per_vertex = {}
     worst = None
     for i, x in enumerate(ts.label_map):
@@ -133,7 +161,7 @@ def outside_degree_check(g: Graph, r: int, tight: int) -> ConsistencyRecord:
     lhs, rhs = worst if worst is not None else (0, 0)
     return ConsistencyRecord(
         predicate="outside_degree",
-        subject=f"T={tight:#x}",
+        subject=f"T={ts.T:#x}",
         lhs=lhs,
         rhs=rhs,
         applicable=True,

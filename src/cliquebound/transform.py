@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .counting import clique_vector, independent_vector
-from .fixed_loss import fixed_loss
+from .counting import clique_vector
 from .graphs import Graph, bit_list, bits, connected_components
 from .structure import TightStructure, derive, tight_cliques
 
@@ -62,28 +61,27 @@ def _rewrite_edges(g: Graph, ts: TightStructure) -> Tuple[list, list]:
     return added, removed
 
 
-def fill_graph(g: Graph, r: int, ts: TightStructure) -> Graph:
+def fill_graph(g: Graph, ts: TightStructure) -> Graph:
     """The rewritten graph itself, postconditions asserted, no counting."""
     added, removed = _rewrite_edges(g, ts)
     after = g.without_edges(removed).with_edges(added)
-    inside = ts.T | ts.S
+    inside, r = ts.T | ts.S, ts.r
     assert after.is_clique(inside) and inside.bit_count() == r + 1
     assert all(after.degree(v) == r for v in bits(inside))
     assert after.max_degree() <= r
     return after
 
 
-def apply_fill(g: Graph, r: int, tight: int) -> RewriteReport:
+def apply_fill(g: Graph, ts: TightStructure) -> RewriteReport:
     """Fill S into a clique with T and cut S off from the rest."""
-    ts = derive(g, r, tight)
-    after = fill_graph(g, r, ts)
+    after = fill_graph(g, ts)
     return RewriteReport(
         before=g,
         after=after,
         move="fill",
         k_before=clique_vector(g).total,
         k_after=clique_vector(after).total,
-        gain_lower_bound=gain_lower_bound(g, r, tight, ts),
+        gain_lower_bound=gain_lower_bound(ts),
         tight_structure=ts,
     )
 
@@ -99,13 +97,12 @@ def _k2_components(ts: TightStructure) -> List[int]:
     return out
 
 
-def apply_k2_move(g: Graph, r: int, tight: int) -> RewriteReport:
+def apply_k2_move(g: Graph, ts: TightStructure) -> RewriteReport:
     """Add the missing edge of a K_2 component of R and cut its endpoints
     off from everything outside T u S.  The strict clique gain is checked,
     not assumed; a non-gain is surfaced via the report."""
-    if tight.bit_count() < 2:
+    if ts.t < 2:
         raise ValueError("the K2 move needs a tight clique of size >= 2")
-    ts = derive(g, r, tight)
     comps = _k2_components(ts)
     if not comps:
         raise ValueError("the deficiency graph has no K_2 component")
@@ -116,36 +113,27 @@ def apply_k2_move(g: Graph, r: int, tight: int) -> RewriteReport:
         (x, y) for x in (u, v) for y in bits(g.adj[x] & ~inside)
     ]
     after = g.without_edges(removed).with_edges([(u, v)])
-    assert after.max_degree() <= r
+    assert after.max_degree() <= ts.r
     return RewriteReport(
         before=g,
         after=after,
         move="k2",
         k_before=clique_vector(g).total,
         k_after=clique_vector(after).total,
-        gain_lower_bound=gain_lower_bound(g, r, tight, ts),
+        gain_lower_bound=gain_lower_bound(ts),
         tight_structure=ts,
     )
 
 
-def gain_lower_bound(
-    g: Graph, r: int, tight: int, ts: Optional[TightStructure] = None
-) -> int:
+def gain_lower_bound(ts: TightStructure) -> int:
     """Proven lower bound on the clique-count change of the fill rewrite:
     2^(r+1) - 2^t i(R) - phi(R)."""
-    if ts is None:
-        ts = derive(g, r, tight)
-    i_r = independent_vector(ts.R).total
-    phi = fixed_loss(ts.R).phi
-    return (1 << (r + 1)) - (1 << ts.t) * i_r - phi
+    return (1 << (ts.r + 1)) - (1 << ts.t) * ts.i_R - ts.phi
 
 
-def fill_profitable(g: Graph, r: int, tight: int) -> Profitability:
+def fill_profitable(ts: TightStructure) -> Profitability:
     """Evaluate both strict-gain thresholds in exact cross-multiplied form."""
-    ts = derive(g, r, tight)
-    i_r = independent_vector(ts.R).total
-    phi = fixed_loss(ts.R).phi
-    t, s = ts.t, ts.s
+    t, s, i_r, phi = ts.t, ts.s, ts.i_R, ts.phi
     literal_denominator = (1 << s) - i_r + s + 1
     if literal_denominator <= 0:
         raise ValueError("literal threshold needs a positive denominator")
@@ -184,10 +172,10 @@ def hill_climb(g: Graph, r: int, max_steps: int = 64) -> List[RewriteReport]:
         for tight in tight_cliques(current, r, 1):
             ts = derive(current, r, tight)
             if ts.t >= 2 and _k2_components(ts):
-                report = apply_k2_move(current, r, tight)
+                report = apply_k2_move(current, ts)
                 if report.gain > 0 and better(report, best_k2):
                     best_k2 = report
-            report = apply_fill(current, r, tight)
+            report = apply_fill(current, ts)
             if report.gain > 0 and better(report, best_fill):
                 best_fill = report
         best = best_k2 if best_k2 is not None else best_fill

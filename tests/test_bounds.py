@@ -19,6 +19,8 @@ from cliquebound.bounds import (
     zykov_check,
 )
 from cliquebound.counting import clique_vector
+from cliquebound.structure import derive, tight_cliques
+from cliquebound.transform import apply_fill
 from cliquebound.graphs import (
     complete,
     complete_bipartite,
@@ -167,12 +169,19 @@ class TestGalvin:
             galvin_bound(4, 5)
 
 
+def _discharging(g, r):
+    tights = [derive(g, r, t) for t in tight_cliques(g, r)]
+    gains = {ts.T: apply_fill(g, ts).gain for ts in tights}
+    return discharging_check(g, r, tights, gains)
+
+
 class TestDischarging:
     def test_not_applicable_without_big_tight_clique(self):
-        assert not discharging_check(cycle(4), 2).applicable
+        assert not _discharging(cycle(4), 2).applicable
 
     def test_not_applicable_with_full_clique(self):
-        assert not discharging_check(complete(4), 3).applicable
+        assert not _discharging(complete(4), 3).applicable
 
     def test_cap_violation_not_applicable(self):
-        assert not discharging_check(complete(5), 3).applicable
+        # no tight clique can be derived over the cap
+        assert not discharging_check(complete(5), 3, [], {}).applicable

@@ -90,6 +90,14 @@ class TestCount:
         assert "error" in recs[1] and recs[1]["line"] == 2
         assert recs[0]["k"] == 11  # good lines still processed
 
+    def test_non_ascii_line_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "in.g6"
+        p.write_text("A\u00e9\n", encoding="utf-8")
+        code, out = run(["count", str(p)], capsys=capsys)
+        assert code == EXIT_PARSE
+        (rec,) = json.loads(out)["results"]["graphs"]
+        assert "byte offset 1" in rec["error"] and "n" not in rec
+
     def test_file_input(self, capsys, tmp_path):
         p = tmp_path / "in.g6"
         p.write_text(graph6.encode(complete(4)) + "\n")

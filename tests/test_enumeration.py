@@ -140,6 +140,17 @@ class TestConsistencySweep:
         assert lines[0].startswith("#")
         assert len(lines) == 6  # header + one unit per n
 
+    def test_torn_checkpoint_line_is_redone(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        full = consistency_sweep(4, 3).to_json()
+        consistency_sweep(4, 3, checkpoint=str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 10])  # a write cut short in the n = 4 line
+        first = consistency_sweep(4, 3, checkpoint=str(path)).to_json()
+        second = consistency_sweep(4, 3, checkpoint=str(path)).to_json()
+        assert first == second == full
+        assert path.read_bytes() == data
+
     def test_mismatched_checkpoint_ignored(self, tmp_path):
         path = str(tmp_path / "sweep.ckpt")
         consistency_sweep(4, 3, checkpoint=path)

@@ -34,6 +34,7 @@ def test_large_n_uses_long_form():
         ("A", 1),         # truncated body
         ("A_X", 2),       # trailing garbage
         ("A" + chr(30), 1),  # byte below printable range
+        ("A\u00e9", 1),   # non-ASCII character, not read as a legal '?'
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):

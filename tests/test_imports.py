@@ -1,0 +1,81 @@
+"""Package-internal imports go one way, from a layer to the layers below it,
+and only at module level."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = "cliquebound"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / PACKAGE
+
+# Lowest first.  A module may import from its own layer or any layer below.
+# ``__init__`` re-exports the library and sits just under the CLI, which
+# reads ``__version__`` from it.
+LAYERS = [
+    ("errors", "records"),
+    ("graphs",),
+    ("graph6",),
+    ("canon",),
+    ("counting",),
+    ("structure", "fixed_loss"),
+    ("transform",),
+    ("bounds",),
+    ("enumeration",),
+    ("__init__",),
+    ("cli",),
+]
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+MODULES = sorted(path.stem for path in SOURCE.glob("*.py"))
+
+
+def internal_imports(tree: ast.Module):
+    """(node, imported module) for every import of a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] != PACKAGE:
+                    continue
+                base = parts[1:]
+            elif node.level == 1:
+                base = node.module.split(".") if node.module else []
+            else:
+                continue
+            if base:
+                yield node, base[0]
+            else:  # ``from . import x``: a submodule, or a name of __init__
+                for alias in node.names:
+                    yield node, alias.name if alias.name in RANK else "__init__"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE:
+                    yield node, parts[1] if len(parts) > 1 else "__init__"
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_every_module_has_a_layer():
+    assert [m for m in MODULES if m not in RANK] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_point_down(module):
+    upward = [
+        (node.lineno, target)
+        for node, target in internal_imports(parse(module))
+        if RANK[target] > RANK[module]
+    ]
+    assert upward == [], f"{module} imports from a later layer"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_internal_import_inside_a_function(module):
+    local = []
+    for func in ast.walk(parse(module)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local.extend((node.lineno, target) for node, target in internal_imports(func))
+    assert local == [], f"{module} imports package modules inside a function"

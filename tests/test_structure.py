@@ -157,7 +157,7 @@ class TestAssociatedCliques:
 
 class TestOutsideDegree:
     def test_passes_on_cycle(self):
-        rec = outside_degree_check(cycle(4), 2, 0b0001)
+        rec = outside_degree_check(cycle(4), derive(cycle(4), 2, 0b0001))
         assert rec.applicable and rec.passed
 
     @settings(max_examples=150, deadline=None)
@@ -165,7 +165,7 @@ class TestOutsideDegree:
     def test_never_fails(self, gr):
         g, r = gr
         for t_mask in tight_cliques(g, r):
-            rec = outside_degree_check(g, r, t_mask)
+            rec = outside_degree_check(g, derive(g, r, t_mask))
             assert rec.passed
 
 

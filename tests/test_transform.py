@@ -39,24 +39,26 @@ def capped(draw):
 
 class TestFill:
     def test_cycle4_fill_gains_nothing(self):
-        report = apply_fill(cycle(4), 2, 0b0001)
+        report = apply_fill(cycle(4), derive(cycle(4), 2, 0b0001))
         assert report.move == "fill"
         assert report.k_before == report.k_after == 9
         assert report.gain == 0
 
     def test_staging_graph_pair_fill(self):
-        report = apply_fill(staging_graph(), 3, mask_of([0, 1]))
+        g = staging_graph()
+        report = apply_fill(g, derive(g, 3, mask_of([0, 1])))
         assert report.k_before == 16
         assert report.k_after == 18
 
     def test_staging_graph_singleton_fill(self):
         # filling around one degree-r vertex rebuilds K_4 u K_2 directly
-        report = apply_fill(staging_graph(), 3, mask_of([2]))
+        g = staging_graph()
+        report = apply_fill(g, derive(g, 3, mask_of([2])))
         assert report.k_after == 19
 
     def test_result_contains_full_clique(self):
         g = staging_graph()
-        report = apply_fill(g, 3, mask_of([2]))
+        report = apply_fill(g, derive(g, 3, mask_of([2])))
         ts = report.tight_structure
         assert report.after.is_clique(ts.T | ts.S)
         assert report.after.max_degree() <= 3
@@ -66,18 +68,18 @@ class TestFill:
     def test_gain_never_below_proven_bound(self, gr):
         g, r = gr
         for t_mask in tight_cliques(g, r):
-            report = apply_fill(g, r, t_mask)
+            report = apply_fill(g, derive(g, r, t_mask))
             assert report.gain >= report.gain_lower_bound
 
     def test_non_tight_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_fill(cycle(5), 3, 0b00001)
+            apply_fill(cycle(5), derive(cycle(5), 3, 0b00001))
 
 
 class TestK2Move:
     def test_staging_graph(self):
         g = staging_graph()
-        report = apply_k2_move(g, 3, mask_of([0, 1]))
+        report = apply_k2_move(g, derive(g, 3, mask_of([0, 1])))
         assert report.move == "k2"
         assert report.k_before == 16
         assert report.k_after == 18
@@ -85,34 +87,34 @@ class TestK2Move:
 
     def test_requires_pair(self):
         with pytest.raises(ValueError):
-            apply_k2_move(cycle(4), 2, 0b0001)
+            apply_k2_move(cycle(4), derive(cycle(4), 2, 0b0001))
 
     def test_requires_k2_component(self):
         g = complete(4)
         with pytest.raises(ValueError):
-            apply_k2_move(g, 3, 0b0011)
+            apply_k2_move(g, derive(g, 3, 0b0011))
 
 
 class TestGainLowerBound:
     def test_cycle4_is_zero(self):
-        assert gain_lower_bound(cycle(4), 2, 0b0001) == 0
+        assert gain_lower_bound(derive(cycle(4), 2, 0b0001)) == 0
 
     def test_matches_formula_on_staging_graph(self):
         g = staging_graph()
         # T = {0,1}: S = {2,3}, R = K_2, i(R) = 3, phi = 2
-        assert gain_lower_bound(g, 3, mask_of([0, 1])) == 16 - 4 * 3 - 2
+        assert gain_lower_bound(derive(g, 3, mask_of([0, 1]))) == 16 - 4 * 3 - 2
 
 
 class TestProfitability:
     def test_cycle4_separates_the_two_readings(self):
-        p = fill_profitable(cycle(4), 2, 0b0001)
+        p = fill_profitable(derive(cycle(4), 2, 0b0001))
         assert p == Profitability(literal=True, corrected=False)
 
     def test_corrected_implies_positive_proven_gain(self):
         g = staging_graph()
         for t_mask in tight_cliques(g, 3):
-            p = fill_profitable(g, 3, t_mask)
-            assert p.corrected == (gain_lower_bound(g, 3, t_mask) > 0)
+            ts = derive(g, 3, t_mask)
+            assert fill_profitable(ts).corrected == (gain_lower_bound(ts) > 0)
 
 
 class TestHillClimb:
