@@ -16,13 +16,12 @@ from .counting import (
     clique_vector,
     clique_weight,
     clique_weights,
-    cliques_of_size,
     independent_vector,
 )
 from .fixed_loss import has_small_component
 from .graphs import Graph, turan
 from .records import ConsistencyRecord, not_applicable
-from .structure import TightStructure
+from .structure import TightStructure, associated_cliques
 from .transform import _k2_components
 
 
@@ -171,13 +170,12 @@ def regular_independent_checks(g: Graph, d: int) -> List[ConsistencyRecord]:
     return records
 
 
-def bounded_clique_checks(g: Graph, r: int) -> List[ConsistencyRecord]:
-    """Per-size upper bounds k_t(G) <= a C(r+1, t) plus the total
-    k(G) <= 1 + a(2^(r+1) - 1), for max degree <= r and (r+1) | n."""
+def bounded_clique_checks(g: Graph, r: int, kvec: CliqueVector) -> List[ConsistencyRecord]:
+    """Per-size upper bounds k_t(G) <= a C(r+1, t) plus the total k(G) <=
+    1 + a(2^(r+1) - 1), for max degree <= r and (r+1) | n; ``kvec`` counts g."""
     if g.max_degree() > r or g.n % (r + 1) != 0:
         return [not_applicable("bounded_clique_upper", f"n={g.n},r={r}")]
     a = g.n // (r + 1)
-    kvec = clique_vector(g)
     total_rhs = 1 + a * ((1 << (r + 1)) - 1)
     records = [
         ConsistencyRecord(
@@ -204,11 +202,10 @@ def bounded_clique_checks(g: Graph, r: int) -> List[ConsistencyRecord]:
     return records
 
 
-def zykov_check(g: Graph) -> ConsistencyRecord:
-    """k(G) <= k(T_{n, omega}) with omega the clique number of G."""
+def zykov_check(g: Graph, kvec: CliqueVector) -> ConsistencyRecord:
+    """k(G) <= k(T_{n, omega}) with omega the clique number of G; ``kvec`` counts g."""
     if g.n == 0:
         return not_applicable("zykov_upper", "n=0")
-    kvec = clique_vector(g)
     omega = kvec.max_size
     rhs = clique_vector(turan(g.n, omega)).total
     return ConsistencyRecord(
@@ -266,10 +263,9 @@ def associated_low_weight_check(
         or fill_gain > 0
     ):
         return not_applicable("associated_low_weight", f"T={cluster.T:#x},c={c}")
-    count = 0
-    for mask in cliques_of_size(g, c):
-        if (mask & cluster.T).bit_count() == c - 1 and clique_weight(g, mask) <= r - c - 1:
-            count += 1
+    count = sum(
+        1 for mask in associated_cliques(g, cluster.T, c) if clique_weight(g, mask) <= r - c - 1
+    )
     rhs = 2 * comb(t, c)
     return ConsistencyRecord(
         predicate="associated_low_weight",
@@ -302,8 +298,8 @@ def discharging_check(
     subject = f"n={g.n},r={r}"
     if g.max_degree() > r:
         return not_applicable("discharging", subject)
-    kvec = clique_vector(g)
-    if kvec[r + 1] > 0:
+    # under the cap a K_{r+1} has weight 0 = r+1-(r+1): a tight clique of size r+1
+    if any(ts.t == r + 1 for ts in tights):
         return not_applicable("discharging", subject, reason="contains K_{r+1}")
     if not any(ts.t >= 2 for ts in tights):
         return not_applicable("discharging", subject, reason="no tight clique of size >= 2")

@@ -129,8 +129,6 @@ def cmd_count(args) -> int:
             "min_degree": g.min_degree(),
         }
         if args.tight:
-            if args.r is None:
-                raise SystemExit("--tight requires -r")
             if g.max_degree() > args.r:
                 rec["error"] = f"max degree {g.max_degree()} exceeds r={args.r}"
                 had_error = True
@@ -211,25 +209,26 @@ def cmd_transform(args) -> int:
     t0 = time.monotonic()
     lines = _read_graph6_lines(args.input)
     if not lines:
-        raise SystemExit("transform needs one graph6 input line")
+        raise ValueError("transform needs one graph6 input line")
     try:
         g = graph6.decode(lines[0])
     except Graph6ParseError as exc:
         print(f"graph6 parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if g.max_degree() > args.r:
-        raise SystemExit(f"max degree {g.max_degree()} exceeds r={args.r}")
+        raise ValueError(f"max degree {g.max_degree()} exceeds r={args.r}")
+    k = clique_vector(g).total
     if args.move is not None:
         vertices = [int(v) for v in args.move.split(",")]
-        trace = [apply_fill(g, derive(g, args.r, mask_of(vertices)))]
-        final = trace[0].after
+        if not all(0 <= v < g.n for v in vertices):
+            raise ValueError(f"--move vertices must lie in 0..{g.n - 1}")
+        trace = [apply_fill(g, derive(g, args.r, mask_of(vertices)), k)]
     else:
         trace = hill_climb(g, args.r)
-        final = trace[-1].after if trace else g
     results = {
         "trace": [_step_jsonable(step) for step in trace],
-        "final_graph6": graph6.encode(final),
-        "final_k": clique_vector(final).total,
+        "final_graph6": graph6.encode(trace[-1].after if trace else g),
+        "final_k": trace[-1].k_after if trace else k,
     }
     parameters = {"input": args.input or "-", "r": args.r,
                   "greedy": args.greedy, "move": args.move}
@@ -298,6 +297,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "verify" and not args.sweep and (args.n is None or args.r is None):
         parser.error("verify needs n and r, or --sweep N_MAX R_MAX")
+    if args.subcommand == "count" and args.tight and args.r is None:
+        parser.error("--tight requires -r")
     try:
         return args.func(args)
     except CapacityError as exc:

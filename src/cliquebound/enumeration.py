@@ -30,7 +30,7 @@ from .bounds import (
     zykov_check,
 )
 from .canon import canonical_form, canonical_form_raw
-from .counting import clique_vector, weight_sums
+from .counting import CliqueVector, clique_vector, weight_sums
 from .errors import CapacityError
 from .fixed_loss import max_bound_check, degree_one_bound_check
 from .graphs import Graph, complete, cycle, disjoint_union, extremal_graph
@@ -260,9 +260,8 @@ def _tally(tallies: Dict[str, List[int]], failures: List[dict], g6: str,
                 )
 
 
-def _double_counting_record(g: Graph) -> ConsistencyRecord:
+def _double_counting_record(g: Graph, kv: CliqueVector) -> ConsistencyRecord:
     """t * k_t equals the weight sum over (t-1)-cliques, for every t >= 1."""
-    kv = clique_vector(g)
     sums = weight_sums(g)
     lhs = rhs = 0
     ok = True
@@ -275,9 +274,9 @@ def _double_counting_record(g: Graph) -> ConsistencyRecord:
     return ConsistencyRecord("double_counting", f"n={g.n}", lhs, rhs, True, ok)
 
 
-def _graph_records(g: Graph) -> List[ConsistencyRecord]:
-    """Degree-cap-independent checks for one graph."""
-    records = [_double_counting_record(g), zykov_check(g)]
+def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
+    """Degree-cap-independent checks for one graph with clique vector ``kv``."""
+    records = [_double_counting_record(g, kv), zykov_check(g, kv)]
     records.append(max_bound_check(g))
     records.append(degree_one_bound_check(g))
     degrees = {g.degree(v) for v in range(g.n)} or {0}
@@ -290,10 +289,9 @@ def _graph_records(g: Graph) -> List[ConsistencyRecord]:
     return records
 
 
-def _capped_records(g: Graph, r: int) -> List[ConsistencyRecord]:
-    """Checks for one graph under one degree cap r >= max degree."""
+def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecord]:
+    """Checks for one graph, with clique vector ``kv``, under one cap r >= max degree."""
     records: List[ConsistencyRecord] = []
-    kv = clique_vector(g)
     k_total = kv.total
 
     bound = main_bound(g.n, r)
@@ -302,7 +300,7 @@ def _capped_records(g: Graph, r: int) -> List[ConsistencyRecord]:
             "extremal_bound", f"n={g.n},r={r}", k_total, bound, True, k_total <= bound
         )
     )
-    records.extend(rec for rec in bounded_clique_checks(g, r) if rec.applicable)
+    records.extend(rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable)
 
     tights = [derive(g, r, t) for t in tight_cliques(g, r, 1)]
     fill_gains = {}
@@ -332,7 +330,7 @@ def _capped_records(g: Graph, r: int) -> List[ConsistencyRecord]:
                 ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
             )
         if ts.t >= 2 and _k2_components(ts):
-            report = apply_k2_move(g, ts)
+            report = apply_k2_move(g, ts, k_total)
             records.append(
                 ConsistencyRecord(
                     "k2_move_gain",
@@ -391,10 +389,11 @@ def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
     for rows in adj_list:
         g = Graph(n, rows)
         g6 = graph6.encode(g)
-        _tally(tallies, failures, g6, _graph_records(g))
+        kv = clique_vector(g)
+        _tally(tallies, failures, g6, _graph_records(g, kv))
         max_deg = g.max_degree()
         for r in range(max(1, max_deg), min(r_max, n - 1) + 1):
-            _tally(tallies, failures, g6, _capped_records(g, r))
+            _tally(tallies, failures, g6, _capped_records(g, r, kv))
     return tallies, failures
 
 

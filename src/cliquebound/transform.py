@@ -19,7 +19,6 @@ from .structure import TightStructure, derive, tight_cliques
 
 @dataclass(frozen=True)
 class RewriteReport:
-    before: Graph
     after: Graph
     move: str  # "fill" | "k2"
     k_before: int
@@ -72,14 +71,14 @@ def fill_graph(g: Graph, ts: TightStructure) -> Graph:
     return after
 
 
-def apply_fill(g: Graph, ts: TightStructure) -> RewriteReport:
-    """Fill S into a clique with T and cut S off from the rest."""
+def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
+    """Fill S into a clique with T and cut S off from the rest.  The caller
+    passes k(g) as ``k_before``; only the rewritten graph is counted."""
     after = fill_graph(g, ts)
     return RewriteReport(
-        before=g,
         after=after,
         move="fill",
-        k_before=clique_vector(g).total,
+        k_before=k_before,
         k_after=clique_vector(after).total,
         gain_lower_bound=gain_lower_bound(ts),
         tight_structure=ts,
@@ -97,10 +96,10 @@ def _k2_components(ts: TightStructure) -> List[int]:
     return out
 
 
-def apply_k2_move(g: Graph, ts: TightStructure) -> RewriteReport:
+def apply_k2_move(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     """Add the missing edge of a K_2 component of R and cut its endpoints
     off from everything outside T u S.  The strict clique gain is checked,
-    not assumed; a non-gain is surfaced via the report."""
+    not assumed; a non-gain is surfaced via the report.  ``k_before`` is k(g)."""
     if ts.t < 2:
         raise ValueError("the K2 move needs a tight clique of size >= 2")
     comps = _k2_components(ts)
@@ -115,10 +114,9 @@ def apply_k2_move(g: Graph, ts: TightStructure) -> RewriteReport:
     after = g.without_edges(removed).with_edges([(u, v)])
     assert after.max_degree() <= ts.r
     return RewriteReport(
-        before=g,
         after=after,
         move="k2",
-        k_before=clique_vector(g).total,
+        k_before=k_before,
         k_after=clique_vector(after).total,
         gain_lower_bound=gain_lower_bound(ts),
         tight_structure=ts,
@@ -156,7 +154,7 @@ def hill_climb(g: Graph, r: int, max_steps: int = 64) -> List[RewriteReport]:
     if g.max_degree() > r:
         raise ValueError("hill climbing needs the degree cap to hold")
     trace: List[RewriteReport] = []
-    current = g
+    current, k_current = g, clique_vector(g).total
     for _ in range(max_steps):
         best_k2: Optional[RewriteReport] = None
         best_fill: Optional[RewriteReport] = None
@@ -172,15 +170,15 @@ def hill_climb(g: Graph, r: int, max_steps: int = 64) -> List[RewriteReport]:
         for tight in tight_cliques(current, r, 1):
             ts = derive(current, r, tight)
             if ts.t >= 2 and _k2_components(ts):
-                report = apply_k2_move(current, ts)
+                report = apply_k2_move(current, ts, k_current)
                 if report.gain > 0 and better(report, best_k2):
                     best_k2 = report
-            report = apply_fill(current, ts)
+            report = apply_fill(current, ts, k_current)
             if report.gain > 0 and better(report, best_fill):
                 best_fill = report
         best = best_k2 if best_k2 is not None else best_fill
         if best is None:
             break
         trace.append(best)
-        current = best.after
+        current, k_current = best.after, best.k_after
     return trace

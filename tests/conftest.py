@@ -1,0 +1,31 @@
+import sys
+
+import pytest
+
+from cliquebound import counting
+
+
+@pytest.fixture
+def clique_vector_calls(monkeypatch):
+    """Every graph handed to ``clique_vector`` during the test, in call order.
+
+    The wrapper replaces the function in every ``cliquebound`` module that
+    imported it, so a count made from any layer above ``counting`` is seen.
+    The complements that ``independent_vector`` counts inside ``counting``
+    are not.
+    """
+    calls = []
+    original = counting.clique_vector
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if (
+            name.startswith("cliquebound.")
+            and module is not counting
+            and getattr(module, "clique_vector", None) is original
+        ):
+            monkeypatch.setattr(module, "clique_vector", counted)
+    return calls

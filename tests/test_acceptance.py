@@ -166,7 +166,7 @@ def test_criterion_07_signposts():
             if n % (r + 1):
                 continue
             for g in _classes(n, r):
-                for rec in bounded_clique_checks(g, r):
+                for rec in bounded_clique_checks(g, r, clique_vector(g)):
                     assert not rec.applicable or rec.passed, (graph6.encode(g), r)
     # independent-set power bounds on all regular graphs
     for n in range(1, 10):
@@ -179,7 +179,7 @@ def test_criterion_07_signposts():
     # triangle-count ceiling on all graphs with n <= 8
     for n in range(1, 9):
         for g in _classes(n, max(n - 1, 1)):
-            assert zykov_check(g).passed, graph6.encode(g)
+            assert zykov_check(g, clique_vector(g)).passed, graph6.encode(g)
     print("criterion 7 PASS: all signpost bounds clean for n<=9")
 
 

@@ -136,27 +136,27 @@ class TestPerSizeSignposts:
         assert recs and all(rec.passed for rec in recs if rec.applicable)
 
     def test_bounded_clique_per_size(self):
-        recs = bounded_clique_checks(turan(8, 4), 3)
+        recs = bounded_clique_checks(turan(8, 4), 3, clique_vector(turan(8, 4)))
         assert recs and all(rec.passed for rec in recs if rec.applicable)
 
     def test_divisibility_gate(self):
-        recs = bounded_clique_checks(cycle(5), 3)
+        recs = bounded_clique_checks(cycle(5), 3, clique_vector(cycle(5)))
         assert all(not rec.applicable for rec in recs)
 
 
 class TestZykov:
     def test_cycle5(self):
-        rec = zykov_check(cycle(5))
+        rec = zykov_check(cycle(5), clique_vector(cycle(5)))
         assert rec.passed and rec.lhs == 11 and rec.rhs == 12
 
     def test_turan_equality(self):
-        rec = zykov_check(turan(9, 3))
+        rec = zykov_check(turan(9, 3), clique_vector(turan(9, 3)))
         assert rec.passed and rec.lhs == rec.rhs
 
     @settings(max_examples=150, deadline=None)
     @given(graphs)
     def test_never_fails(self, g):
-        assert zykov_check(g).passed
+        assert zykov_check(g, clique_vector(g)).passed
 
 
 class TestGalvin:
@@ -171,7 +171,8 @@ class TestGalvin:
 
 def _discharging(g, r):
     tights = [derive(g, r, t) for t in tight_cliques(g, r)]
-    gains = {ts.T: apply_fill(g, ts).gain for ts in tights}
+    k = clique_vector(g).total
+    gains = {ts.T: apply_fill(g, ts, k).gain for ts in tights}
     return discharging_check(g, r, tights, gains)
 
 

@@ -98,6 +98,12 @@ class TestCount:
         (rec,) = json.loads(out)["results"]["graphs"]
         assert "byte offset 1" in rec["error"] and "n" not in rec
 
+    def test_tight_without_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph6.encode(cycle(4)) + "\n"))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["count", "--tight"])
+        assert exc_info.value.code == EXIT_USAGE
+
     def test_file_input(self, capsys, tmp_path):
         p = tmp_path / "in.g6"
         p.write_text(graph6.encode(complete(4)) + "\n")
@@ -179,6 +185,25 @@ class TestTransform:
             monkeypatch,
         )
         assert code == EXIT_USAGE
+
+    def test_degree_over_cap_is_usage_error(self, capsys, monkeypatch):
+        code, _ = run(
+            ["transform", "-r", "2", "--greedy"],
+            graph6.encode(complete(4)) + "\n",
+            capsys,
+            monkeypatch,
+        )
+        assert code == EXIT_USAGE
+
+    def test_no_input_line_is_usage_error(self, capsys, monkeypatch):
+        code, _ = run(["transform", "-r", "2", "--greedy"], "", capsys, monkeypatch)
+        assert code == EXIT_USAGE
+
+    def test_move_vertex_out_of_range_is_usage_error(self, capsys, monkeypatch):
+        for move in ("99", "-1", "0,3"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))  # K_3
+            assert main(["transform", "-r", "2", "--move", move]) == EXIT_USAGE, move
+            assert "0..2" in capsys.readouterr().err, move
 
 
 class TestGen:

@@ -116,6 +116,18 @@ class TestConsistencySweep:
         c4 = canonical_form(cycle(4))
         assert any(w["graph6"] == c4 for w in witnesses)
 
+    def test_counts_each_graph_once(self, clique_vector_calls):
+        consistency_sweep(5, 4)
+        # the predicates and rewrites are handed k(G): no graph object is
+        # counted twice, and every class is counted
+        assert len({id(g) for g in clique_vector_calls}) == len(clique_vector_calls)
+        counted = {g.adj for g in clique_vector_calls}
+        classes = [g for n in range(1, 6) for g in generate(n, min(4, max(n - 1, 1)))]
+        assert len(classes) == 52
+        assert all(g.adj in counted for g in classes)
+        # 52 classes, 52 Turan graphs, and one count per fill and per K2 move
+        assert len(clique_vector_calls) == 297
+
     def test_every_failure_has_a_witness(self):
         rep = consistency_sweep(5, 4)
         for failure in rep.failures:

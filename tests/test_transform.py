@@ -39,26 +39,26 @@ def capped(draw):
 
 class TestFill:
     def test_cycle4_fill_gains_nothing(self):
-        report = apply_fill(cycle(4), derive(cycle(4), 2, 0b0001))
+        report = apply_fill(cycle(4), derive(cycle(4), 2, 0b0001), clique_vector(cycle(4)).total)
         assert report.move == "fill"
         assert report.k_before == report.k_after == 9
         assert report.gain == 0
 
     def test_staging_graph_pair_fill(self):
         g = staging_graph()
-        report = apply_fill(g, derive(g, 3, mask_of([0, 1])))
+        report = apply_fill(g, derive(g, 3, mask_of([0, 1])), clique_vector(g).total)
         assert report.k_before == 16
         assert report.k_after == 18
 
     def test_staging_graph_singleton_fill(self):
         # filling around one degree-r vertex rebuilds K_4 u K_2 directly
         g = staging_graph()
-        report = apply_fill(g, derive(g, 3, mask_of([2])))
+        report = apply_fill(g, derive(g, 3, mask_of([2])), clique_vector(g).total)
         assert report.k_after == 19
 
     def test_result_contains_full_clique(self):
         g = staging_graph()
-        report = apply_fill(g, derive(g, 3, mask_of([2])))
+        report = apply_fill(g, derive(g, 3, mask_of([2])), clique_vector(g).total)
         ts = report.tight_structure
         assert report.after.is_clique(ts.T | ts.S)
         assert report.after.max_degree() <= 3
@@ -68,18 +68,18 @@ class TestFill:
     def test_gain_never_below_proven_bound(self, gr):
         g, r = gr
         for t_mask in tight_cliques(g, r):
-            report = apply_fill(g, derive(g, r, t_mask))
+            report = apply_fill(g, derive(g, r, t_mask), clique_vector(g).total)
             assert report.gain >= report.gain_lower_bound
 
     def test_non_tight_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_fill(cycle(5), derive(cycle(5), 3, 0b00001))
+            apply_fill(cycle(5), derive(cycle(5), 3, 0b00001), clique_vector(cycle(5)).total)
 
 
 class TestK2Move:
     def test_staging_graph(self):
         g = staging_graph()
-        report = apply_k2_move(g, derive(g, 3, mask_of([0, 1])))
+        report = apply_k2_move(g, derive(g, 3, mask_of([0, 1])), clique_vector(g).total)
         assert report.move == "k2"
         assert report.k_before == 16
         assert report.k_after == 18
@@ -87,12 +87,12 @@ class TestK2Move:
 
     def test_requires_pair(self):
         with pytest.raises(ValueError):
-            apply_k2_move(cycle(4), derive(cycle(4), 2, 0b0001))
+            apply_k2_move(cycle(4), derive(cycle(4), 2, 0b0001), clique_vector(cycle(4)).total)
 
     def test_requires_k2_component(self):
         g = complete(4)
         with pytest.raises(ValueError):
-            apply_k2_move(g, derive(g, 3, 0b0011))
+            apply_k2_move(g, derive(g, 3, 0b0011), clique_vector(g).total)
 
 
 class TestGainLowerBound:
@@ -123,6 +123,19 @@ class TestHillClimb:
         assert len(trace) >= 1
         assert trace[0].k_after == 18
         assert clique_vector(trace[-1].after).total == 18
+
+    def test_counts_start_graph_once_and_each_candidate_once(self, clique_vector_calls):
+        g = staging_graph()
+        trace = hill_climb(g, 3)
+        assert len(trace) == 1
+        after = trace[0].after  # K_4 plus two isolated vertices
+        # g has 5 tight cliques, one with a K_2 deficiency component: 6 rewrites;
+        # after has 15 tight cliques and no K_2 component: 15 fills
+        assert len(clique_vector_calls) == 1 + 6 + 15
+        assert clique_vector_calls[0] is g
+        assert sum(h is g for h in clique_vector_calls) == 1
+        assert sum(h is after for h in clique_vector_calls) == 1
+        assert len({id(h) for h in clique_vector_calls}) == len(clique_vector_calls)
 
     def test_cycle4_terminates_immediately(self):
         assert hill_climb(cycle(4), 2) == []
