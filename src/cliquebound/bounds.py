@@ -16,7 +16,6 @@ from .counting import (
     clique_vector,
     clique_weight,
     clique_weights,
-    independent_vector,
 )
 from .fixed_loss import has_small_component
 from .graphs import Graph, turan
@@ -97,11 +96,12 @@ def _is_regular(g: Graph, d: int) -> bool:
     return all(g.degree(v) == d for v in range(g.n))
 
 
-def kahn_zhao_check(g: Graph, d: int) -> ConsistencyRecord:
-    """i(G)^(2d) <= (2^(d+1) - 1)^n for d-regular G, in integer power form."""
+def kahn_zhao_check(g: Graph, d: int, ivec: CliqueVector) -> ConsistencyRecord:
+    """i(G)^(2d) <= (2^(d+1) - 1)^n for d-regular G, in integer power form;
+    ``ivec`` counts the independent sets of g."""
     if d < 1 or not _is_regular(g, d):
         return not_applicable("kahn_zhao_upper", f"n={g.n},d={d}")
-    i_total = independent_vector(g).total
+    i_total = ivec.total
     lhs = i_total ** (2 * d)
     rhs = ((1 << (d + 1)) - 1) ** g.n
     return ConsistencyRecord(
@@ -114,17 +114,20 @@ def kahn_zhao_check(g: Graph, d: int) -> ConsistencyRecord:
     )
 
 
-def min_ind_check(g: Graph, d: int, allow_max_degree: bool = False) -> ConsistencyRecord:
-    """i(G)^(d+1) >= (d+2)^n.  Stated for d-regular graphs; with
-    ``allow_max_degree`` the weaker hypothesis max degree <= d is accepted
-    (the proof only uses the upper degree bound)."""
+def min_ind_check(
+    g: Graph, d: int, ivec: CliqueVector, allow_max_degree: bool = False
+) -> ConsistencyRecord:
+    """i(G)^(d+1) >= (d+2)^n, where ``ivec`` counts the independent sets of g.
+    Stated for d-regular graphs; with ``allow_max_degree`` the weaker
+    hypothesis max degree <= d is accepted (the proof only uses the upper
+    degree bound)."""
     if allow_max_degree:
         applicable = g.max_degree() <= d
     else:
         applicable = _is_regular(g, d)
     if not applicable:
         return not_applicable("min_independent_lower", f"n={g.n},d={d}")
-    i_total = independent_vector(g).total
+    i_total = ivec.total
     lhs = i_total ** (d + 1)
     rhs = (d + 2) ** g.n
     return ConsistencyRecord(
@@ -138,13 +141,15 @@ def min_ind_check(g: Graph, d: int, allow_max_degree: bool = False) -> Consisten
     )
 
 
-def regular_independent_checks(g: Graph, d: int) -> List[ConsistencyRecord]:
+def regular_independent_checks(
+    g: Graph, d: int, ivec: CliqueVector
+) -> List[ConsistencyRecord]:
     """Per-size lower bounds i_t(G) >= (d+1)^t C(a, t) plus the total
-    i(G) >= (d+2)^a, for d-regular G on n = a(d+1) vertices."""
+    i(G) >= (d+2)^a, for d-regular G on n = a(d+1) vertices; ``ivec``
+    counts the independent sets of g."""
     if not _is_regular(g, d) or g.n % (d + 1) != 0:
         return [not_applicable("regular_independent_lower", f"n={g.n},d={d}")]
     a = g.n // (d + 1)
-    ivec = independent_vector(g)
     records = [
         ConsistencyRecord(
             predicate="regular_independent_lower",

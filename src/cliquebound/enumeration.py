@@ -3,8 +3,14 @@ confronts every quantitative statement with every small graph.
 
 Generation is vertex-by-vertex augmentation with canonical-form dedup per
 level: a child is kept iff its canonical form has not been seen at that
-level.  Level representatives are the canonically relabeled graphs, so the
-output stream is independent of worker count and iteration order.
+level.  Before a child is labeled, its new vertex must pass a canonical-
+deletion test (McKay, "Isomorph-free exhaustive generation", 1998): it has
+the largest invariant (degree, sorted neighbour degrees), and no other
+vertex with that invariant deletes to a smaller canonical form than the
+parent's.  Every class keeps a child that passes, so most children are
+dropped unlabeled and no class is lost.  Level representatives are the
+canonically relabeled graphs, so the output stream is independent of
+worker count and iteration order.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from .bounds import (
     zykov_check,
 )
 from .canon import canonical_form, canonical_form_raw
-from .counting import CliqueVector, clique_vector, weight_sums
+from .counting import CliqueVector, clique_vector, independent_vector, weight_sums
 from .errors import CapacityError
 from .fixed_loss import max_bound_check, degree_one_bound_check
-from .graphs import Graph, complete, cycle, disjoint_union, extremal_graph
+from .graphs import Graph, bits, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
 from .structure import clusters_among, derive, outside_degree_check, tight_cliques
 from .transform import (
@@ -53,8 +59,10 @@ _class_cache: Dict[Tuple[int, int], List[Graph]] = {}
 # generation
 
 
-def _child_canons(parent_rows: Tuple[int, ...], r: int) -> Set[str]:
-    """Canonical forms of every one-vertex extension keeping all degrees <= r."""
+def _child_canons(parent_rows: Tuple[int, ...], parent_form: str, r: int) -> Set[str]:
+    """Canonical forms of the one-vertex extensions of a level representative
+    (whose canonical form is ``parent_form``) that keep all degrees <= r and
+    whose new vertex passes the canonical-deletion test."""
     m = len(parent_rows)
     eligible = 0
     for v, row in enumerate(parent_rows):
@@ -69,35 +77,75 @@ def _child_canons(parent_rows: Tuple[int, ...], r: int) -> Set[str]:
                 row | new_bit if (sub >> v) & 1 else row
                 for v, row in enumerate(parent_rows)
             ) + (sub,)
-            out.add(canonical_form_raw(m + 1, child))
+            if _is_canonical_deletion(child, parent_form):
+                out.add(canonical_form_raw(m + 1, child))
         if sub == 0:
             break
         sub = (sub - 1) & eligible
     return out
 
 
+def _is_canonical_deletion(rows: Tuple[int, ...], parent_form: str) -> bool:
+    """Whether the last vertex u of ``rows`` can be its class's canonical
+    deletion vertex: among the vertices of largest invariant (degree, sorted
+    neighbour degrees), one whose deletion has the least canonical form.
+    ``parent_form`` is the canonical form of the graph minus u.
+
+    Every class has such a vertex w*, and deleting it leaves a level
+    representative, so the class is still reached from that parent through
+    w*'s neighbourhood.
+    """
+    u = len(rows) - 1
+    deg = [row.bit_count() for row in rows]
+    d = deg[u]
+    if max(deg) > d:
+        return False
+    top = sorted(deg[x] for x in bits(rows[u]))
+    rivals = []
+    for w in range(u):
+        if deg[w] == d:
+            key = sorted(deg[x] for x in bits(rows[w]))
+            if key > top:
+                return False
+            if key == top:
+                rivals.append(w)
+    for w in rivals:
+        low = (1 << w) - 1
+        rest = tuple(
+            (row & low) | ((row >> (w + 1)) << w)
+            for v, row in enumerate(rows)
+            if v != w
+        )
+        if canonical_form_raw(u, rest) < parent_form:
+            return False
+    return True
+
+
 def _expand_chunk(args) -> Set[str]:
     parents, r = args
     out: Set[str] = set()
-    for rows in parents:
-        out |= _child_canons(rows, r)
+    for rows, form in parents:
+        out |= _child_canons(rows, form, r)
     return out
 
 
-def _expand_level(parents: List[Graph], r: int, workers: int) -> List[Graph]:
+def _expand_level(
+    parents: List[Tuple[Graph, str]], r: int, workers: int
+) -> List[Tuple[Graph, str]]:
+    """The next level's representatives, each with its canonical form, from
+    this level's."""
+    pairs = [(g.adj, form) for g, form in parents]
     if workers > 1 and len(parents) > workers:
         import multiprocessing
 
-        chunks = [
-            ([g.adj for g in parents[i::workers]], r) for i in range(workers)
-        ]
+        chunks = [(pairs[i::workers], r) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             canons: Set[str] = set()
             for part in pool.map(_expand_chunk, chunks):
                 canons |= part
     else:
-        canons = _expand_chunk(([g.adj for g in parents], r))
-    return [graph6.decode(c) for c in sorted(canons)]
+        canons = _expand_chunk((pairs, r))
+    return [(graph6.decode(c), c) for c in sorted(canons)]
 
 
 def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
@@ -124,10 +172,11 @@ def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
     if n == 0:
         result = [Graph(0, ())]
     else:
-        level = [Graph(1, (0,))]
+        single = Graph(1, (0,))
+        level = [(single, graph6.encode(single))]
         for _ in range(n - 1):
             level = _expand_level(level, r, workers)
-        result = level
+        result = [g for g, _ in level]
     _class_cache[key] = result
     return result
 
@@ -282,9 +331,10 @@ def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     degrees = {g.degree(v) for v in range(g.n)} or {0}
     if len(degrees) == 1:
         d = degrees.pop()
-        records.append(kahn_zhao_check(g, d))
-        records.append(min_ind_check(g, d))
-        recs = regular_independent_checks(g, d)
+        ivec = independent_vector(g)
+        records.append(kahn_zhao_check(g, d, ivec))
+        records.append(min_ind_check(g, d, ivec))
+        recs = regular_independent_checks(g, d, ivec)
         records.extend(r for r in recs if r.applicable)
     return records
 

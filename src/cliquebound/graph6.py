@@ -69,26 +69,19 @@ def decode(text: str) -> Graph:
             body_start + min(len(body), expected),
         )
     adj = [0] * n
-    bit_index = 0
+    i, j = 0, 1  # the cell the next bit fills: columns j in order, rows i < j
     for byte in body:
         value = byte - 63
         for k in range(5, -1, -1):
-            if bit_index >= nbits:
-                if (value >> k) & 1:
+            bit = (value >> k) & 1
+            if j >= n:
+                if bit:
                     raise Graph6ParseError("nonzero padding bits", body_start + len(body) - 1)
                 continue
-            if (value >> k) & 1:
-                i, j = _bit_position(bit_index)
+            if bit:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit_index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, tuple(adj))
-
-
-def _bit_position(index: int) -> tuple:
-    """Map a flat upper-triangle bit index to its (i, j) cell, i < j."""
-    j = 1
-    while j * (j - 1) // 2 <= index:
-        j += 1
-    j -= 1
-    return index - j * (j - 1) // 2, j

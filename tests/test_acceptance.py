@@ -158,7 +158,7 @@ def test_criterion_07_signposts():
             if n % (d + 1) or (n * d) % 2:
                 continue
             for g in generate_regular(n, d):
-                for rec in regular_independent_checks(g, d):
+                for rec in regular_independent_checks(g, d, independent_vector(g)):
                     assert not rec.applicable or rec.passed, (graph6.encode(g), d)
     # per-size upper bounds on capped graphs with (r+1) | n
     for n in range(1, 10):
@@ -174,8 +174,9 @@ def test_criterion_07_signposts():
             if (n * d) % 2:
                 continue
             for g in generate_regular(n, d):
-                assert kahn_zhao_check(g, d).passed is not False, graph6.encode(g)
-                assert min_ind_check(g, d).passed is not False, graph6.encode(g)
+                ivec = independent_vector(g)
+                assert kahn_zhao_check(g, d, ivec).passed is not False, graph6.encode(g)
+                assert min_ind_check(g, d, ivec).passed is not False, graph6.encode(g)
     # triangle-count ceiling on all graphs with n <= 8
     for n in range(1, 9):
         for g in _classes(n, max(n - 1, 1)):

@@ -18,7 +18,7 @@ from cliquebound.bounds import (
     strong_inequalities,
     zykov_check,
 )
-from cliquebound.counting import clique_vector
+from cliquebound.counting import clique_vector, independent_vector
 from cliquebound.structure import derive, tight_cliques
 from cliquebound.transform import apply_fill
 from cliquebound.graphs import (
@@ -94,45 +94,48 @@ class TestChainBound:
 
 class TestKahnZhao:
     def test_k2_equality(self):
-        rec = kahn_zhao_check(complete(2), 1)
+        rec = kahn_zhao_check(complete(2), 1, independent_vector(complete(2)))
         assert rec.passed and rec.lhs == rec.rhs == 9
 
     def test_biclique_equality(self):
-        rec = kahn_zhao_check(complete_bipartite(3, 3), 3)
+        g = complete_bipartite(3, 3)
+        rec = kahn_zhao_check(g, 3, independent_vector(g))
         assert rec.passed and rec.lhs == rec.rhs
 
     def test_irregular_not_applicable(self):
-        assert not kahn_zhao_check(from_edges(3, [(0, 1)]), 1).applicable
+        g = from_edges(3, [(0, 1)])
+        assert not kahn_zhao_check(g, 1, independent_vector(g)).applicable
 
     @settings(max_examples=100, deadline=None)
     @given(graphs)
     def test_never_fails_on_regular_inputs(self, g):
         degs = {g.degree(v) for v in range(g.n)}
         if len(degs) == 1:
-            rec = kahn_zhao_check(g, degs.pop())
+            rec = kahn_zhao_check(g, degs.pop(), independent_vector(g))
             assert not rec.applicable or rec.passed
 
 
 class TestMinIndependent:
     def test_k3_equality(self):
-        rec = min_ind_check(complete(3), 2)
+        rec = min_ind_check(complete(3), 2, independent_vector(complete(3)))
         assert rec.passed and rec.lhs == rec.rhs == 64
 
     def test_two_k2(self):
         # i(2K_2) = 9 = (d+2)^a with d=1, a=2
         g = disjoint_union(complete(2), complete(2))
-        rec = min_ind_check(g, 1)
+        rec = min_ind_check(g, 1, independent_vector(g))
         assert rec.passed and rec.lhs == 81 and rec.rhs == 81
 
     def test_max_degree_variant(self):
-        rec = min_ind_check(cycle(5), 2, allow_max_degree=True)
+        g = cycle(5)
+        rec = min_ind_check(g, 2, independent_vector(g), allow_max_degree=True)
         assert rec.applicable and rec.passed
 
 
 class TestPerSizeSignposts:
     def test_regular_per_size(self):
         g = disjoint_union(complete(3), complete(3))
-        recs = regular_independent_checks(g, 2)
+        recs = regular_independent_checks(g, 2, independent_vector(g))
         assert recs and all(rec.passed for rec in recs if rec.applicable)
 
     def test_bounded_clique_per_size(self):

@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from cliquebound import graph6
+from cliquebound import cli, graph6, structure
 from cliquebound.cli import (
     EXIT_FALSIFIED,
     EXIT_OK,
@@ -77,6 +77,29 @@ class TestCount:
         assert code == EXIT_OK
         (rec,) = json.loads(out)["results"]["graphs"]
         assert rec["tight_cliques"] == [[0], [1], [2], [3]]
+
+    def test_tight_cliques_enumerated_once_per_graph(self, capsys, monkeypatch):
+        calls = []
+        original = structure.tight_cliques
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(structure, "tight_cliques", counted)
+        monkeypatch.setattr(cli, "tight_cliques", counted)
+        two_triangles = disjoint_union(complete(3), complete(3))
+        code, out = run(
+            ["count", "--tight", "-r", "2"],
+            graph6.encode(cycle(4)) + "\n" + graph6.encode(two_triangles) + "\n",
+            capsys,
+            monkeypatch,
+        )
+        assert code == EXIT_OK
+        c4, triangles = json.loads(out)["results"]["graphs"]
+        assert c4["clusters"] == [[0], [1], [2], [3]]
+        assert triangles["clusters"] == [[0, 1, 2], [3, 4, 5]]
+        assert len(calls) == 2
 
     def test_malformed_line_reported_and_flagged(self, capsys, monkeypatch):
         code, out = run(

@@ -1,8 +1,9 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from cliquebound import graph6
+from cliquebound import enumeration, graph6
 from cliquebound.canon import canonical_form
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
@@ -52,6 +53,46 @@ class TestGenerate:
     def test_cap(self):
         with pytest.raises(CapacityError):
             list(generate(GENERATION_MAX_VERTICES + 1, 2))
+
+    def test_worker_path_matches_serial_on_cold_cache(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        serial = [graph6.encode(g) for g in generate(6, 5)]
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        pooled = [graph6.encode(g) for g in generate(6, 5, workers=2)]
+        assert pooled == serial
+
+    @pytest.mark.parametrize(
+        "n, r, classes, labelings", [(7, 6, 1044, 3651), (8, 4, 2590, 11712)]
+    )
+    def test_deletion_test_labels_few_graphs(self, monkeypatch, n, r, classes, labelings):
+        """Labeling every child took 11,290 canonical labelings for (7, 6)
+        and 33,383 for (8, 4)."""
+        calls = []
+        original = enumeration.canonical_form_raw
+
+        def counted(m, rows):
+            calls.append(m)
+            return original(m, rows)
+
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        monkeypatch.setattr(enumeration, "canonical_form_raw", counted)
+        assert len(enumeration._classes(n, r)) == classes
+        assert len(calls) == labelings
+
+    def test_capped_counts_match_networkx_atlas(self, monkeypatch):
+        """Every (n, r) with n <= 7 and r < n, generated from scratch, has as
+        many classes as the atlas has graphs on n vertices with max degree <= r."""
+        nx = pytest.importorskip("networkx")
+        atlas = Counter()
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            for r in range(max((d for _, d in h.degree()), default=0), n):
+                atlas[n, r] += 1
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        for n in range(1, 8):
+            for r in range(n):
+                enumeration._class_cache.clear()
+                assert sum(1 for _ in generate(n, r)) == atlas[n, r], (n, r)
 
 
 class TestGenerateRegular:
