@@ -171,10 +171,12 @@ def cmd_verify(args) -> int:
         n_max, r_max = args.sweep
         verifications = []
         for n in range(1, n_max + 1):
-            for r in range(1, max(min(r_max, n - 1), 1) + 1):
+            # widest cap first, so every narrower cap filters the cached classes
+            for r in range(max(min(r_max, n - 1), 1), 0, -1):
                 rep = verify_main(n, r, workers=args.workers)
                 verifications.append(_verification_jsonable(rep))
                 falsified |= not rep.bound_holds
+        verifications.sort(key=lambda v: (v["n"], v["r"]))
         sweep = consistency_sweep(
             n_max, r_max, workers=args.workers, checkpoint=args.checkpoint
         )

@@ -10,7 +10,8 @@ vertex with that invariant deletes to a smaller canonical form than the
 parent's.  Every class keeps a child that passes, so most children are
 dropped unlabeled and no class is lost.  Level representatives are the
 canonically relabeled graphs, so the output stream is independent of
-worker count and iteration order.
+worker count and iteration order.  The (n, r) class lists form one cached
+table: each level is built once, from the cached level below.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .bounds import (
 from .canon import canonical_form, canonical_form_raw
 from .counting import CliqueVector, clique_vector, independent_vector, weight_sums
 from .errors import CapacityError
-from .fixed_loss import max_bound_check, degree_one_bound_check
+from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bits, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
 from .structure import clusters_among, derive, outside_degree_check, tight_cliques
@@ -124,28 +125,25 @@ def _is_canonical_deletion(rows: Tuple[int, ...], parent_form: str) -> bool:
 def _expand_chunk(args) -> Set[str]:
     parents, r = args
     out: Set[str] = set()
-    for rows, form in parents:
-        out |= _child_canons(rows, form, r)
+    for g in parents:
+        out |= _child_canons(g.adj, graph6.encode(g), r)
     return out
 
 
-def _expand_level(
-    parents: List[Tuple[Graph, str]], r: int, workers: int
-) -> List[Tuple[Graph, str]]:
-    """The next level's representatives, each with its canonical form, from
-    this level's."""
-    pairs = [(g.adj, form) for g, form in parents]
+def _expand_level(parents: List[Graph], r: int, workers: int) -> List[Graph]:
+    """The next level's representatives from this level's.  A representative
+    is canonically labeled, so its graph6 string is its canonical form."""
     if workers > 1 and len(parents) > workers:
         import multiprocessing
 
-        chunks = [(pairs[i::workers], r) for i in range(workers)]
+        chunks = [(parents[i::workers], r) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             canons: Set[str] = set()
             for part in pool.map(_expand_chunk, chunks):
                 canons |= part
     else:
-        canons = _expand_chunk((pairs, r))
-    return [(graph6.decode(c), c) for c in sorted(canons)]
+        canons = _expand_chunk((parents, r))
+    return [graph6.decode(c) for c in sorted(canons)]
 
 
 def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
@@ -155,6 +153,9 @@ def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
 
 
 def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
+    """The class table: every (n, r) list is built once, from the level
+    below, and kept.  A cap above n - 1 is clamped, so any cap may be asked
+    for."""
     if n > GENERATION_MAX_VERTICES:
         raise CapacityError(f"exhaustive generation capped at n <= {GENERATION_MAX_VERTICES}")
     if r < 0 or n < 0:
@@ -163,20 +164,14 @@ def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
     key = (n, r)
     if key in _class_cache:
         return _class_cache[key]
-    # a wider cached run filters down without regenerating
-    for (cn, cr), cached in _class_cache.items():
-        if cn == n and cr > r:
-            result = [g for g in cached if g.max_degree() <= r]
-            _class_cache[key] = result
-            return result
-    if n == 0:
-        result = [Graph(0, ())]
+    wider = next((c for (cn, cr), c in _class_cache.items() if cn == n and cr > r), None)
+    if wider is not None:
+        # a wider cached run filters down without regenerating
+        result = [g for g in wider if g.max_degree() <= r]
+    elif n <= 1:
+        result = [Graph(n, (0,) * n)]
     else:
-        single = Graph(1, (0,))
-        level = [(single, graph6.encode(single))]
-        for _ in range(n - 1):
-            level = _expand_level(level, r, workers)
-        result = [g for g, _ in level]
+        result = _expand_level(_classes(n - 1, r, workers), r, workers)
     _class_cache[key] = result
     return result
 
@@ -206,7 +201,6 @@ class VerificationReport:
     bound: int
     extremal: Tuple[str, ...]  # canonical graph6 of all maximizers
     equality_matches_characterization: bool
-    predicate_tallies: dict = field(default_factory=dict, compare=False)
     runtime_seconds: float = field(default=0.0, compare=False)
 
     @property
@@ -326,8 +320,9 @@ def _double_counting_record(g: Graph, kv: CliqueVector) -> ConsistencyRecord:
 def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     """Degree-cap-independent checks for one graph with clique vector ``kv``."""
     records = [_double_counting_record(g, kv), zykov_check(g, kv)]
-    records.append(max_bound_check(g))
-    records.append(degree_one_bound_check(g))
+    breakdown = fixed_loss(g)
+    records.append(max_bound_check(g, breakdown))
+    records.append(degree_one_bound_check(g, breakdown))
     degrees = {g.degree(v) for v in range(g.n)} or {0}
     if len(degrees) == 1:
         d = degrees.pop()
@@ -433,16 +428,14 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
 
 
 def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
-    adj_list, n, r_max = args
+    graphs, r_max = args
     tallies: Dict[str, List[int]] = {}
     failures: List[dict] = []
-    for rows in adj_list:
-        g = Graph(n, rows)
+    for g in graphs:
         g6 = graph6.encode(g)
         kv = clique_vector(g)
         _tally(tallies, failures, g6, _graph_records(g, kv))
-        max_deg = g.max_degree()
-        for r in range(max(1, max_deg), min(r_max, n - 1) + 1):
+        for r in range(max(1, g.max_degree()), min(r_max, g.n - 1) + 1):
             _tally(tallies, failures, g6, _capped_records(g, r, kv))
     return tallies, failures
 
@@ -487,7 +480,7 @@ def consistency_sweep(
         else:
             unit = _sweep_unit(n, r_max, workers)
             if checkpoint is not None:
-                emitted = len(_classes(n, min(r_max, max(n - 1, 1))))
+                emitted = len(_classes(n, r_max))
                 _append_checkpoint(checkpoint, n, r_max, emitted, unit)
         _merge((tallies, failures), unit)
     failures.sort(key=lambda f: (f["predicate"], f["graph6"], f["subject"]))
@@ -495,17 +488,17 @@ def consistency_sweep(
 
 
 def _sweep_unit(n: int, r_max: int, workers: int) -> Tuple[Dict[str, List[int]], List[dict]]:
-    cls = _classes(n, min(r_max, max(n - 1, 1)), workers)
+    cls = _classes(n, r_max, workers)
     if workers > 1 and len(cls) > workers:
         import multiprocessing
 
-        chunks = [([g.adj for g in cls[i::workers]], n, r_max) for i in range(workers)]
+        chunks = [(cls[i::workers], r_max) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             unit: Tuple[Dict[str, List[int]], List[dict]] = ({}, [])
             for part in pool.map(_sweep_chunk, chunks):
                 _merge(unit, part)
         return unit
-    return _sweep_chunk(([g.adj for g in cls], n, r_max))
+    return _sweep_chunk((cls, r_max))
 
 
 # checkpoint format: '#'-prefixed header, then one JSON object per line with

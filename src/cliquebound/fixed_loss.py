@@ -82,13 +82,13 @@ def complete_graph_fixed_loss(s: int) -> int:
     return s * ((1 << (s - 1)) - 1) if s >= 1 else 0
 
 
-def max_bound_check(r_graph: Graph) -> ConsistencyRecord:
-    """phi(R) <= phi(K_s), with the strengthened weighted form alongside.
+def max_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> ConsistencyRecord:
+    """phi(R) <= phi(K_s), with the strengthened weighted form alongside;
+    ``breakdown`` is ``fixed_loss(r_graph)``.
 
     The weighted form sum |I| (2^(delta_I) - 1) <= s (2^(s-1) - 1) is
     strictly stronger and checked too; the record passes only if both hold.
     """
-    breakdown = fixed_loss(r_graph)
     ceiling = complete_graph_fixed_loss(r_graph.n)
     return ConsistencyRecord(
         predicate="fixed_loss_max",
@@ -106,12 +106,12 @@ def has_small_component(r_graph: Graph) -> bool:
     return any(comp.bit_count() <= 2 for comp in connected_components(r_graph))
 
 
-def degree_one_bound_check(r_graph: Graph) -> ConsistencyRecord:
+def degree_one_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> ConsistencyRecord:
     """phi(R) <= 2^s + (s - ell - 2) 2^(s-ell-1) when R has neither a K_1
-    nor a K_2 component; not applicable otherwise."""
+    nor a K_2 component; not applicable otherwise.  ``breakdown`` is
+    ``fixed_loss(r_graph)``."""
     if r_graph.n == 0 or has_small_component(r_graph):
         return not_applicable("fixed_loss_degree_one", f"s={r_graph.n}")
-    breakdown = fixed_loss(r_graph)
     s, ell = breakdown.s, breakdown.ell
     # no K_1/K_2 components forces ell <= s-1, so the shift is safe
     bound = (1 << s) + (s - ell - 2) * (1 << (s - ell - 1))

@@ -135,16 +135,6 @@ class Graph:
             adj[perm[v]] = row
         return Graph(n, tuple(adj))
 
-    def add_vertex(self, neighborhood: int) -> "Graph":
-        """Graph on n+1 vertices; the new vertex n is joined to ``neighborhood``."""
-        if self.n + 1 > MAX_VERTICES:
-            raise CapacityError("adding a vertex would exceed capacity")
-        new_bit = 1 << self.n
-        adj = [row | new_bit if (neighborhood >> v) & 1 else row
-               for v, row in enumerate(self.adj)]
-        adj.append(neighborhood)
-        return Graph(self.n + 1, tuple(adj))
-
 
 def from_edges(n: int, edges) -> Graph:
     adj = [0] * n

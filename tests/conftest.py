@@ -2,7 +2,14 @@ import sys
 
 import pytest
 
-from cliquebound import counting
+from cliquebound import counting, enumeration
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: takes more than 10 s; deselect with -m \"not slow\" for a quick loop",
+    )
 
 
 @pytest.fixture
@@ -28,4 +35,20 @@ def clique_vector_calls(monkeypatch):
             and getattr(module, "clique_vector", None) is original
         ):
             monkeypatch.setattr(module, "clique_vector", counted)
+    return calls
+
+
+@pytest.fixture
+def cold_labelings(monkeypatch):
+    """The vertex count of every canonical labeling generation makes during
+    the test, which starts from an empty class table."""
+    calls = []
+    original = enumeration.canonical_form_raw
+
+    def counted(m, rows):
+        calls.append(m)
+        return original(m, rows)
+
+    monkeypatch.setattr(enumeration, "_class_cache", {})
+    monkeypatch.setattr(enumeration, "canonical_form_raw", counted)
     return calls

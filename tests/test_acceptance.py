@@ -3,6 +3,8 @@
 Criterion 2 sweeps every isomorphism class on up to nine vertices; its
 generated classes are cached at module scope and reused by the later
 criteria, so this file is meant to run as a unit (plain `pytest` does that).
+The criteria that take more than 10 s, and those that read criterion 2's
+nine-vertex classes, are marked ``slow``.
 """
 
 import random
@@ -35,7 +37,7 @@ from cliquebound.enumeration import (
     generate_regular,
     verify_main,
 )
-from cliquebound.fixed_loss import degree_one_bound_check, max_bound_check
+from cliquebound.fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from cliquebound.graphs import (
     complete,
     cycle,
@@ -67,6 +69,7 @@ def test_criterion_01_extremal_formula():
     print(f"criterion 1 PASS: extremal formula exact for n<=20, r<=10 ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_02_exhaustive_maximum():
     """Exhaustive maximum and equality characterization for n <= 9, all r."""
     t0 = time.monotonic()
@@ -90,6 +93,7 @@ def test_criterion_02_exhaustive_maximum():
     print(f"criterion 2 PASS: exhaustive maximum matches the bound for n<=9 ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_03_oracle_equivalence():
     """Pivoted counter equals the subset-scan oracle on 2^15 labeled n=6
     graphs and on 1000 seeded random n=20 graphs."""
@@ -108,6 +112,7 @@ def test_criterion_03_oracle_equivalence():
     print(f"criterion 3 PASS: oracle equivalence on 33768 graphs ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_04_weight_identity():
     """t k_t = sum of w(C) over (t-1)-cliques, on every graph of criterion 2's sweep."""
     checked = 0
@@ -122,6 +127,7 @@ def test_criterion_04_weight_identity():
     print(f"criterion 4 PASS: weight identity exact on {checked} classes")
 
 
+@pytest.mark.slow
 def test_criterion_05_fill_gain_bound(sweep_n8):
     """Proven fill-gain lower bound holds for every (G, tight T), n <= 8."""
     applicable, passed, failed = sweep_n8.tallies["fill_gain_lower_bound"]
@@ -136,19 +142,22 @@ def test_criterion_06_fixed_loss_bounds():
     checked = 0
     for s in range(0, 8):
         for r_graph in _classes(s, max(s - 1, 1)):
-            rec = max_bound_check(r_graph)
+            breakdown = fixed_loss(r_graph)
+            rec = max_bound_check(r_graph, breakdown)
             assert not rec.applicable or rec.passed, graph6.encode(r_graph)
-            rec = degree_one_bound_check(r_graph)
+            rec = degree_one_bound_check(r_graph, breakdown)
             assert not rec.applicable or rec.passed, graph6.encode(r_graph)
             checked += 1
         if s >= 1:
-            rec = max_bound_check(complete(s))
+            k_s = complete(s)
+            rec = max_bound_check(k_s, fixed_loss(k_s))
             assert rec.lhs == rec.rhs == s * ((1 << (s - 1)) - 1)
     elapsed = time.monotonic() - t0
     assert elapsed < 5 * 60
     print(f"criterion 6 PASS: fixed-loss bounds clean on {checked} graphs ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_signposts():
     """Per-size regular lower bounds, per-size degree-capped upper bounds,
     the regular-graph power inequalities, and the triangle-count ceiling."""
@@ -202,6 +211,7 @@ def test_criterion_08_known_equality_fixtures():
     print("criterion 8 PASS: known equality fixtures exact, chain/main equality unique at (6,3)")
 
 
+@pytest.mark.slow
 def test_criterion_09_consistency_report(sweep_n8):
     # (a) outside-degree bound, (b) strict gain of the edge-completion move
     assert sweep_n8.tallies["outside_degree"][2] == 0

@@ -152,6 +152,16 @@ class TestVerify:
         assert doc["results"]["consistency"]["tallies"]["extremal_bound"][2] == 0
         assert len(doc["results"]["verifications"]) > 1
 
+    def test_sweep_builds_each_level_once(self, capsys, cold_labelings):
+        """Asking for the caps in ascending order rebuilt every (n, r) from
+        scratch: 14,167 labelings against the 3,651 of one cold (7, 6)."""
+        code, out = run(["verify", "--sweep", "7", "6"], capsys=capsys)
+        assert code == EXIT_OK
+        assert len(cold_labelings) == 3651
+        pairs = [(v["n"], v["r"]) for v in json.loads(out)["results"]["verifications"]]
+        assert pairs == sorted(pairs)
+        assert len(pairs) == len(set(pairs)) == 22
+
     def test_missing_args_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["verify"])

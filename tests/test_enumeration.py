@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 
 from cliquebound import enumeration, graph6
 from cliquebound.canon import canonical_form
+from cliquebound.counting import clique_vector
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
     consistency_sweep,
@@ -14,7 +16,10 @@ from cliquebound.enumeration import (
     verify_main,
 )
 from cliquebound.errors import CapacityError
-from cliquebound.graphs import complete, cycle, disjoint_union, empty, from_edges
+from cliquebound.graphs import complete, cycle, disjoint_union, empty, from_edges, path
+
+# the package exports the function ``fixed_loss`` under the module's name
+fixed_loss_module = importlib.import_module("cliquebound.fixed_loss")
 
 
 class TestGenerate:
@@ -64,20 +69,26 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "n, r, classes, labelings", [(7, 6, 1044, 3651), (8, 4, 2590, 11712)]
     )
-    def test_deletion_test_labels_few_graphs(self, monkeypatch, n, r, classes, labelings):
+    def test_deletion_test_labels_few_graphs(self, cold_labelings, n, r, classes, labelings):
         """Labeling every child took 11,290 canonical labelings for (7, 6)
         and 33,383 for (8, 4)."""
-        calls = []
-        original = enumeration.canonical_form_raw
-
-        def counted(m, rows):
-            calls.append(m)
-            return original(m, rows)
-
-        monkeypatch.setattr(enumeration, "_class_cache", {})
-        monkeypatch.setattr(enumeration, "canonical_form_raw", counted)
         assert len(enumeration._classes(n, r)) == classes
-        assert len(calls) == labelings
+        assert len(cold_labelings) == labelings
+
+    def test_each_level_is_built_once(self, cold_labelings):
+        """The sweep's set-up asks for every n in turn; each level is built
+        from the one below, so this costs what a cold (7, 6) costs (building
+        every level from K1 took 4,563 labelings)."""
+        for n in range(1, 8):
+            list(generate(n, min(6, max(n - 1, 1))))
+        assert len(cold_labelings) == 3651
+
+    def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
+        enumeration._classes(7, 6)
+        built = len(cold_labelings)
+        for m in range(1, 7):
+            enumeration._classes(m, m - 1)
+        assert len(cold_labelings) == built
 
     def test_capped_counts_match_networkx_atlas(self, monkeypatch):
         """Every (n, r) with n <= 7 and r < n, generated from scratch, has as
@@ -168,6 +179,24 @@ class TestConsistencySweep:
         assert all(g.adj in counted for g in classes)
         # 52 classes, 52 Turan graphs, and one count per fill and per K2 move
         assert len(clique_vector_calls) == 297
+
+    def test_fixed_loss_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        original = fixed_loss_module.fixed_loss
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        for module in (fixed_loss_module, enumeration):
+            monkeypatch.setattr(module, "fixed_loss", counted)
+        p3 = path(3)  # both fixed-loss checks apply to P3
+        records = enumeration._graph_records(p3, clique_vector(p3))
+        assert {rec.predicate for rec in records if rec.applicable} >= {
+            "fixed_loss_max",
+            "fixed_loss_degree_one",
+        }
+        assert calls == [p3]
 
     def test_every_failure_has_a_witness(self):
         rep = consistency_sweep(5, 4)

@@ -88,13 +88,14 @@ class TestMinDegreeOver:
 
 class TestMaxBound:
     def test_extremal_at_complete_graph(self):
-        rec = max_bound_check(complete(5))
+        k5 = complete(5)
+        rec = max_bound_check(k5, fixed_loss(k5))
         assert rec.passed and rec.lhs == rec.rhs
 
     @settings(max_examples=150, deadline=None)
     @given(graphs)
     def test_never_fails(self, g):
-        rec = max_bound_check(g)
+        rec = max_bound_check(g, fixed_loss(g))
         if rec.applicable:
             assert rec.passed
 
@@ -104,32 +105,33 @@ class TestMaxBound:
             pairs = list(combinations(range(n), 2))
             for code in range(1 << len(pairs)):
                 g = from_edges(n, [p for i, p in enumerate(pairs) if (code >> i) & 1])
-                rec = max_bound_check(g)
+                rec = max_bound_check(g, fixed_loss(g))
                 assert not rec.applicable or rec.passed
 
 
 class TestDegreeOneBound:
     def test_p3_value(self):
         # ell = 2 of s = 3: bound is 2^3 + (3-2-2)2^0 = 7
-        rec = degree_one_bound_check(path(3))
+        p3 = path(3)
+        rec = degree_one_bound_check(p3, fixed_loss(p3))
         assert rec.applicable
         assert rec.lhs == 6 and rec.rhs == 7
         assert rec.passed
 
     def test_small_components_excluded(self):
-        assert not degree_one_bound_check(complete(2)).applicable
-        assert not degree_one_bound_check(disjoint_union(complete(2), cycle(4))).applicable
-        assert not degree_one_bound_check(empty(3)).applicable
+        for g in [complete(2), disjoint_union(complete(2), cycle(4)), empty(3)]:
+            assert not degree_one_bound_check(g, fixed_loss(g)).applicable
 
     def test_empty_vertex_set_excluded(self):
-        assert not degree_one_bound_check(empty(0)).applicable
+        e0 = empty(0)
+        assert not degree_one_bound_check(e0, fixed_loss(e0)).applicable
 
     def test_exhaustive_n5(self):
         for n in range(1, 6):
             pairs = list(combinations(range(n), 2))
             for code in range(1 << len(pairs)):
                 g = from_edges(n, [p for i, p in enumerate(pairs) if (code >> i) & 1])
-                rec = degree_one_bound_check(g)
+                rec = degree_one_bound_check(g, fixed_loss(g))
                 assert not rec.applicable or rec.passed
 
 
