@@ -16,6 +16,7 @@ from .counting import (
     clique_vector,
     clique_weight,
     clique_weights,
+    cliques_meeting,
     cliques_of_size,
     independent_vector,
     weight_sums,

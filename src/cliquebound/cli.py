@@ -218,18 +218,18 @@ def cmd_transform(args) -> int:
         return EXIT_PARSE
     if g.max_degree() > args.r:
         raise ValueError(f"max degree {g.max_degree()} exceeds r={args.r}")
-    k = clique_vector(g).total
     if args.move is not None:
         vertices = [int(v) for v in args.move.split(",")]
         if not all(0 <= v < g.n for v in vertices):
             raise ValueError(f"--move vertices must lie in 0..{g.n - 1}")
-        trace = [apply_fill(g, derive(g, args.r, mask_of(vertices)), k)]
+        ts = derive(g, args.r, mask_of(vertices))
+        trace = [apply_fill(g, ts, clique_vector(g).total)]
     else:
         trace = hill_climb(g, args.r)
     results = {
         "trace": [_step_jsonable(step) for step in trace],
         "final_graph6": graph6.encode(trace[-1].after if trace else g),
-        "final_k": trace[-1].k_after if trace else k,
+        "final_k": trace[-1].k_after if trace else clique_vector(g).total,
     }
     parameters = {"input": args.input or "-", "r": args.r,
                   "greedy": args.greedy, "move": args.move}

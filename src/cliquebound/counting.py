@@ -57,40 +57,58 @@ def _normalize(counts: List[int]) -> CliqueVector:
     return CliqueVector(tuple(counts))
 
 
-def clique_vector(g: Graph) -> CliqueVector:
-    """Per-size clique counts by pivoted recursion.
+def _count_into(adj, cand: int, required: int, optional: int, counts: List[int]) -> None:
+    """Add to ``counts[required + j]`` the number of j-cliques inside ``cand``.
 
     Each node either folds the pivot in as an optional member (every clique
     avoiding all of the pivot's non-neighbors extends into its neighborhood)
     or commits one non-neighbor as required; the per-size totals fall out of
     binomials over the optional vertices collected along each path.
     """
-    n = g.n
-    adj = g.adj
-    counts = [0] * (n + 1)
+    if cand == 0:
+        for j in range(optional + 1):
+            counts[required + j] += comb(optional, j)
+        return
+    pivot, best = -1, -1
+    m = cand
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        d = (cand & adj[u]).bit_count()
+        if d > best:
+            best, pivot = d, u
+    _count_into(adj, cand & adj[pivot], required, optional + 1, counts)
+    rest = cand
+    for v in bits(cand & ~adj[pivot] & ~(1 << pivot)):
+        rest &= ~(1 << v)
+        _count_into(adj, rest & adj[v], required + 1, optional, counts)
 
-    def rec(cand: int, required: int, optional: int) -> None:
-        if cand == 0:
-            for j in range(optional + 1):
-                counts[required + j] += comb(optional, j)
-            return
-        pivot, best = -1, -1
-        m = cand
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            d = (cand & adj[u]).bit_count()
-            if d > best:
-                best, pivot = d, u
-        rec(cand & adj[pivot], required, optional + 1)
-        rest = cand
-        for v in bits(cand & ~adj[pivot] & ~(1 << pivot)):
-            rest &= ~(1 << v)
-            rec(rest & adj[v], required + 1, optional)
 
-    rec(g.vertex_mask, 0, 0)
+def clique_vector(g: Graph) -> CliqueVector:
+    """Per-size clique counts by pivoted recursion."""
+    counts = [0] * (g.n + 1)
+    _count_into(g.adj, g.vertex_mask, 0, 0, counts)
     return _normalize(counts)
+
+
+def cliques_meeting(rows, xs: int) -> int:
+    """Number of cliques that meet the vertex set ``xs``, for bare adjacency
+    rows.
+
+    Each such clique is counted at its first member x in ``xs``: it is x
+    plus a clique of N(x) minus the members of ``xs`` before x.  A rewrite
+    that changes edges only at ``xs`` changes k(G) by exactly the change in
+    this count, so candidate rewrites are scored without wrapping (and
+    re-validating) their rows as Graphs.  The empty set gives 0, and the
+    full vertex set gives k(G) - 1.
+    """
+    counts = [0] * (len(rows) + 1)
+    earlier = 0
+    for x in bits(xs):
+        _count_into(rows, rows[x] & ~earlier, 1, 0, counts)
+        earlier |= 1 << x
+    return sum(counts)
 
 
 def independent_vector(g: Graph) -> CliqueVector:

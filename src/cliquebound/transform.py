@@ -9,10 +9,10 @@ K_2 component: add that one edge and cut the two endpoints loose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List
 
-from .counting import clique_vector
+from .counting import clique_vector, cliques_meeting
+from .errors import InternalConsistencyError
 from .graphs import Graph, bit_list, bits, connected_components
 from .structure import TightStructure, derive, tight_cliques
 
@@ -45,30 +45,24 @@ class Profitability:
     corrected: bool
 
 
-def _rewrite_edges(g: Graph, ts: TightStructure) -> Tuple[list, list]:
+def _fill_rows(adj, ts: TightStructure) -> List[int]:
+    """Rows after the fill: each S row becomes (T|S) - x, and S is cut off
+    from every vertex outside T u S.  Postconditions asserted on the rows."""
     inside = ts.T | ts.S
-    added = [
-        (u, v)
-        for u, v in combinations(bit_list(ts.S), 2)
-        if not g.has_edge(u, v)
-    ]
-    removed = [
-        (u, v)
-        for u in bits(ts.S)
-        for v in bits(g.adj[u] & ~inside)
-    ]
-    return added, removed
+    rows = list(adj)
+    for x in bits(ts.S):
+        for y in bits(adj[x] & ~inside):
+            rows[y] &= ~(1 << x)
+        rows[x] = inside & ~(1 << x)
+    assert inside.bit_count() == ts.r + 1
+    assert all(rows[v] == inside & ~(1 << v) for v in bits(inside))
+    assert max(row.bit_count() for row in rows) <= ts.r
+    return rows
 
 
 def fill_graph(g: Graph, ts: TightStructure) -> Graph:
     """The rewritten graph itself, postconditions asserted, no counting."""
-    added, removed = _rewrite_edges(g, ts)
-    after = g.without_edges(removed).with_edges(added)
-    inside, r = ts.T | ts.S, ts.r
-    assert after.is_clique(inside) and inside.bit_count() == r + 1
-    assert all(after.degree(v) == r for v in bits(inside))
-    assert after.max_degree() <= r
-    return after
+    return Graph(g.n, tuple(_fill_rows(g.adj, ts)))
 
 
 def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
@@ -96,6 +90,19 @@ def _k2_components(ts: TightStructure) -> List[int]:
     return out
 
 
+def _k2_rows(adj, ts: TightStructure, pair: int) -> List[int]:
+    """Rows after the K2 move on ``pair``: add its missing edge and cut both
+    endpoints off from every vertex outside T u S."""
+    inside = ts.T | ts.S
+    rows = list(adj)
+    for x in bits(pair):
+        for y in bits(adj[x] & ~inside):
+            rows[y] &= ~(1 << x)
+        rows[x] = (adj[x] & inside) | (pair & ~(1 << x))
+    assert max(row.bit_count() for row in rows) <= ts.r
+    return rows
+
+
 def apply_k2_move(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     """Add the missing edge of a K_2 component of R and cut its endpoints
     off from everything outside T u S.  The strict clique gain is checked,
@@ -105,14 +112,7 @@ def apply_k2_move(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     comps = _k2_components(ts)
     if not comps:
         raise ValueError("the deficiency graph has no K_2 component")
-    pair = comps[0]
-    u, v = bit_list(pair)
-    inside = ts.T | ts.S
-    removed = [
-        (x, y) for x in (u, v) for y in bits(g.adj[x] & ~inside)
-    ]
-    after = g.without_edges(removed).with_edges([(u, v)])
-    assert after.max_degree() <= ts.r
+    after = Graph(g.n, tuple(_k2_rows(g.adj, ts, comps[0])))
     return RewriteReport(
         after=after,
         move="k2",
@@ -141,44 +141,56 @@ def fill_profitable(ts: TightStructure) -> Profitability:
     )
 
 
+def _local_gain(before, after, xs: int) -> int:
+    """k(after) - k(before) for two row sets that differ only in edges at
+    ``xs``: every clique avoiding ``xs`` is in both."""
+    return cliques_meeting(after, xs) - cliques_meeting(before, xs)
+
+
 def hill_climb(g: Graph, r: int, max_steps: int = 64) -> List[RewriteReport]:
-    """Greedy local search over the two rewrites, by actual recount.
+    """Greedy local search over the two rewrites.
 
     K2 moves are exhausted before fill moves (mirroring how the K_2
     deficiency components are eliminated first in the underlying argument);
     within a move class the strictly improving rewrite with the largest
-    actual gain wins, ties broken by lexicographically least tight clique.
+    gain wins, ties broken by lexicographically least tight clique.
     Moves that leave the count unchanged are never taken, so the
     C_4 / K_3 u K_1 equality family cannot cycle.
+
+    Candidates are scored on adjacency rows by a local count: a fill
+    changes edges only at S and a K2 move only at its pair, so the gain is
+    the change in the number of cliques meeting that set.  Only the move
+    taken is built as a Graph and counted in full, through ``apply_k2_move``
+    or ``apply_fill``; a full count that disagrees with the local one
+    raises InternalConsistencyError.
     """
     if g.max_degree() > r:
         raise ValueError("hill climbing needs the degree cap to hold")
     trace: List[RewriteReport] = []
     current, k_current = g, clique_vector(g).total
     for _ in range(max_steps):
-        best_k2: Optional[RewriteReport] = None
-        best_fill: Optional[RewriteReport] = None
-
-        def better(report, incumbent) -> bool:
-            if incumbent is None:
-                return True
-            return (-report.gain, report.tight_structure.T) < (
-                -incumbent.gain,
-                incumbent.tight_structure.T,
-            )
-
+        adj = current.adj
+        # (move class, -gain, T, structure): K2 moves sort before fills
+        scored = []
         for tight in tight_cliques(current, r, 1):
             ts = derive(current, r, tight)
-            if ts.t >= 2 and _k2_components(ts):
-                report = apply_k2_move(current, ts, k_current)
-                if report.gain > 0 and better(report, best_k2):
-                    best_k2 = report
-            report = apply_fill(current, ts, k_current)
-            if report.gain > 0 and better(report, best_fill):
-                best_fill = report
-        best = best_k2 if best_k2 is not None else best_fill
-        if best is None:
+            comps = _k2_components(ts) if ts.t >= 2 else []
+            if comps:
+                gain = _local_gain(adj, _k2_rows(adj, ts, comps[0]), comps[0])
+                scored.append((0, -gain, ts.T, ts))
+            gain = _local_gain(adj, _fill_rows(adj, ts), ts.S)
+            scored.append((1, -gain, ts.T, ts))
+        improving = [entry for entry in scored if entry[1] < 0]
+        if not improving:
             break
-        trace.append(best)
-        current, k_current = best.after, best.k_after
+        move_class, neg_gain, _, ts = min(improving, key=lambda entry: entry[:3])
+        apply = apply_k2_move if move_class == 0 else apply_fill
+        report = apply(current, ts, k_current)
+        if report.k_after != k_current - neg_gain:
+            raise InternalConsistencyError(
+                f"{report.move} at T={ts.T:#x}: full count {report.k_after}, "
+                f"local count {k_current - neg_gain}"
+            )
+        trace.append(report)
+        current, k_current = report.after, report.k_after
     return trace

@@ -200,6 +200,21 @@ class TestTransform:
         results = json.loads(out)["results"]
         assert results["trace"][0]["k_after"] == 18
 
+    def test_greedy_counts_start_graph_once(self, capsys, monkeypatch, clique_vector_calls):
+        from cliquebound.graphs import from_edges
+
+        g = from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)])
+        code, out = run(
+            ["transform", "-r", "3", "--greedy"],
+            graph6.encode(g) + "\n",
+            capsys,
+            monkeypatch,
+        )
+        assert code == EXIT_OK
+        # the start graph and the one move taken
+        assert len(clique_vector_calls) == 2
+        assert json.loads(out)["results"]["final_k"] == 18
+
     def test_greedy_fixed_point_has_empty_trace(self, capsys, monkeypatch):
         code, out = run(
             ["transform", "-r", "3", "--greedy"],

@@ -8,6 +8,7 @@ from cliquebound.counting import (
     clique_vector,
     clique_weight,
     clique_weights,
+    cliques_meeting,
     cliques_of_size,
     independent_vector,
     weight_sums,
@@ -21,6 +22,7 @@ from cliquebound.graphs import (
     empty,
     extremal_graph,
     from_edges,
+    induced,
     mask_of,
     path,
     turan,
@@ -138,3 +140,18 @@ def test_complement_duality(g):
 def test_vector_dominated_by_complete_graph(g):
     kn = clique_vector(complete(g.n)) if g.n else clique_vector(empty(0))
     assert all(v <= kn[t] for t, v in enumerate(clique_vector(g)))
+
+
+class TestCliquesMeeting:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs, st.data())
+    def test_is_k_minus_k_of_the_rest(self, g, data):
+        xs = data.draw(st.integers(0, g.vertex_mask))
+        rest, _ = induced(g, g.vertex_mask & ~xs)
+        expected = brute_force_clique_vector(g).total - brute_force_clique_vector(rest).total
+        assert cliques_meeting(g.adj, xs) == expected
+
+    @given(graphs)
+    def test_empty_and_full_sets(self, g):
+        assert cliques_meeting(g.adj, 0) == 0
+        assert cliques_meeting(g.adj, g.vertex_mask) == brute_force_clique_vector(g).total - 1

@@ -1,5 +1,5 @@
 import importlib
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import pytest
@@ -104,6 +104,23 @@ class TestGenerate:
             for r in range(n):
                 enumeration._class_cache.clear()
                 assert sum(1 for _ in generate(n, r)) == atlas[n, r], (n, r)
+
+    @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+    def test_eight_vertex_classes_are_pairwise_non_isomorphic(self):
+        """No two of the 12,346 classes on 8 vertices are isomorphic, checked
+        by networkx alone: bucket by Weisfeiler-Lehman hash, then test every
+        pair within a bucket."""
+        nx = pytest.importorskip("networkx")
+        buckets = defaultdict(list)
+        for g in generate(8, 7):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            buckets[nx.weisfeiler_lehman_graph_hash(h)].append(h)
+        assert sum(len(bucket) for bucket in buckets.values()) == 12346
+        for bucket in buckets.values():
+            for a, b in combinations(bucket, 2):
+                assert not nx.is_isomorphic(a, b)
 
 
 class TestGenerateRegular:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquebound import transform
 from cliquebound.counting import clique_vector
+from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import (
     complete,
     cycle,
@@ -12,6 +16,7 @@ from cliquebound.graphs import (
 from cliquebound.structure import derive, tight_cliques
 from cliquebound.transform import (
     Profitability,
+    _k2_components,
     apply_fill,
     apply_k2_move,
     fill_profitable,
@@ -35,6 +40,69 @@ def capped(draw):
     g = from_edges(n, edges)
     r = draw(st.integers(max(g.max_degree(), 1), n))
     return g, r
+
+
+def random_capped_graph(rng: random.Random, n: int, r: int):
+    """Planted cliques of size 3..r+1, then random edges, never letting a
+    degree exceed r."""
+    degree = [0] * n
+    edges = set()
+
+    def add(u, v):
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and degree[u] < r and degree[v] < r:
+            edges.add(e)
+            degree[u] += 1
+            degree[v] += 1
+
+    for _ in range(n // (r + 1) + rng.randint(0, 3)):
+        members = rng.sample(range(n), rng.randint(3, r + 1))
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                add(u, v)
+    for _ in range(n * r // 3):
+        add(rng.randrange(n), rng.randrange(n))
+    return from_edges(n, sorted(edges))
+
+
+def reference_climb(g, r, max_steps=64):
+    """The greedy climb with every candidate built by apply_k2_move or
+    apply_fill and counted in full: K2 moves first, then the largest gain,
+    then the least T."""
+    trace = []
+    current, k = g, clique_vector(g).total
+    for _ in range(max_steps):
+        best = {}
+        for tight in tight_cliques(current, r, 1):
+            ts = derive(current, r, tight)
+            reports = [apply_fill(current, ts, k)]
+            if ts.t >= 2 and _k2_components(ts):
+                reports.append(apply_k2_move(current, ts, k))
+            for report in reports:
+                key = (-report.gain, ts.T)
+                if report.gain > 0 and (report.move not in best or key < best[report.move][0]):
+                    best[report.move] = (key, report)
+        if not best:
+            break
+        _, step = best["k2"] if "k2" in best else best["fill"]
+        trace.append(step)
+        current, k = step.after, step.k_after
+    return trace
+
+
+def trace_facts(trace):
+    return [
+        (
+            step.move,
+            step.tight_structure.T,
+            step.tight_structure.S,
+            step.k_before,
+            step.k_after,
+            step.gain_lower_bound,
+            step.after.adj,
+        )
+        for step in trace
+    ]
 
 
 class TestFill:
@@ -124,18 +192,23 @@ class TestHillClimb:
         assert trace[0].k_after == 18
         assert clique_vector(trace[-1].after).total == 18
 
-    def test_counts_start_graph_once_and_each_candidate_once(self, clique_vector_calls):
+    def test_counts_start_graph_and_taken_move_once(self, clique_vector_calls):
         g = staging_graph()
         trace = hill_climb(g, 3)
         assert len(trace) == 1
-        after = trace[0].after  # K_4 plus two isolated vertices
-        # g has 5 tight cliques, one with a K_2 deficiency component: 6 rewrites;
-        # after has 15 tight cliques and no K_2 component: 15 fills
-        assert len(clique_vector_calls) == 1 + 6 + 15
+        # the 6 candidate rewrites of g and the 15 of trace[0].after (K_4 plus
+        # two isolated vertices) are scored by local counts, not recounted
+        assert len(clique_vector_calls) == 2
         assert clique_vector_calls[0] is g
-        assert sum(h is g for h in clique_vector_calls) == 1
-        assert sum(h is after for h in clique_vector_calls) == 1
-        assert len({id(h) for h in clique_vector_calls}) == len(clique_vector_calls)
+        assert clique_vector_calls[1] is trace[0].after
+
+    def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch):
+        original = transform._local_gain
+        monkeypatch.setattr(
+            transform, "_local_gain", lambda before, after, xs: original(before, after, xs) + 1
+        )
+        with pytest.raises(InternalConsistencyError):
+            hill_climb(staging_graph(), 3)
 
     def test_cycle4_terminates_immediately(self):
         assert hill_climb(cycle(4), 2) == []
@@ -147,6 +220,23 @@ class TestHillClimb:
     def test_degree_cap_violation_rejected(self):
         with pytest.raises(ValueError):
             hill_climb(complete(5), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped())
+    def test_matches_reference_climb(self, gr):
+        g, r = gr
+        assert trace_facts(hill_climb(g, r)) == trace_facts(reference_climb(g, r))
+
+    def test_matches_reference_climb_on_random_capped_graphs(self):
+        rng = random.Random(2013)
+        k2_steps = 0
+        for _ in range(200):
+            n, r = rng.randint(8, 22), rng.randint(2, 6)
+            g = random_capped_graph(rng, n, r)
+            trace = hill_climb(g, r)
+            assert trace_facts(trace) == trace_facts(reference_climb(g, r))
+            k2_steps += sum(step.move == "k2" for step in trace)
+        assert k2_steps >= 1
 
     @settings(max_examples=80, deadline=None)
     @given(capped())
