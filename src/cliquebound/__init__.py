@@ -47,7 +47,15 @@ from .graphs import (
     turan,
 )
 from .records import ConsistencyRecord
-from .structure import TightStructure, associated_cliques, clusters, derive, is_tight, tight_cliques
+from .structure import (
+    TightStructure,
+    associated_cliques,
+    clusters,
+    derive,
+    is_tight,
+    tight_cliques,
+    tight_structures,
+)
 from .transform import (
     Profitability,
     RewriteReport,

@@ -21,7 +21,6 @@ from .fixed_loss import has_small_component
 from .graphs import Graph, turan
 from .records import ConsistencyRecord, not_applicable
 from .structure import TightStructure, associated_cliques
-from .transform import _k2_components
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,7 @@ def discharging_check(
         return not_applicable("discharging", subject, reason="no tight clique of size >= 2")
     all_clusters = [ts for ts in tights if ts.is_cluster]
     for cl in all_clusters:
-        if _k2_components(cl) or fill_gains[cl.T] > 0:
+        if cl.k2_components or fill_gains[cl.T] > 0:
             return not_applicable("discharging", subject, reason="cluster hypotheses fail")
 
     tight_set = {ts.T for ts in tights}

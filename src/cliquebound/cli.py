@@ -22,7 +22,7 @@ from .counting import clique_vector, independent_vector
 from .enumeration import consistency_sweep, generate, generate_regular, verify_main
 from .errors import CapacityError, Graph6ParseError
 from .graphs import bit_list, mask_of
-from .structure import clusters_among, derive, tight_cliques
+from .structure import clusters_among, derive, tight_structures
 from .transform import RewriteReport, apply_fill, hill_climb
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def cmd_count(args) -> int:
                 rec["error"] = f"max degree {g.max_degree()} exceeds r={args.r}"
                 had_error = True
             else:
-                tights = [derive(g, args.r, t) for t in tight_cliques(g, args.r, 1)]
+                tights = tight_structures(g, args.r)
                 rec["tight_cliques"] = [bit_list(ts.T) for ts in tights]
                 rec["clusters"] = [
                     bit_list(cl.T) for cl in clusters_among(g, args.r, tights)

@@ -42,14 +42,8 @@ from .errors import CapacityError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bits, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
-from .structure import clusters_among, derive, outside_degree_check, tight_cliques
-from .transform import (
-    _k2_components,
-    apply_k2_move,
-    fill_graph,
-    fill_profitable,
-    gain_lower_bound,
-)
+from .structure import clusters_among, outside_degree_check, tight_structures
+from .transform import apply_k2_move, fill_graph, fill_profitable, gain_lower_bound
 
 GENERATION_MAX_VERTICES = 12
 
@@ -130,19 +124,22 @@ def _expand_chunk(args) -> Set[str]:
     return out
 
 
+def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
+    """``chunk_fn((chunk, arg))`` for each chunk ``items[i::workers]``, one
+    worker process per chunk; a single in-process call on all of ``items``
+    when ``workers`` is 1 or there are no more items than workers."""
+    if workers > 1 and len(items) > workers:
+        import multiprocessing  # only parallel runs pay for the import
+
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(chunk_fn, [(items[i::workers], arg) for i in range(workers)])
+    return [chunk_fn((items, arg))]
+
+
 def _expand_level(parents: List[Graph], r: int, workers: int) -> List[Graph]:
     """The next level's representatives from this level's.  A representative
     is canonically labeled, so its graph6 string is its canonical form."""
-    if workers > 1 and len(parents) > workers:
-        import multiprocessing
-
-        chunks = [(parents[i::workers], r) for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            canons: Set[str] = set()
-            for part in pool.map(_expand_chunk, chunks):
-                canons |= part
-    else:
-        canons = _expand_chunk((parents, r))
+    canons: Set[str] = set().union(*_fan_out(_expand_chunk, parents, r, workers))
     return [graph6.decode(c) for c in sorted(canons)]
 
 
@@ -347,7 +344,7 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
     )
     records.extend(rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable)
 
-    tights = [derive(g, r, t) for t in tight_cliques(g, r, 1)]
+    tights = tight_structures(g, r)
     fill_gains = {}
     for ts in tights:
         subject = f"r={r},T={ts.T:#x}"
@@ -374,7 +371,7 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
             records.append(
                 ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
             )
-        if ts.t >= 2 and _k2_components(ts):
+        if ts.t >= 2 and ts.k2_components:
             report = apply_k2_move(g, ts, k_total)
             records.append(
                 ConsistencyRecord(
@@ -488,17 +485,10 @@ def consistency_sweep(
 
 
 def _sweep_unit(n: int, r_max: int, workers: int) -> Tuple[Dict[str, List[int]], List[dict]]:
-    cls = _classes(n, r_max, workers)
-    if workers > 1 and len(cls) > workers:
-        import multiprocessing
-
-        chunks = [(cls[i::workers], r_max) for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            unit: Tuple[Dict[str, List[int]], List[dict]] = ({}, [])
-            for part in pool.map(_sweep_chunk, chunks):
-                _merge(unit, part)
-        return unit
-    return _sweep_chunk((cls, r_max))
+    unit: Tuple[Dict[str, List[int]], List[dict]] = ({}, [])
+    for part in _fan_out(_sweep_chunk, _classes(n, r_max, workers), r_max, workers):
+        _merge(unit, part)
+    return unit
 
 
 # checkpoint format: '#'-prefixed header, then one JSON object per line with
@@ -526,7 +516,8 @@ def _load_checkpoint(path: str, r_max: int) -> Dict[int, Tuple[Dict[str, List[in
 
     A write cut short leaves an unterminated last line.  It is cut off the
     file, so its unit is redone and the next append starts on a line of its
-    own.
+    own.  Any complete line that is not a finished-unit record raises
+    ValueError naming its 1-based line number.
     """
     done: Dict[int, Tuple[Dict[str, List[int]], List[dict]]] = {}
     if not os.path.exists(path):
@@ -536,11 +527,15 @@ def _load_checkpoint(path: str, r_max: int) -> Dict[int, Tuple[Dict[str, List[in
     intact = data[: data.rfind(b"\n") + 1]
     if len(intact) < len(data):
         os.truncate(path, len(intact))
-    for line in intact.decode("utf-8").splitlines():
+    for number, line in enumerate(intact.decode("utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        entry = json.loads(line)
-        if entry.get("r_max") == r_max:
-            done[entry["n"]] = (entry["tallies"], entry["failures"])
+        try:
+            entry = json.loads(line)
+            n, unit_r_max, unit = entry["n"], entry["r_max"], (entry["tallies"], entry["failures"])
+        except (ValueError, TypeError, KeyError):
+            raise ValueError(f"checkpoint {path}, line {number}: not a finished-unit record") from None
+        if unit_r_max == r_max:
+            done[n] = unit
     return done

@@ -108,22 +108,6 @@ class Graph:
 
     # -- structural edits (all return new graphs) ----------------------
 
-    def with_edges(self, pairs: Sequence[Tuple[int, int]]) -> "Graph":
-        adj = list(self.adj)
-        for u, v in pairs:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
-
-    def without_edges(self, pairs: Sequence[Tuple[int, int]]) -> "Graph":
-        adj = list(self.adj)
-        for u, v in pairs:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj))
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with vertex v renamed to ``perm[v]``."""
         n = self.n

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from .counting import clique_weights, cliques_of_size, independent_vector
 from .errors import InternalConsistencyError
 from .fixed_loss import fixed_loss
-from .graphs import Graph, bits, common_neighbors, complement, induced
+from .graphs import Graph, bits, common_neighbors, complement, connected_components, induced
 from .records import ConsistencyRecord
 
 
@@ -25,9 +25,10 @@ class TightStructure:
     """A tight clique with its common neighborhood and deficiency graph.
 
     ``label_map`` sends vertex i of R back to its original label in G;
-    R's vertices are S in increasing original-label order.  i(R) and
-    phi(R) are computed on first use and kept with the structure, so every
-    rewrite and predicate handed the same structure shares them.
+    R's vertices are S in increasing original-label order.  i(R), phi(R)
+    and the K_2 components of R are computed on first use and kept with the
+    structure, so every rewrite and predicate handed the same structure
+    shares them.
     """
 
     T: int
@@ -59,6 +60,15 @@ class TightStructure:
         """phi(R): the fixed loss of the deficiency graph."""
         return fixed_loss(self.R).phi
 
+    @cached_property
+    def k2_components(self) -> Tuple[int, ...]:
+        """K_2 components of R, as masks in original G labels."""
+        return tuple(
+            sum(1 << self.label_map[i] for i in bits(comp))
+            for comp in connected_components(self.R)
+            if comp.bit_count() == 2
+        )
+
 
 def _meets_ceiling(weight: int, size: int, r: int) -> bool:
     return weight == r + 1 - size
@@ -88,26 +98,35 @@ def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
     return iter([mask for _, mask in found])
 
 
-def derive(g: Graph, r: int, tight: int) -> TightStructure:
-    """S, R, and cluster status for a tight clique."""
-    if not is_tight(g, r, tight):
-        raise ValueError("derive requires a tight clique")
+def _structure(g: Graph, tight: int, tight_set: Set[int]) -> TightStructure:
+    """S, R, and cluster status for ``tight``, where ``tight_set`` holds every
+    tight clique of ``g`` of size >= 1."""
     s_mask = common_neighbors(g, tight)
     sub, labels = induced(g, s_mask)
-    r_graph = complement(sub)
     # maximal iff no tight strict superset; any such superset extends into S
-    maximal = True
-    for v in bits(s_mask):
-        if is_tight(g, r, tight | (1 << v)):
-            maximal = False
-            break
-    return TightStructure(tight, s_mask, r_graph, tuple(labels), maximal)
+    maximal = not any(tight | (1 << v) in tight_set for v in bits(s_mask))
+    return TightStructure(tight, s_mask, complement(sub), tuple(labels), maximal)
+
+
+def tight_structures(g: Graph, r: int) -> List[TightStructure]:
+    """Every tight clique of size >= 1, derived, in ``tight_cliques`` order.
+    One clique scan decides tightness for all of them."""
+    masks = list(tight_cliques(g, r))
+    tight_set = set(masks)
+    return [_structure(g, t, tight_set) for t in masks]
+
+
+def derive(g: Graph, r: int, tight: int) -> TightStructure:
+    """S, R, and cluster status for one tight clique, checked to be one."""
+    if not is_tight(g, r, tight):
+        raise ValueError("derive requires a tight clique")
+    return _structure(g, tight, set(tight_cliques(g, r)))
 
 
 def clusters(g: Graph, r: int) -> List[TightStructure]:
     """All maximal tight cliques, cross-validated against closed-neighborhood
     equivalence classes of the degree-r vertices."""
-    return clusters_among(g, r, [derive(g, r, t) for t in tight_cliques(g, r, 1)])
+    return clusters_among(g, r, tight_structures(g, r))
 
 
 def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[TightStructure]:

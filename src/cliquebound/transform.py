@@ -13,8 +13,11 @@ from typing import List
 
 from .counting import clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
-from .graphs import Graph, bit_list, bits, connected_components
-from .structure import TightStructure, derive, tight_cliques
+from .graphs import Graph, bits
+from .structure import TightStructure, tight_structures
+
+# the hill climber's cap on moves taken
+MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -79,17 +82,6 @@ def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     )
 
 
-def _k2_components(ts: TightStructure) -> List[int]:
-    """K_2 components of R, as masks in original G labels."""
-    out = []
-    for comp in connected_components(ts.R):
-        if comp.bit_count() == 2:
-            i, j = bit_list(comp)
-            if ts.R.has_edge(i, j):
-                out.append((1 << ts.label_map[i]) | (1 << ts.label_map[j]))
-    return out
-
-
 def _k2_rows(adj, ts: TightStructure, pair: int) -> List[int]:
     """Rows after the K2 move on ``pair``: add its missing edge and cut both
     endpoints off from every vertex outside T u S."""
@@ -109,10 +101,9 @@ def apply_k2_move(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     not assumed; a non-gain is surfaced via the report.  ``k_before`` is k(g)."""
     if ts.t < 2:
         raise ValueError("the K2 move needs a tight clique of size >= 2")
-    comps = _k2_components(ts)
-    if not comps:
+    if not ts.k2_components:
         raise ValueError("the deficiency graph has no K_2 component")
-    after = Graph(g.n, tuple(_k2_rows(g.adj, ts, comps[0])))
+    after = Graph(g.n, tuple(_k2_rows(g.adj, ts, ts.k2_components[0])))
     return RewriteReport(
         after=after,
         move="k2",
@@ -147,7 +138,7 @@ def _local_gain(before, after, xs: int) -> int:
     return cliques_meeting(after, xs) - cliques_meeting(before, xs)
 
 
-def hill_climb(g: Graph, r: int, max_steps: int = 64) -> List[RewriteReport]:
+def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     """Greedy local search over the two rewrites.
 
     K2 moves are exhausted before fill moves (mirroring how the K_2
@@ -162,21 +153,20 @@ def hill_climb(g: Graph, r: int, max_steps: int = 64) -> List[RewriteReport]:
     the change in the number of cliques meeting that set.  Only the move
     taken is built as a Graph and counted in full, through ``apply_k2_move``
     or ``apply_fill``; a full count that disagrees with the local one
-    raises InternalConsistencyError.
+    raises InternalConsistencyError.  At most ``MAX_STEPS`` moves are taken.
     """
     if g.max_degree() > r:
         raise ValueError("hill climbing needs the degree cap to hold")
     trace: List[RewriteReport] = []
     current, k_current = g, clique_vector(g).total
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         adj = current.adj
         # (move class, -gain, T, structure): K2 moves sort before fills
         scored = []
-        for tight in tight_cliques(current, r, 1):
-            ts = derive(current, r, tight)
-            comps = _k2_components(ts) if ts.t >= 2 else []
-            if comps:
-                gain = _local_gain(adj, _k2_rows(adj, ts, comps[0]), comps[0])
+        for ts in tight_structures(current, r):
+            if ts.t >= 2 and ts.k2_components:
+                pair = ts.k2_components[0]
+                gain = _local_gain(adj, _k2_rows(adj, ts, pair), pair)
                 scored.append((0, -gain, ts.T, ts))
             gain = _local_gain(adj, _fill_rows(adj, ts), ts.S)
             scored.append((1, -gain, ts.T, ts))

@@ -1,8 +1,10 @@
+import random
 import sys
 
 import pytest
 
-from cliquebound import counting, enumeration
+from cliquebound import counting, enumeration, structure
+from cliquebound.graphs import from_edges
 
 
 def pytest_configure(config):
@@ -52,3 +54,48 @@ def cold_labelings(monkeypatch):
     monkeypatch.setattr(enumeration, "_class_cache", {})
     monkeypatch.setattr(enumeration, "canonical_form_raw", counted)
     return calls
+
+
+@pytest.fixture
+def is_tight_calls(monkeypatch):
+    """The arguments of every ``is_tight`` call made during the test."""
+    calls = []
+    original = structure.is_tight
+
+    def counted(g, r, c):
+        calls.append((g, r, c))
+        return original(g, r, c)
+
+    monkeypatch.setattr(structure, "is_tight", counted)
+    return calls
+
+
+def _random_capped_graph(rng: random.Random, n: int, r: int):
+    """Planted cliques of size 3..r+1, then random edges, never letting a
+    degree exceed r."""
+    degree = [0] * n
+    edges = set()
+
+    def add(u, v):
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and degree[u] < r and degree[v] < r:
+            edges.add(e)
+            degree[u] += 1
+            degree[v] += 1
+
+    for _ in range(n // (r + 1) + rng.randint(0, 3)):
+        members = rng.sample(range(n), rng.randint(3, r + 1))
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                add(u, v)
+    for _ in range(n * r // 3):
+        add(rng.randrange(n), rng.randrange(n))
+    return from_edges(n, sorted(edges))
+
+
+@pytest.fixture
+def random_capped_graph():
+    """``random_capped_graph(rng, n, r)``: a seeded degree-capped graph with
+    planted cliques, so tight cliques of size >= 2 and K_2 deficiency
+    components turn up."""
+    return _random_capped_graph

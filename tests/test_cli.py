@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from cliquebound import cli, graph6, structure
+from cliquebound import graph6, structure
 from cliquebound.cli import (
     EXIT_FALSIFIED,
     EXIT_OK,
@@ -87,7 +87,6 @@ class TestCount:
             return original(*args)
 
         monkeypatch.setattr(structure, "tight_cliques", counted)
-        monkeypatch.setattr(cli, "tight_cliques", counted)
         two_triangles = disjoint_union(complete(3), complete(3))
         code, out = run(
             ["count", "--tight", "-r", "2"],
@@ -169,6 +168,13 @@ class TestVerify:
 
     def test_cap_exceeded_is_usage_error(self, capsys):
         assert main(["verify", "40", "3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["5", '{"r_max": 2}'], ids=["number", "no-tallies"])
+    def test_malformed_checkpoint_line_is_usage_error(self, capsys, tmp_path, line):
+        path = tmp_path / "sweep.ckpt"
+        path.write_text("# checkpoint\n" + line + "\n")
+        assert main(["--checkpoint", str(path), "verify", "--sweep", "3", "2"]) == EXIT_USAGE
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestTransform:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from cliquebound import enumeration, graph6
+from cliquebound import enumeration, graph6, structure
 from cliquebound.canon import canonical_form
 from cliquebound.counting import clique_vector
 from cliquebound.enumeration import (
@@ -196,6 +196,12 @@ class TestConsistencySweep:
         assert all(g.adj in counted for g in classes)
         # 52 classes, 52 Turan graphs, and one count per fill and per K2 move
         assert len(clique_vector_calls) == 297
+
+    def test_tightness_decided_by_the_clique_scan(self, is_tight_calls):
+        consistency_sweep(5, 4)
+        assert is_tight_calls == []
+        structure.derive(cycle(4), 2, 0b0001)  # outside input is still checked
+        assert len(is_tight_calls) == 1
 
     def test_fixed_loss_computed_once_per_graph(self, monkeypatch):
         calls = []

@@ -121,10 +121,6 @@ class TestOperations:
     def test_common_neighbors_intersects(self):
         assert common_neighbors(cycle(4), mask_of([0, 2])) == mask_of([1, 3])
 
-    def test_with_without_edges_roundtrip(self):
-        g = cycle(4)
-        assert g.without_edges([(0, 1)]).with_edges([(0, 1)]) == g
-
     def test_connected_components_of_union(self):
         g = disjoint_union(complete(2), complete(3))
         assert sorted(connected_components(g)) == [0b00011, 0b11100]

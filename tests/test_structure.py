@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cliquebound.graphs import (
     Graph,
     complete,
+    common_neighbors,
     complete_bipartite,
     cycle,
     disjoint_union,
@@ -21,6 +23,7 @@ from cliquebound.structure import (
     is_tight,
     outside_degree_check,
     tight_cliques,
+    tight_structures,
 )
 
 @st.composite
@@ -80,6 +83,67 @@ class TestDerive:
     def test_requires_tight_input(self):
         with pytest.raises(ValueError):
             derive(cycle(5), 3, 0b00001)  # weight 2 != r+1-1
+
+
+def reference_facts(g, r):
+    """Each tight clique's T, S, R rows, label map, cluster flag and K_2
+    components, built the long way: maximality tests every one-vertex
+    extension with ``is_tight``, and a K_2 component is an edge of R whose
+    ends have no other R-neighbour."""
+    facts = []
+    for t_mask in tight_cliques(g, r):
+        s_mask = common_neighbors(g, t_mask)
+        labels = [v for v in range(g.n) if (s_mask >> v) & 1]
+        rows = [
+            sum(1 << j for j, y in enumerate(labels) if y != x and not g.has_edge(x, y))
+            for x in labels
+        ]
+        maximal = not any(is_tight(g, r, t_mask | (1 << v)) for v in labels)
+        k2 = [
+            (1 << labels[i]) | (1 << labels[j])
+            for i in range(len(labels))
+            for j in range(i + 1, len(labels))
+            if rows[i] == 1 << j and rows[j] == 1 << i
+        ]
+        facts.append((t_mask, s_mask, tuple(rows), tuple(labels), maximal, tuple(k2)))
+    return facts
+
+
+def structure_facts(structures):
+    return [
+        (ts.T, ts.S, ts.R.adj, ts.label_map, ts.is_cluster, ts.k2_components)
+        for ts in structures
+    ]
+
+
+class TestTightStructures:
+    @settings(max_examples=200, deadline=None)
+    @given(capped)
+    def test_matches_reference(self, gr):
+        g, r = gr
+        assert structure_facts(tight_structures(g, r)) == reference_facts(g, r)
+
+    def test_matches_reference_on_random_capped_graphs(self, random_capped_graph):
+        rng = random.Random(2013)
+        k2_components = 0
+        for _ in range(150):
+            r = rng.randint(2, 6)
+            g = random_capped_graph(rng, rng.randint(r + 1, 18), r)
+            structures = tight_structures(g, r)
+            assert structure_facts(structures) == reference_facts(g, r)
+            k2_components += sum(len(ts.k2_components) for ts in structures)
+        assert k2_components >= 1
+
+    def test_derive_agrees_with_the_scan(self):
+        g = disjoint_union(complete(3), cycle(4))
+        structures = tight_structures(g, 2)
+        assert len(structures) == 7 + 4  # every clique of K_3, the vertices of C_4
+        for ts in structures:
+            assert derive(g, 2, ts.T) == ts
+
+    def test_k2_components_in_original_labels(self):
+        # C_5 with a singleton tight clique: R on {1, 4} is one edge
+        assert derive(cycle(5), 2, 0b00001).k2_components == (0b10010,)
 
 
 class TestClusters:

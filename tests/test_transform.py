@@ -16,7 +16,6 @@ from cliquebound.graphs import (
 from cliquebound.structure import derive, tight_cliques
 from cliquebound.transform import (
     Profitability,
-    _k2_components,
     apply_fill,
     apply_k2_move,
     fill_profitable,
@@ -42,29 +41,6 @@ def capped(draw):
     return g, r
 
 
-def random_capped_graph(rng: random.Random, n: int, r: int):
-    """Planted cliques of size 3..r+1, then random edges, never letting a
-    degree exceed r."""
-    degree = [0] * n
-    edges = set()
-
-    def add(u, v):
-        e = (min(u, v), max(u, v))
-        if u != v and e not in edges and degree[u] < r and degree[v] < r:
-            edges.add(e)
-            degree[u] += 1
-            degree[v] += 1
-
-    for _ in range(n // (r + 1) + rng.randint(0, 3)):
-        members = rng.sample(range(n), rng.randint(3, r + 1))
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                add(u, v)
-    for _ in range(n * r // 3):
-        add(rng.randrange(n), rng.randrange(n))
-    return from_edges(n, sorted(edges))
-
-
 def reference_climb(g, r, max_steps=64):
     """The greedy climb with every candidate built by apply_k2_move or
     apply_fill and counted in full: K2 moves first, then the largest gain,
@@ -76,7 +52,7 @@ def reference_climb(g, r, max_steps=64):
         for tight in tight_cliques(current, r, 1):
             ts = derive(current, r, tight)
             reports = [apply_fill(current, ts, k)]
-            if ts.t >= 2 and _k2_components(ts):
+            if ts.t >= 2 and ts.k2_components:
                 reports.append(apply_k2_move(current, ts, k))
             for report in reports:
                 key = (-report.gain, ts.T)
@@ -202,6 +178,10 @@ class TestHillClimb:
         assert clique_vector_calls[0] is g
         assert clique_vector_calls[1] is trace[0].after
 
+    def test_candidates_need_no_tightness_test(self, is_tight_calls):
+        assert len(hill_climb(staging_graph(), 3)) == 1
+        assert is_tight_calls == []
+
     def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch):
         original = transform._local_gain
         monkeypatch.setattr(
@@ -227,7 +207,7 @@ class TestHillClimb:
         g, r = gr
         assert trace_facts(hill_climb(g, r)) == trace_facts(reference_climb(g, r))
 
-    def test_matches_reference_climb_on_random_capped_graphs(self):
+    def test_matches_reference_climb_on_random_capped_graphs(self, random_capped_graph):
         rng = random.Random(2013)
         k2_steps = 0
         for _ in range(200):
