@@ -6,6 +6,16 @@ consistent with the refined partition, searched by individualizing one
 vertex of the first non-singleton cell at a time.  Interchangeable (twin)
 vertices are branched only once, which keeps highly symmetric graphs
 (unions of cliques, bicliques, empty graphs) from blowing up the search.
+
+Automorphism pruning (McKay, "Practical graph isomorphism", 1981) covers
+the symmetry twins miss, as in unions of cycles or Petersen graphs.  When
+a leaf's string equals that of the first leaf or of the least leaf so
+far, the map between their vertex orders is an automorphism.  The search
+then resumes at the node where the two paths part, and at each node it
+skips a vertex that the automorphisms fixing the node's path map onto a
+vertex already tried there.  Each skipped subtree is the image of one
+already searched, with the same leaf strings, so the result is still the
+least graph6 string over all leaves.
 """
 
 from __future__ import annotations
@@ -51,34 +61,85 @@ def canonical_form_raw(n: int, rows) -> str:
         return _encode_ordered(n, rows, list(range(n)))
     adj = list(rows)
     nbrs = [list(bits(row)) for row in adj]
-    best: List[Optional[str]] = [None]
+    colors = _refine(n, nbrs, [0] * n)
+    if len(set(colors)) == n:
+        return _encode_ordered(n, adj, sorted(range(n), key=colors.__getitem__))
+    path: List[int] = []  # the vertices individualized above the current node
+    first: List = []  # graph6, vertex order and path of the first leaf
+    best: List = []  # the same for the least leaf so far
+    autos: List[List[int]] = []  # automorphisms found, as vertex maps
 
-    def search(colors: List[int]) -> None:
-        colors = _refine(n, nbrs, colors)
+    def search(colors: List[int]) -> int:
+        """Search below the node whose refined coloring is ``colors``.
+        Returns a depth: every node deeper than it stops at once."""
         if len(set(colors)) == n:
             order = sorted(range(n), key=colors.__getitem__)
             enc = _encode_ordered(n, adj, order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
+            if not best or enc < best[0]:
+                best[:] = enc, order, path[:]
+                if not first:
+                    first[:] = best
+            elif enc == best[0] or enc == first[0]:
+                # The earlier leaf's order maps onto this one by an
+                # automorphism, which maps its path onto this path.  Below
+                # their first difference, this subtree mirrors one already
+                # searched: resume at the node where they part.
+                ref = first if enc == first[0] else best
+                gamma = [0] * n
+                for v, w in zip(ref[1], order):
+                    gamma[v] = w
+                autos.append(gamma)
+                return next(d for d, (v, w) in enumerate(zip(ref[2], path)) if v != w)
+            return len(path)
+        depth = len(path)
         # first non-singleton cell in color order
-        counts = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
+        ranked = sorted(colors)
+        target = next(c for c, d in zip(ranked, ranked[1:]) if c == d)
         cell = [v for v in range(n) if colors[v] == target]
         tried: List[int] = []
+        orbit: Optional[List[int]] = None  # union-find: Aut orbits fixing path
+        joined = 0  # automorphisms already looked at for ``orbit``
         for u in cell:
             if any(_are_twins(adj, u, w) for w in tried):
                 continue
+            if autos:
+                if len(autos) > joined:
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for gamma in autos[joined:]:
+                        if all(gamma[v] == v for v in path):
+                            _join_orbits(orbit, gamma)
+                    joined = len(autos)
+                if orbit is not None:
+                    root = _root(orbit, u)
+                    if any(_root(orbit, w) == root for w in tried):
+                        continue
             tried.append(u)
             child = [2 * c for c in colors]
             child[u] -= 1
-            search(child)
+            path.append(u)
+            resume = search(_refine(n, nbrs, child))
+            path.pop()
+            if resume < depth:
+                return resume
+        return depth
 
-    search([0] * n)
-    assert best[0] is not None
+    search(colors)
     return best[0]
+
+
+def _root(parent: List[int], v: int) -> int:
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+def _join_orbits(parent: List[int], gamma: List[int]) -> None:
+    """Merge the union-find classes of ``parent`` along the cycles of gamma."""
+    for v, w in enumerate(gamma):
+        a, b = _root(parent, v), _root(parent, w)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
 
 
 def canonical_graph(g: Graph) -> Graph:

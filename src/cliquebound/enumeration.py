@@ -20,6 +20,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import graph6
@@ -437,6 +438,10 @@ def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
     return tallies, failures
 
 
+# the sweep's failure list is sorted by these keys of each record
+_FAILURE_SORT_KEYS = ("predicate", "graph6", "subject")
+
+
 def _merge(
     into: Tuple[Dict[str, List[int]], List[dict]],
     part: Tuple[Dict[str, List[int]], List[dict]],
@@ -480,7 +485,7 @@ def consistency_sweep(
                 emitted = len(_classes(n, r_max))
                 _append_checkpoint(checkpoint, n, r_max, emitted, unit)
         _merge((tallies, failures), unit)
-    failures.sort(key=lambda f: (f["predicate"], f["graph6"], f["subject"]))
+    failures.sort(key=itemgetter(*_FAILURE_SORT_KEYS))
     return SweepReport(n_max=n_max, r_max=r_max, tallies=tallies, failures=failures)
 
 
@@ -534,8 +539,31 @@ def _load_checkpoint(path: str, r_max: int) -> Dict[int, Tuple[Dict[str, List[in
         try:
             entry = json.loads(line)
             n, unit_r_max, unit = entry["n"], entry["r_max"], (entry["tallies"], entry["failures"])
+            _check_unit_types(n, unit_r_max, unit)
         except (ValueError, TypeError, KeyError):
             raise ValueError(f"checkpoint {path}, line {number}: not a finished-unit record") from None
         if unit_r_max == r_max:
             done[n] = unit
     return done
+
+
+def _check_unit_types(n, r_max, unit) -> None:
+    """Raise TypeError unless a checkpoint record's values have the types
+    that ``_merge`` and the failure sort read: integer n and r_max, tallies
+    mapping names to three integers, failures objects with string sort keys."""
+    tallies, failures = unit
+    if not (
+        type(n) is int
+        and type(r_max) is int
+        and isinstance(tallies, dict)
+        and all(
+            isinstance(counts, list) and len(counts) == 3 and all(type(c) is int for c in counts)
+            for counts in tallies.values()
+        )
+        and isinstance(failures, list)
+        and all(
+            isinstance(f, dict) and all(isinstance(f.get(key), str) for key in _FAILURE_SORT_KEYS)
+            for f in failures
+        )
+    ):
+        raise TypeError("checkpoint record has values of the wrong type")

@@ -146,7 +146,8 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     within a move class the strictly improving rewrite with the largest
     gain wins, ties broken by lexicographically least tight clique.
     Moves that leave the count unchanged are never taken, so the
-    C_4 / K_3 u K_1 equality family cannot cycle.
+    C_4 / K_3 u K_1 equality family cannot cycle.  A fill of a T u S that
+    is already a K_{r+1} component changes nothing and is not scored.
 
     Candidates are scored on adjacency rows by a local count: a fill
     changes edges only at S and a K2 move only at its pair, so the gain is
@@ -168,6 +169,9 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
                 pair = ts.k2_components[0]
                 gain = _local_gain(adj, _k2_rows(adj, ts, pair), pair)
                 scored.append((0, -gain, ts.T, ts))
+            inside = ts.T | ts.S
+            if all(adj[x] == inside & ~(1 << x) for x in bits(ts.S)):
+                continue  # the identity fill
             gain = _local_gain(adj, _fill_rows(adj, ts), ts.S)
             scored.append((1, -gain, ts.T, ts))
         improving = [entry for entry in scored if entry[1] < 0]

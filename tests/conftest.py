@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cliquebound import counting, enumeration, structure
+from cliquebound import canon, counting, enumeration, structure
 from cliquebound.graphs import from_edges
 
 
@@ -53,6 +53,21 @@ def cold_labelings(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_class_cache", {})
     monkeypatch.setattr(enumeration, "canonical_form_raw", counted)
+    return calls
+
+
+@pytest.fixture
+def canon_leaves(monkeypatch):
+    """The vertex count of every search-tree leaf canonical labeling encodes
+    during the test, one entry per leaf."""
+    calls = []
+    original = canon._encode_ordered
+
+    def counted(n, adj, order):
+        calls.append(n)
+        return original(n, adj, order)
+
+    monkeypatch.setattr(canon, "_encode_ordered", counted)
     return calls
 
 

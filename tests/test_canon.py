@@ -1,15 +1,21 @@
+import random
+import time
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquebound import graph6
 from cliquebound.canon import canonical_form, canonical_graph
+from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
+    bits,
     complete,
     complete_bipartite,
     cycle,
     disjoint_union,
+    empty,
     from_edges,
 )
 
@@ -24,6 +30,65 @@ def brute_min_encoding(g: Graph) -> str:
     return min(
         graph6.encode(g.relabel(list(perm))) for perm in permutations(range(g.n))
     )
+
+
+def reference_canonical_form(g: Graph) -> str:
+    """The search with twin pruning alone: the least graph6 string over every
+    leaf of the twin-pruned tree, walked in full.  canonical_form must
+    return exactly this string."""
+    n, adj = g.n, list(g.adj)
+    if n <= 1:
+        return graph6.encode(g)
+    nbrs = [list(bits(row)) for row in adj]
+
+    def refine(colors):
+        ncolors = len(set(colors))
+        while True:
+            sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
+            ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            colors = [ranking[sig] for sig in sigs]
+            if len(ranking) in (ncolors, n):
+                return colors
+            ncolors = len(ranking)
+
+    def twins(u, w):
+        return adj[u] == adj[w] or adj[u] ^ adj[w] == (1 << u) | (1 << w)
+
+    def leaves(colors):
+        colors = refine(colors)
+        if len(set(colors)) == n:
+            yield graph6._encode_ordered(n, adj, sorted(range(n), key=colors.__getitem__))
+            return
+        target = min(c for c in set(colors) if colors.count(c) > 1)
+        tried = []
+        for u in (v for v in range(n) if colors[v] == target):
+            if not any(twins(u, w) for w in tried):
+                tried.append(u)
+                child = [2 * c for c in colors]
+                child[u] -= 1
+                yield from leaves(child)
+
+    return min(leaves([0] * n))
+
+
+def union(*parts: Graph) -> Graph:
+    g = empty(0)
+    for part in parts:
+        g = disjoint_union(g, part)
+    return g
+
+
+def petersen() -> Graph:
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    return from_edges(10, edges)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
 
 
 def test_partition_agreement_exhaustive_small():
@@ -87,10 +152,65 @@ def test_invariance_under_relabeling(g, rng):
     assert canonical_form(g.relabel(perm)) == canonical_form(g)
 
 
+def test_matches_unpruned_reference_on_every_small_class():
+    rng = random.Random(1981)
+    for n in range(1, 8):
+        for g in generate(n, 6):  # the cap is clamped to n - 1
+            for h in (g, relabeled(g, rng), relabeled(g, rng)):
+                assert canonical_form(h) == reference_canonical_form(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 11).flatmap(
+        lambda n: st.builds(
+            lambda edges: from_edges(n, edges),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])),
+        )
+    ),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_matches_unpruned_reference(g, copies, rng):
+    """On g and on unions of copies of g, whose equal leaves drive the
+    automorphism pruning."""
+    h = relabeled(union(*[g] * min(copies, 12 // g.n)), rng)
+    assert canonical_form(h) == reference_canonical_form(h)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: union(*[cycle(5)] * 3),
+        lambda: union(*[cycle(4)] * 4),
+        lambda: union(cycle(7), cycle(7)),
+        lambda: union(cycle(5), petersen()),
+        lambda: union(petersen(), petersen()),
+        pytest.param(lambda: union(*[cycle(5)] * 4), marks=pytest.mark.slow),
+    ],
+    ids=["3xC5", "4xC4", "2xC7", "C5+Petersen", "2xPetersen", "4xC5"],
+)
+def test_symmetric_unions_match_unpruned_reference(build):
+    g = build()
+    expected = reference_canonical_form(g)
+    assert canonical_form(g) == expected
+    assert canonical_form(relabeled(g, random.Random(g.n))) == expected
+
+
+@pytest.mark.parametrize("copies, leaves", [(3, 9), (4, 12)])
+def test_leaf_count_of_cycle_unions(canon_leaves, copies, leaves):
+    """Twin pruning alone reaches 6,000 leaves on 3xC5."""
+    canonical_form(union(*[cycle(5)] * copies))
+    assert len(canon_leaves) == leaves
+
+
 def test_symmetric_worst_cases_terminate_quickly():
     for g in [complete(9), complete_bipartite(4, 5), cycle(9),
-              disjoint_union(complete(4), complete(4))]:
+              disjoint_union(complete(4), complete(4)),
+              union(*[cycle(5)] * 4), union(petersen(), petersen())]:
+        start = time.perf_counter()
         c = canonical_form(g)
+        assert time.perf_counter() - start < 1.0
         assert graph6.decode(c).n == g.n
 
 

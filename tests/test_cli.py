@@ -169,7 +169,16 @@ class TestVerify:
     def test_cap_exceeded_is_usage_error(self, capsys):
         assert main(["verify", "40", "3"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("line", ["5", '{"r_max": 2}'], ids=["number", "no-tallies"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            '{"r_max": 2}',
+            '{"n": 1, "r_max": 2, "tallies": 5, "failures": []}',
+            '{"n": 1, "r_max": 2, "tallies": {}, "failures": [5]}',
+        ],
+        ids=["number", "no-tallies", "tallies-not-a-dict", "failure-not-an-object"],
+    )
     def test_malformed_checkpoint_line_is_usage_error(self, capsys, tmp_path, line):
         path = tmp_path / "sweep.ckpt"
         path.write_text("# checkpoint\n" + line + "\n")

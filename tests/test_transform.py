@@ -182,6 +182,22 @@ class TestHillClimb:
         assert len(hill_climb(staging_graph(), 3)) == 1
         assert is_tight_calls == []
 
+    def test_identity_fills_are_not_scored(self, monkeypatch):
+        scored = []
+        original = transform._local_gain
+
+        def counted(before, after, xs):
+            scored.append(xs)
+            return original(before, after, xs)
+
+        monkeypatch.setattr(transform, "_local_gain", counted)
+        g = disjoint_union(complete(4), staging_graph())  # the K_4 on 0..3
+        assert len(hill_climb(g, 3)) == 1
+        # only the staging graph's 6 candidates are scored: no fill inside
+        # the K_4 component, nor inside the K_4 the move builds
+        assert len(scored) == 6
+        assert all(xs & mask_of(range(4)) == 0 for xs in scored)
+
     def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch):
         original = transform._local_gain
         monkeypatch.setattr(
