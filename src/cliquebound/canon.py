@@ -16,26 +16,46 @@ skips a vertex that the automorphisms fixing the node's path map onto a
 vertex already tried there.  Each skipped subtree is the image of one
 already searched, with the same leaf strings, so the result is still the
 least graph6 string over all leaves.
+
+``automorphism_generators`` runs the same search and returns the
+automorphisms it recorded, plus the transposition of each vertex with its
+least twin.  Every subtree the search skips is mapped onto one it searched
+by a product of these maps, so they generate the whole automorphism group
+(McKay 1981); the generator uses them to try one neighbourhood per orbit.
+
+Refinement starts from the degree ranks, so every cell holds vertices of
+one degree, and it ranks vertices by an integer key that sorts like
+(colour, sorted neighbour colours); see ``_refine``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .graph6 import _encode_ordered, decode
 from .graphs import Graph, bits
 
 
-def _refine(n: int, nbrs, colors: List[int]) -> List[int]:
-    """Equitable refinement: split cells by multisets of neighbor colors."""
+def _refine(nbrs, colors: List[int], weight: List[int]) -> List[int]:
+    """Equitable refinement: split cells by multisets of neighbor colors.
+
+    ``colors`` are dense ranks, and all vertices of one cell have the same
+    degree.  Sorted neighbour-colour tuples of equal length compare like
+    count vectors: at the first colour whose counts differ, the vertex with
+    more of that colour sorts first.  So with ``weight[c]`` = n**(n-1-c),
+    the integer colour * n**n minus the sum of weight[colour of u] over the
+    neighbours u sorts exactly like (colour, sorted neighbour colours), and
+    the ranks are the same: no vertex has n neighbours of one colour, so the
+    base-n digits of the sum never carry.
+    """
+    n = len(nbrs)
+    top = weight[0] * n
     ncolors = len(set(colors))
     while True:
-        sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in nbrs[v]])))
-            for v in range(n)
-        ]
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colors = [ranking[sig] for sig in sigs]
+        w = [weight[c] for c in colors]
+        keys = [top * c - sum(map(w.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
+        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [ranking[key] for key in keys]
         count = len(ranking)
         if count == ncolors or count == n:
             return colors
@@ -57,13 +77,39 @@ def canonical_form_raw(n: int, rows) -> str:
     Used by the generator's inner loop, where candidate children are plain
     row tuples that have not been wrapped (and re-validated) as Graphs.
     """
+    return _search(n, rows)[0]
+
+
+def automorphism_generators(n: int, rows) -> List[List[int]]:
+    """Automorphisms of the graph with adjacency ``rows``, as vertex maps
+    ``gamma`` (v goes to ``gamma[v]``), that generate its automorphism group:
+    the ones the labeling search records at equal leaves, and the
+    transposition of each vertex with its least twin, which covers what twin
+    pruning skips.  Empty for a graph the first refinement makes discrete,
+    which has no automorphism but the identity."""
+    autos = _search(n, rows)[1]
+    for v in range(n):
+        twin = next((w for w in range(v) if _are_twins(rows, v, w)), None)
+        if twin is not None:
+            gamma = list(range(n))
+            gamma[v], gamma[twin] = twin, v
+            autos.append(gamma)
+    return autos
+
+
+def _search(n: int, rows) -> Tuple[str, List[List[int]]]:
+    """The canonical form of the graph with adjacency ``rows``, and the
+    automorphisms the search recorded on the way."""
     if n <= 1:
-        return _encode_ordered(n, rows, list(range(n)))
+        return _encode_ordered(n, rows, list(range(n))), []
     adj = list(rows)
     nbrs = [list(bits(row)) for row in adj]
-    colors = _refine(n, nbrs, [0] * n)
+    weight = [n ** (n - 1 - c) for c in range(n)]
+    degree = [row.bit_count() for row in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degree)))}
+    colors = _refine(nbrs, [rank[d] for d in degree], weight)
     if len(set(colors)) == n:
-        return _encode_ordered(n, adj, sorted(range(n), key=colors.__getitem__))
+        return _encode_ordered(n, adj, sorted(range(n), key=colors.__getitem__)), []
     path: List[int] = []  # the vertices individualized above the current node
     first: List = []  # graph6, vertex order and path of the first leaf
     best: List = []  # the same for the least leaf so far
@@ -115,17 +161,18 @@ def canonical_form_raw(n: int, rows) -> str:
                     if any(_root(orbit, w) == root for w in tried):
                         continue
             tried.append(u)
-            child = [2 * c for c in colors]
-            child[u] -= 1
+            # u alone just before the rest of its cell, as dense ranks
+            child = [c + (c >= target) for c in colors]
+            child[u] = target
             path.append(u)
-            resume = search(_refine(n, nbrs, child))
+            resume = search(_refine(nbrs, child, weight))
             path.pop()
             if resume < depth:
                 return resume
         return depth
 
     search(colors)
-    return best[0]
+    return best[0], autos
 
 
 def _root(parent: List[int], v: int) -> int:

@@ -8,7 +8,12 @@ deletion test (McKay, "Isomorph-free exhaustive generation", 1998): it has
 the largest invariant (degree, sorted neighbour degrees), and no other
 vertex with that invariant deletes to a smaller canonical form than the
 parent's.  Every class keeps a child that passes, so most children are
-dropped unlabeled and no class is lost.  Level representatives are the
+dropped unlabeled and no class is lost.  A parent is extended by one
+neighbourhood per orbit of the group its automorphism generators
+(``canon.automorphism_generators``) generate: the children in one orbit
+are isomorphic and pass or fail the test together.  Orbits of a subgroup
+are never coarser than the whole group's, so no class is lost even if the
+generators missed part of it.  Level representatives are the
 canonically relabeled graphs, so the output stream is independent of
 worker count and iteration order.  The (n, r) class lists form one cached
 table: each level is built once, from the cached level below.
@@ -37,7 +42,7 @@ from .bounds import (
     strong_inequalities,
     zykov_check,
 )
-from .canon import canonical_form, canonical_form_raw
+from .canon import automorphism_generators, canonical_form, canonical_form_raw
 from .counting import CliqueVector, clique_vector, independent_vector, weight_sums
 from .errors import CapacityError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
@@ -58,17 +63,27 @@ _class_cache: Dict[Tuple[int, int], List[Graph]] = {}
 def _child_canons(parent_rows: Tuple[int, ...], parent_form: str, r: int) -> Set[str]:
     """Canonical forms of the one-vertex extensions of a level representative
     (whose canonical form is ``parent_form``) that keep all degrees <= r and
-    whose new vertex passes the canonical-deletion test."""
+    whose new vertex passes the canonical-deletion test.
+
+    One neighbourhood is tried per orbit of the parent's automorphisms: an
+    automorphism that maps one neighbourhood onto another extends, fixing
+    the new vertex, to an isomorphism between the two children, so both
+    pass or fail the deletion test and label to the same form."""
     m = len(parent_rows)
     eligible = 0
     for v, row in enumerate(parent_rows):
         if row.bit_count() < r:
             eligible |= 1 << v
+    # the bit each generator sends each vertex's bit to
+    images = [[1 << w for w in gamma] for gamma in automorphism_generators(m, parent_rows)]
+    seen: Set[int] = set()  # the neighbourhoods in orbits already tried
     new_bit = 1 << m
     out: Set[str] = set()
     sub = eligible
     while True:
-        if sub.bit_count() <= r:
+        if sub.bit_count() <= r and sub not in seen:
+            if images:
+                _mark_orbit(sub, images, seen)
             child = tuple(
                 row | new_bit if (sub >> v) & 1 else row
                 for v, row in enumerate(parent_rows)
@@ -79,6 +94,22 @@ def _child_canons(parent_rows: Tuple[int, ...], parent_form: str, r: int) -> Set
             break
         sub = (sub - 1) & eligible
     return out
+
+
+def _mark_orbit(sub: int, images: List[List[int]], seen: Set[int]) -> None:
+    """Add to ``seen`` every image of the vertex set ``sub`` under the group
+    that the generators given by their bit ``images`` generate."""
+    seen.add(sub)
+    todo = [sub]
+    while todo:
+        s = todo.pop()
+        for image in images:
+            t = 0
+            for v in bits(s):
+                t |= image[v]
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
 
 
 def _is_canonical_deletion(rows: Tuple[int, ...], parent_form: str) -> bool:

@@ -79,6 +79,7 @@ def test_criterion_02_exhaustive_maximum():
             rep = verify_main(n, r)
             assert rep.max_k == rep.bound, (n, r, rep.max_k, rep.bound)
             assert rep.equality_matches_characterization, (n, r, rep.extremal)
+    assert len(_classes(9, 8)) == 274668  # OEIS A000088
     # the r=2 exceptional families carry the predicted totals
     for a in range(1, 4):
         c4_family = cycle(4)

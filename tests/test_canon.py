@@ -5,8 +5,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliquebound import graph6
-from cliquebound.canon import canonical_form, canonical_graph
+from cliquebound import canon, graph6
+from cliquebound.canon import automorphism_generators, canonical_form, canonical_graph
 from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
@@ -32,6 +32,19 @@ def brute_min_encoding(g: Graph) -> str:
     )
 
 
+def reference_refine(nbrs, colors):
+    """Equitable refinement keyed by (colour, sorted neighbour colours)."""
+    n = len(nbrs)
+    ncolors = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [ranking[sig] for sig in sigs]
+        if len(ranking) in (ncolors, n):
+            return colors
+        ncolors = len(ranking)
+
+
 def reference_canonical_form(g: Graph) -> str:
     """The search with twin pruning alone: the least graph6 string over every
     leaf of the twin-pruned tree, walked in full.  canonical_form must
@@ -42,14 +55,7 @@ def reference_canonical_form(g: Graph) -> str:
     nbrs = [list(bits(row)) for row in adj]
 
     def refine(colors):
-        ncolors = len(set(colors))
-        while True:
-            sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
-            ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-            colors = [ranking[sig] for sig in sigs]
-            if len(ranking) in (ncolors, n):
-                return colors
-            ncolors = len(ranking)
+        return reference_refine(nbrs, colors)
 
     def twins(u, w):
         return adj[u] == adj[w] or adj[u] ^ adj[w] == (1 << u) | (1 << w)
@@ -160,6 +166,27 @@ def test_matches_unpruned_reference_on_every_small_class():
                 assert canonical_form(h) == reference_canonical_form(h)
 
 
+def test_integer_keyed_refinement_matches_tuple_keys(monkeypatch):
+    """Every refinement that labeling the classes with n <= 8 (relabeled)
+    makes gives the colours that sorting by (colour, sorted neighbour
+    colours) gives."""
+    checked = []
+    original = canon._refine
+
+    def compared(nbrs, colors, weight):
+        refined = original(nbrs, colors, weight)
+        assert refined == reference_refine(nbrs, colors)
+        checked.append(len(nbrs))
+        return refined
+
+    monkeypatch.setattr(canon, "_refine", compared)
+    rng = random.Random(2014)
+    for n in range(2, 9):
+        for g in generate(n, 7):
+            canonical_form(relabeled(g, rng))
+    assert checked.count(8) > 12346  # the search refines below the root too
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 11).flatmap(
@@ -212,6 +239,38 @@ def test_symmetric_worst_cases_terminate_quickly():
         c = canonical_form(g)
         assert time.perf_counter() - start < 1.0
         assert graph6.decode(c).n == g.n
+
+
+def vertex_orbits(n, maps):
+    """The orbits of the vertices 0..n-1 under the group the vertex maps
+    generate, as a set of frozensets."""
+    orbit = {v: {v} for v in range(n)}
+    for gamma in maps:
+        for v, w in enumerate(gamma):
+            if orbit[v] is not orbit[w]:
+                merged = orbit[v] | orbit[w]
+                for x in merged:
+                    orbit[x] = merged
+    return {frozenset(o) for o in orbit.values()}
+
+
+def test_automorphism_generators_generate_the_automorphism_group():
+    """On every class with 2 <= n <= 7, each generator is an automorphism,
+    and the group they generate has the vertex orbits of the whole group,
+    which networkx lists by matching the graph with itself."""
+    nx = pytest.importorskip("networkx")
+    for n in range(2, 8):
+        for g in generate(n, n - 1):
+            gens = automorphism_generators(g.n, g.adj)
+            for gamma in gens:
+                assert sorted(gamma) == list(range(n))
+                assert g.relabel(gamma).adj == g.adj
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+            autos = [[iso[v] for v in range(n)] for iso in matcher.isomorphisms_iter()]
+            assert vertex_orbits(n, gens) == vertex_orbits(n, autos), graph6.encode(g)
 
 
 def test_canonical_graph_is_isomorphic_fixed_point():

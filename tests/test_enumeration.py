@@ -67,11 +67,12 @@ class TestGenerate:
         assert pooled == serial
 
     @pytest.mark.parametrize(
-        "n, r, classes, labelings", [(7, 6, 1044, 3651), (8, 4, 2590, 11712)]
+        "n, r, classes, labelings", [(7, 6, 1044, 2097), (8, 4, 2590, 6071)]
     )
     def test_deletion_test_labels_few_graphs(self, cold_labelings, n, r, classes, labelings):
         """Labeling every child took 11,290 canonical labelings for (7, 6)
-        and 33,383 for (8, 4)."""
+        and 33,383 for (8, 4); with the deletion test but one neighbourhood
+        per subset rather than per orbit, 3,651 and 11,712."""
         assert len(enumeration._classes(n, r)) == classes
         assert len(cold_labelings) == labelings
 
@@ -81,7 +82,37 @@ class TestGenerate:
         every level from K1 took 4,563 labelings)."""
         for n in range(1, 8):
             list(generate(n, min(6, max(n - 1, 1))))
-        assert len(cold_labelings) == 3651
+        assert len(cold_labelings) == 2097
+
+    def test_one_generator_search_per_parent(self, cold_labelings, monkeypatch):
+        searched = []
+        original = enumeration.automorphism_generators
+
+        def counted(m, rows):
+            searched.append(rows)
+            return original(m, rows)
+
+        monkeypatch.setattr(enumeration, "automorphism_generators", counted)
+        enumeration._classes(8, 4)
+        parents = [g.adj for m in range(1, 8) for g in enumeration._classes(m, 4)]
+        assert len(parents) == 684
+        assert sorted(searched) == sorted(parents)
+
+    def test_orbit_augmentation_only_removes_work(self, monkeypatch):
+        """With no generators every neighbourhood is tried, as before orbit
+        augmentation; every class stream with n <= 7 comes out the same."""
+        def streams():
+            out = {}
+            for n in range(1, 8):
+                for r in range(n):
+                    enumeration._class_cache.clear()
+                    out[n, r] = [graph6.encode(g) for g in generate(n, r)]
+            return out
+
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        with_orbits = streams()
+        monkeypatch.setattr(enumeration, "automorphism_generators", lambda m, rows: [])
+        assert streams() == with_orbits
 
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
         enumeration._classes(7, 6)
