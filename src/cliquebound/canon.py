@@ -17,11 +17,14 @@ vertex already tried there.  Each skipped subtree is the image of one
 already searched, with the same leaf strings, so the result is still the
 least graph6 string over all leaves.
 
-``automorphism_generators`` runs the same search and returns the
-automorphisms it recorded, plus the transposition of each vertex with its
-least twin.  Every subtree the search skips is mapped onto one it searched
-by a product of these maps, so they generate the whole automorphism group
-(McKay 1981); the generator uses them to try one neighbourhood per orbit.
+``canonical_labeling`` runs the same search and returns, with the form,
+the vertex order of the least leaf and the automorphisms it recorded, plus
+the transposition of each vertex with its least twin.  Every subtree the
+search skips is mapped onto one it searched by a product of these maps, so
+they generate the whole automorphism group (McKay 1981).  The generator
+uses a parent's generators to try one neighbourhood per orbit, and a
+child's order and generators to decide whether its new vertex is the
+canonical one to delete.
 
 Refinement starts from the degree ranks, so every cell holds vertices of
 one degree, and it ranks vertices by an integer key that sorts like
@@ -72,36 +75,39 @@ def canonical_form(g: Graph) -> str:
 
 
 def canonical_form_raw(n: int, rows) -> str:
-    """As canonical_form, for a bare adjacency-row sequence.
-
-    Used by the generator's inner loop, where candidate children are plain
-    row tuples that have not been wrapped (and re-validated) as Graphs.
-    """
+    """As canonical_form, for a bare adjacency-row sequence that has not
+    been wrapped (and re-validated) as a Graph.  ``canonical_labeling``
+    also gives the vertex order and the automorphism generators."""
     return _search(n, rows)[0]
 
 
-def automorphism_generators(n: int, rows) -> List[List[int]]:
-    """Automorphisms of the graph with adjacency ``rows``, as vertex maps
-    ``gamma`` (v goes to ``gamma[v]``), that generate its automorphism group:
-    the ones the labeling search records at equal leaves, and the
-    transposition of each vertex with its least twin, which covers what twin
-    pruning skips.  Empty for a graph the first refinement makes discrete,
-    which has no automorphism but the identity."""
-    autos = _search(n, rows)[1]
-    for v in range(n):
-        twin = next((w for w in range(v) if _are_twins(rows, v, w)), None)
-        if twin is not None:
-            gamma = list(range(n))
-            gamma[v], gamma[twin] = twin, v
-            autos.append(gamma)
-    return autos
+def canonical_labeling(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
+    """The canonical form of the graph with adjacency ``rows``; the vertex
+    order that encodes to it (``order[i]`` is the vertex in position i);
+    and automorphisms, as vertex maps ``gamma`` (v goes to ``gamma[v]``),
+    that generate the automorphism group: the ones the search records at
+    equal leaves, and the transposition of each vertex with its least twin,
+    which covers what twin pruning skips."""
+    form, order, autos = _search(n, rows)
+    # twins share open rows (non-adjacent) or closed rows (adjacent), and no
+    # open row equals a closed one: open or closed row -> least vertex
+    least = {}
+    for v, row in enumerate(rows):
+        for key in (row, row | 1 << v):
+            w = least.setdefault(key, v)
+            if w != v:
+                gamma = list(range(n))
+                gamma[v], gamma[w] = w, v
+                autos.append(gamma)
+    return form, order, autos
 
 
-def _search(n: int, rows) -> Tuple[str, List[List[int]]]:
-    """The canonical form of the graph with adjacency ``rows``, and the
-    automorphisms the search recorded on the way."""
+def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
+    """The canonical form of the graph with adjacency ``rows``, the vertex
+    order of the least leaf, and the automorphisms the search recorded on
+    the way."""
     if n <= 1:
-        return _encode_ordered(n, rows, list(range(n))), []
+        return _encode_ordered(n, rows, list(range(n))), list(range(n)), []
     adj = list(rows)
     nbrs = [list(bits(row)) for row in adj]
     weight = [n ** (n - 1 - c) for c in range(n)]
@@ -109,7 +115,8 @@ def _search(n: int, rows) -> Tuple[str, List[List[int]]]:
     rank = {d: i for i, d in enumerate(sorted(set(degree)))}
     colors = _refine(nbrs, [rank[d] for d in degree], weight)
     if len(set(colors)) == n:
-        return _encode_ordered(n, adj, sorted(range(n), key=colors.__getitem__)), []
+        order = sorted(range(n), key=colors.__getitem__)
+        return _encode_ordered(n, adj, order), order, []
     path: List[int] = []  # the vertices individualized above the current node
     first: List = []  # graph6, vertex order and path of the first leaf
     best: List = []  # the same for the least leaf so far
@@ -172,7 +179,7 @@ def _search(n: int, rows) -> Tuple[str, List[List[int]]]:
         return depth
 
     search(colors)
-    return best[0], autos
+    return best[0], best[1], autos
 
 
 def _root(parent: List[int], v: int) -> int:

@@ -7,6 +7,8 @@ Every invocation emits one self-describing document (JSON by default,
 * 1 — a verified bound was violated (this would falsify the underlying claim)
 * 2 — usage error, capacity cap exceeded, or bad arguments
 * 3 — at least one malformed graph6 input line (remaining lines processed)
+* 4 — internal fault: two computations of one quantity disagreed, or
+  generation produced a class twice (a bug in this package, not a verdict)
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Optional
 from . import __version__, graph6
 from .counting import clique_vector, independent_vector
 from .enumeration import consistency_sweep, generate, generate_regular, verify_main
-from .errors import CapacityError, Graph6ParseError
+from .errors import CapacityError, Graph6ParseError, InternalConsistencyError
 from .graphs import bit_list, mask_of
 from .structure import clusters_among, derive, tight_structures
 from .transform import RewriteReport, apply_fill, hill_climb
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 
 def _document(command: str, parameters: dict, results, t0: float) -> dict:
@@ -308,6 +311,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

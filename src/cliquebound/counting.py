@@ -162,23 +162,7 @@ def cliques_of_size(g: Graph, t: int) -> Iterator[int]:
     """All t-cliques as bit masks, in increasing numeric mask order."""
     if not 0 <= t <= g.n:
         raise ValueError("clique size out of range")
-    adj = g.adj
-    found: List[int] = []
-
-    def rec(mask: int, size: int, allowed: int) -> None:
-        if size == t:
-            found.append(mask)
-            return
-        m = allowed
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            rec(mask | low, size + 1, m & adj[v])
-
-    rec(0, 0, g.vertex_mask)
-    found.sort()
-    return iter(found)
+    return iter(sorted(mask for mask, size, _ in clique_weights(g) if size == t))
 
 
 def brute_force_clique_vector(g: Graph) -> CliqueVector:

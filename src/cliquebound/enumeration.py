@@ -1,22 +1,21 @@
 """Isomorph-free generation of degree-bounded graphs, plus the harness that
 confronts every quantitative statement with every small graph.
 
-Generation is vertex-by-vertex augmentation with canonical-form dedup per
-level: a child is kept iff its canonical form has not been seen at that
-level.  Before a child is labeled, its new vertex must pass a canonical-
-deletion test (McKay, "Isomorph-free exhaustive generation", 1998): it has
-the largest invariant (degree, sorted neighbour degrees), and no other
-vertex with that invariant deletes to a smaller canonical form than the
-parent's.  Every class keeps a child that passes, so most children are
-dropped unlabeled and no class is lost.  A parent is extended by one
-neighbourhood per orbit of the group its automorphism generators
-(``canon.automorphism_generators``) generate: the children in one orbit
-are isomorphic and pass or fail the test together.  Orbits of a subgroup
-are never coarser than the whole group's, so no class is lost even if the
-generators missed part of it.  Level representatives are the
-canonically relabeled graphs, so the output stream is independent of
-worker count and iteration order.  The (n, r) class lists form one cached
-table: each level is built once, from the cached level below.
+Generation is McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 1998).  Each level representative (a parent) is
+extended by one neighbourhood per orbit of its automorphism group, from the
+generators ``canon.canonical_labeling`` returns.  A child is kept iff its
+new vertex u is a canonical deletion vertex: u has the largest invariant
+(degree, sorted neighbour degrees), and an automorphism of the child maps u
+onto w*, the vertex of largest invariant that the child's canonical order
+places first.  The orbit of w* does not depend on the labeling, so the
+children of one class that are kept all delete to the same parent class and
+extend it through neighbourhoods in one orbit: every class is kept exactly
+once.  A class kept twice means generators were missed, and raises
+``InternalConsistencyError``.  Level representatives are the canonically
+relabeled graphs, so the output stream is independent of worker count and
+iteration order.  The (n, r) class lists form one cached table: each level
+is built once, from the cached level below.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from .bounds import (
     strong_inequalities,
     zykov_check,
 )
-from .canon import automorphism_generators, canonical_form, canonical_form_raw
+from .canon import canonical_form, canonical_labeling
 from .counting import CliqueVector, clique_vector, independent_vector, weight_sums
-from .errors import CapacityError
+from .errors import CapacityError, InternalConsistencyError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bits, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
@@ -60,25 +59,24 @@ _class_cache: Dict[Tuple[int, int], List[Graph]] = {}
 # generation
 
 
-def _child_canons(parent_rows: Tuple[int, ...], parent_form: str, r: int) -> Set[str]:
+def _child_canons(parent_rows: Tuple[int, ...], r: int) -> List[str]:
     """Canonical forms of the one-vertex extensions of a level representative
-    (whose canonical form is ``parent_form``) that keep all degrees <= r and
-    whose new vertex passes the canonical-deletion test.
+    that keep all degrees <= r and whose new vertex is a canonical deletion
+    vertex.
 
     One neighbourhood is tried per orbit of the parent's automorphisms: an
     automorphism that maps one neighbourhood onto another extends, fixing
-    the new vertex, to an isomorphism between the two children, so both
-    pass or fail the deletion test and label to the same form."""
+    the new vertex, to an isomorphism between the two children."""
     m = len(parent_rows)
     eligible = 0
     for v, row in enumerate(parent_rows):
         if row.bit_count() < r:
             eligible |= 1 << v
     # the bit each generator sends each vertex's bit to
-    images = [[1 << w for w in gamma] for gamma in automorphism_generators(m, parent_rows)]
+    images = [[1 << w for w in gamma] for gamma in canonical_labeling(m, parent_rows)[2]]
     seen: Set[int] = set()  # the neighbourhoods in orbits already tried
     new_bit = 1 << m
-    out: Set[str] = set()
+    out: List[str] = []
     sub = eligible
     while True:
         if sub.bit_count() <= r and sub not in seen:
@@ -88,8 +86,9 @@ def _child_canons(parent_rows: Tuple[int, ...], parent_form: str, r: int) -> Set
                 row | new_bit if (sub >> v) & 1 else row
                 for v, row in enumerate(parent_rows)
             ) + (sub,)
-            if _is_canonical_deletion(child, parent_form):
-                out.add(canonical_form_raw(m + 1, child))
+            form = _canonical_child_form(child)
+            if form is not None:
+                out.append(form)
         if sub == 0:
             break
         sub = (sub - 1) & eligible
@@ -112,48 +111,43 @@ def _mark_orbit(sub: int, images: List[List[int]], seen: Set[int]) -> None:
                 todo.append(t)
 
 
-def _is_canonical_deletion(rows: Tuple[int, ...], parent_form: str) -> bool:
-    """Whether the last vertex u of ``rows`` can be its class's canonical
-    deletion vertex: among the vertices of largest invariant (degree, sorted
-    neighbour degrees), one whose deletion has the least canonical form.
-    ``parent_form`` is the canonical form of the graph minus u.
+def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[str]:
+    """The canonical form of ``rows`` if its last vertex u is a canonical
+    deletion vertex, else None.
 
-    Every class has such a vertex w*, and deleting it leaves a level
-    representative, so the class is still reached from that parent through
-    w*'s neighbourhood.
+    The candidates are the vertices of largest invariant (degree, sorted
+    neighbour degrees); u must be one.  The canonical candidate w* is the
+    one the canonical order places first, and u passes iff it lies in w*'s
+    orbit.  Every class has such a vertex, and deleting it leaves a level
+    representative's class, so the class is reached from that parent.
     """
     u = len(rows) - 1
     deg = [row.bit_count() for row in rows]
     d = deg[u]
     if max(deg) > d:
-        return False
+        return None
     top = sorted(deg[x] for x in bits(rows[u]))
-    rivals = []
+    tied = 1 << u
     for w in range(u):
         if deg[w] == d:
             key = sorted(deg[x] for x in bits(rows[w]))
             if key > top:
-                return False
+                return None
             if key == top:
-                rivals.append(w)
-    for w in rivals:
-        low = (1 << w) - 1
-        rest = tuple(
-            (row & low) | ((row >> (w + 1)) << w)
-            for v, row in enumerate(rows)
-            if v != w
-        )
-        if canonical_form_raw(u, rest) < parent_form:
-            return False
-    return True
+                tied |= 1 << w
+    form, order, generators = canonical_labeling(u + 1, rows)
+    first = next(w for w in order if (tied >> w) & 1)
+    if first != u:
+        orbit: Set[int] = set()
+        _mark_orbit(1 << u, [[1 << w for w in gamma] for gamma in generators], orbit)
+        if 1 << first not in orbit:
+            return None
+    return form
 
 
-def _expand_chunk(args) -> Set[str]:
+def _expand_chunk(args) -> List[str]:
     parents, r = args
-    out: Set[str] = set()
-    for g in parents:
-        out |= _child_canons(g.adj, graph6.encode(g), r)
-    return out
+    return [form for g in parents for form in _child_canons(g.adj, r)]
 
 
 def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
@@ -171,8 +165,13 @@ def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
 def _expand_level(parents: List[Graph], r: int, workers: int) -> List[Graph]:
     """The next level's representatives from this level's.  A representative
     is canonically labeled, so its graph6 string is its canonical form."""
-    canons: Set[str] = set().union(*_fan_out(_expand_chunk, parents, r, workers))
-    return [graph6.decode(c) for c in sorted(canons)]
+    forms = sorted(form for part in _fan_out(_expand_chunk, parents, r, workers) for form in part)
+    repeated = next((a for a, b in zip(forms, forms[1:]) if a == b), None)
+    if repeated is not None:
+        raise InternalConsistencyError(
+            f"class {repeated} generated twice: automorphism generators were missed"
+        )
+    return [graph6.decode(c) for c in forms]
 
 
 def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:

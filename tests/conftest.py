@@ -43,17 +43,31 @@ def clique_vector_calls(monkeypatch):
 @pytest.fixture
 def cold_labelings(monkeypatch):
     """The vertex count of every canonical labeling generation makes during
-    the test, which starts from an empty class table."""
+    the test, of parents and children alike, starting from an empty class
+    table."""
     calls = []
-    original = enumeration.canonical_form_raw
+    original = enumeration.canonical_labeling
 
     def counted(m, rows):
         calls.append(m)
         return original(m, rows)
 
     monkeypatch.setattr(enumeration, "_class_cache", {})
-    monkeypatch.setattr(enumeration, "canonical_form_raw", counted)
+    monkeypatch.setattr(enumeration, "canonical_labeling", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def atlas_classes():
+    """One graph per isomorphism class with 2 <= n <= 7, from the networkx
+    graph atlas, so that tests of canon and of the generator's orbit test
+    do not take their inputs from the generator."""
+    nx = pytest.importorskip("networkx")
+    return [
+        from_edges(h.number_of_nodes(), list(h.edges()))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() >= 2
+    ]
 
 
 @pytest.fixture

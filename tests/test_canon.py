@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquebound import canon, graph6
-from cliquebound.canon import automorphism_generators, canonical_form, canonical_graph
+from cliquebound.canon import canonical_form, canonical_graph, canonical_labeling
 from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
@@ -254,23 +254,30 @@ def vertex_orbits(n, maps):
     return {frozenset(o) for o in orbit.values()}
 
 
-def test_automorphism_generators_generate_the_automorphism_group():
-    """On every class with 2 <= n <= 7, each generator is an automorphism,
-    and the group they generate has the vertex orbits of the whole group,
-    which networkx lists by matching the graph with itself."""
+def test_automorphism_generators_generate_the_automorphism_group(atlas_classes):
+    """On every class with 2 <= n <= 7, as the atlas labels it and under a
+    seeded relabeling: each generator ``canonical_labeling`` returns is an
+    automorphism, the group they generate has the vertex orbits of the
+    whole group, which networkx lists by matching the graph with itself,
+    and the order encodes to the form."""
     nx = pytest.importorskip("networkx")
-    for n in range(2, 8):
-        for g in generate(n, n - 1):
-            gens = automorphism_generators(g.n, g.adj)
+    rng = random.Random(1998)
+    assert len(atlas_classes) == 1251
+    for g in atlas_classes:
+        n = g.n
+        for h in (g, relabeled(g, rng)):
+            form, order, gens = canonical_labeling(n, h.adj)
+            assert form == canonical_form(g)
+            assert graph6._encode_ordered(n, h.adj, order) == form
             for gamma in gens:
                 assert sorted(gamma) == list(range(n))
-                assert g.relabel(gamma).adj == g.adj
-            h = nx.Graph()
-            h.add_nodes_from(range(n))
-            h.add_edges_from(g.edges())
-            matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+                assert h.relabel(gamma).adj == h.adj
+            k = nx.Graph()
+            k.add_nodes_from(range(n))
+            k.add_edges_from(h.edges())
+            matcher = nx.algorithms.isomorphism.GraphMatcher(k, k)
             autos = [[iso[v] for v in range(n)] for iso in matcher.isomorphisms_iter()]
-            assert vertex_orbits(n, gens) == vertex_orbits(n, autos), graph6.encode(g)
+            assert vertex_orbits(n, gens) == vertex_orbits(n, autos), graph6.encode(h)
 
 
 def test_canonical_graph_is_isomorphic_fixed_point():

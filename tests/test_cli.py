@@ -4,14 +4,16 @@ import json
 import jsonschema
 import pytest
 
-from cliquebound import graph6, structure
+from cliquebound import cli, graph6, structure
 from cliquebound.cli import (
     EXIT_FALSIFIED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
     main,
 )
+from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import complete, cycle, disjoint_union
 
 REPORT_SCHEMA = {
@@ -126,6 +128,17 @@ class TestCount:
             main(["count", "--tight"])
         assert exc_info.value.code == EXIT_USAGE
 
+    def test_internal_fault_exits_4(self, capsys, monkeypatch):
+        """An internal fault is not a falsified bound (exit 1): it exits 4
+        with one line on stderr and no traceback."""
+        def disagree(g, r, tights):
+            raise InternalConsistencyError("cluster computations disagree")
+
+        monkeypatch.setattr(cli, "clusters_among", disagree)
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph6.encode(cycle(4)) + "\n"))
+        assert main(["count", "--tight", "-r", "2"]) == EXIT_INTERNAL != EXIT_FALSIFIED
+        assert capsys.readouterr().err == "internal error: cluster computations disagree\n"
+
     def test_file_input(self, capsys, tmp_path):
         p = tmp_path / "in.g6"
         p.write_text(graph6.encode(complete(4)) + "\n")
@@ -154,10 +167,11 @@ class TestVerify:
     def test_sweep_builds_each_level_once(self, capsys, cold_labelings):
         """Asking for the caps in ascending order rebuilt every (n, r) from
         scratch: 14,167 labelings against the 3,651 of one cold (7, 6), or
-        2,097 with one neighbourhood per orbit."""
+        2,097 with one neighbourhood per orbit, or 1,507 (parents included)
+        with the orbit test in place of rival deletions."""
         code, out = run(["verify", "--sweep", "7", "6"], capsys=capsys)
         assert code == EXIT_OK
-        assert len(cold_labelings) == 2097
+        assert len(cold_labelings) == 1507
         pairs = [(v["n"], v["r"]) for v in json.loads(out)["results"]["verifications"]]
         assert pairs == sorted(pairs)
         assert len(pairs) == len(set(pairs)) == 22

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -15,8 +16,8 @@ from cliquebound.enumeration import (
     generate_regular,
     verify_main,
 )
-from cliquebound.errors import CapacityError
-from cliquebound.graphs import complete, cycle, disjoint_union, empty, from_edges, path
+from cliquebound.errors import CapacityError, InternalConsistencyError
+from cliquebound.graphs import bits, complete, cycle, disjoint_union, empty, from_edges, path
 
 # the package exports the function ``fixed_loss`` under the module's name
 fixed_loss_module = importlib.import_module("cliquebound.fixed_loss")
@@ -67,12 +68,12 @@ class TestGenerate:
         assert pooled == serial
 
     @pytest.mark.parametrize(
-        "n, r, classes, labelings", [(7, 6, 1044, 2097), (8, 4, 2590, 6071)]
+        "n, r, classes, labelings", [(7, 6, 1044, 1507), (8, 4, 2590, 4387)]
     )
     def test_deletion_test_labels_few_graphs(self, cold_labelings, n, r, classes, labelings):
         """Labeling every child took 11,290 canonical labelings for (7, 6)
-        and 33,383 for (8, 4); with the deletion test but one neighbourhood
-        per subset rather than per orbit, 3,651 and 11,712."""
+        and 33,383 for (8, 4).  The counts include one labeling per parent,
+        which gives its automorphism generators."""
         assert len(enumeration._classes(n, r)) == classes
         assert len(cold_labelings) == labelings
 
@@ -82,37 +83,68 @@ class TestGenerate:
         every level from K1 took 4,563 labelings)."""
         for n in range(1, 8):
             list(generate(n, min(6, max(n - 1, 1))))
-        assert len(cold_labelings) == 2097
+        assert len(cold_labelings) == 1507
 
     def test_one_generator_search_per_parent(self, cold_labelings, monkeypatch):
         searched = []
-        original = enumeration.automorphism_generators
+        original = enumeration.canonical_labeling
 
         def counted(m, rows):
-            searched.append(rows)
+            if sys._getframe(1).f_code.co_name == "_child_canons":
+                searched.append(rows)
             return original(m, rows)
 
-        monkeypatch.setattr(enumeration, "automorphism_generators", counted)
+        monkeypatch.setattr(enumeration, "canonical_labeling", counted)
         enumeration._classes(8, 4)
         parents = [g.adj for m in range(1, 8) for g in enumeration._classes(m, 4)]
         assert len(parents) == 684
         assert sorted(searched) == sorted(parents)
 
-    def test_orbit_augmentation_only_removes_work(self, monkeypatch):
-        """With no generators every neighbourhood is tried, as before orbit
-        augmentation; every class stream with n <= 7 comes out the same."""
-        def streams():
-            out = {}
-            for n in range(1, 8):
-                for r in range(n):
-                    enumeration._class_cache.clear()
-                    out[n, r] = [graph6.encode(g) for g in generate(n, r)]
-            return out
-
+    def test_missing_parent_generators_repeat_a_class(self, monkeypatch):
+        """Without its automorphisms a parent is extended by isomorphic
+        neighbourhoods, each child passes the orbit test alike, and the
+        level check reports the repeated class instead of dropping it."""
         monkeypatch.setattr(enumeration, "_class_cache", {})
-        with_orbits = streams()
-        monkeypatch.setattr(enumeration, "automorphism_generators", lambda m, rows: [])
-        assert streams() == with_orbits
+        parents = {g.adj for g in enumeration._classes(6, 5)}
+        original = enumeration.canonical_labeling
+
+        def without_parent_generators(m, rows):
+            form, order, generators = original(m, rows)
+            return form, order, [] if tuple(rows) in parents else generators
+
+        monkeypatch.setattr(enumeration, "canonical_labeling", without_parent_generators)
+        with pytest.raises(InternalConsistencyError, match="generated twice"):
+            enumeration._classes(7, 6)
+
+    def test_orbit_test_keeps_one_vertex_orbit_per_class(self, atlas_classes):
+        """For every class C with 2 <= n <= 7, moving each vertex u in turn
+        to the last position: the u whose child passes form exactly one
+        orbit of Aut(C), as networkx finds it, and that orbit has the
+        largest invariant (degree, sorted neighbour degrees).  A missed
+        child generator would lose the class here."""
+        nx = pytest.importorskip("networkx")
+        for g in atlas_classes:
+            n = g.n
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            orbits = {v: set() for v in range(n)}
+            for iso in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+                for v in range(n):
+                    orbits[v].add(iso[v])
+            passed = set()
+            for u in range(n):
+                last = [v - (v > u) for v in range(n)]  # u last, the rest in order
+                last[u] = n - 1
+                form = enumeration._canonical_child_form(g.relabel(last).adj)
+                if form is not None:
+                    assert form == canonical_form(g)
+                    passed.add(u)
+            assert passed and passed == orbits[min(passed)], graph6.encode(g)
+            invariant = [
+                (g.degree(v), sorted(g.degree(x) for x in bits(g.adj[v]))) for v in range(n)
+            ]
+            assert invariant[min(passed)] == max(invariant)
 
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
         enumeration._classes(7, 6)
