@@ -22,9 +22,10 @@ the vertex order of the least leaf and the automorphisms it recorded, plus
 the transposition of each vertex with its least twin.  Every subtree the
 search skips is mapped onto one it searched by a product of these maps, so
 they generate the whole automorphism group (McKay 1981).  The generator
-uses a parent's generators to try one neighbourhood per orbit, and a
-child's order and generators to decide whether its new vertex is the
-canonical one to delete.
+uses a child's order and generators to decide whether its new vertex is
+the canonical one to delete; relabeled through the order, they become the
+rows and generators of the child's class, whose generators then pick one
+neighbourhood per orbit when the class is extended in turn.
 
 Refinement starts from the degree ranks, so every cell holds vertices of
 one degree, and it ranks vertices by an integer key that sorts like

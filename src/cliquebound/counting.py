@@ -2,7 +2,9 @@
 
 The production counter is a pivoted branch-and-count over candidate sets;
 ``brute_force_clique_vector`` is an independent oracle that scans all 2^n
-subsets and is kept free of any shared logic with the pivoted path.
+subsets and is kept free of any shared logic with the pivoted path.  It is
+the only user of numpy, which it imports when called, so the rest of the
+package runs without it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, List, Tuple
-
-import numpy as np
 
 from .errors import CapacityError
 from .graphs import Graph, bits, common_neighbors, complement
@@ -171,6 +171,8 @@ def brute_force_clique_vector(g: Graph) -> CliqueVector:
     A subset fails iff some member has a non-neighbor among the others; the
     test is vectorized over all subsets at once.  Capped at n <= 24.
     """
+    import numpy as np  # only the oracle needs numpy
+
     n = g.n
     if n > BRUTE_FORCE_MAX_VERTICES:
         raise CapacityError(f"brute force capped at n <= {BRUTE_FORCE_MAX_VERTICES}")
@@ -188,6 +190,8 @@ def brute_force_clique_vector(g: Graph) -> CliqueVector:
 
 
 def _popcounts(values: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     v = values.copy()
     v = v - ((v >> np.uint32(1)) & np.uint32(0x55555555))
     v = (v & np.uint32(0x33333333)) + ((v >> np.uint32(2)) & np.uint32(0x33333333))

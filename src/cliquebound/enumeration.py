@@ -3,8 +3,10 @@ confronts every quantitative statement with every small graph.
 
 Generation is McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 1998).  Each level representative (a parent) is
-extended by one neighbourhood per orbit of its automorphism group, from the
-generators ``canon.canonical_labeling`` returns.  A child is kept iff its
+extended by one neighbourhood per orbit of its automorphism group.  A
+neighbourhood is tried only if no vertex of the child would have a larger
+degree than the new one; degrees are invariant, so this skips whole orbits
+that the deletion test would reject.  A child is kept iff its
 new vertex u is a canonical deletion vertex: u has the largest invariant
 (degree, sorted neighbour degrees), and an automorphism of the child maps u
 onto w*, the vertex of largest invariant that the child's canonical order
@@ -12,10 +14,16 @@ places first.  The orbit of w* does not depend on the labeling, so the
 children of one class that are kept all delete to the same parent class and
 extend it through neighbourhoods in one orbit: every class is kept exactly
 once.  A class kept twice means generators were missed, and raises
-``InternalConsistencyError``.  Level representatives are the canonically
-relabeled graphs, so the output stream is independent of worker count and
-iteration order.  The (n, r) class lists form one cached table: each level
-is built once, from the cached level below.
+``InternalConsistencyError``.
+
+A kept child's one ``canon.canonical_labeling`` call gives everything its
+class needs as a parent: the child's rows and automorphism generators are
+relabeled through the canonical order and kept with the class, so no parent
+is searched again and no form is decoded.  Level representatives are the
+canonically relabeled graphs, so the output stream is independent of worker
+count and iteration order.  The (n, r) levels form one cached table of
+representatives and their packed generators: each level is built once, from
+the cached level below.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import graph6
 from .bounds import (
@@ -52,43 +60,65 @@ from .transform import apply_k2_move, fill_graph, fill_profitable, gain_lower_bo
 
 GENERATION_MAX_VERTICES = 12
 
-_class_cache: Dict[Tuple[int, int], List[Graph]] = {}
-
 
 # ---------------------------------------------------------------------------
 # generation
 
 
-def _child_canons(parent_rows: Tuple[int, ...], r: int) -> List[str]:
-    """Canonical forms of the one-vertex extensions of a level representative
-    that keep all degrees <= r and whose new vertex is a canonical deletion
-    vertex.
+class Level(NamedTuple):
+    """One (n, r) entry of the class table: the canonically labeled
+    representatives, and for each the automorphism generators that its
+    child labeling found, relabeled to match and packed as one ``bytes``
+    of n-byte vertex maps (empty for an asymmetric class)."""
 
-    One neighbourhood is tried per orbit of the parent's automorphisms: an
-    automorphism that maps one neighbourhood onto another extends, fixing
-    the new vertex, to an isomorphism between the two children."""
+    graphs: List[Graph]
+    generators: List[bytes]
+
+
+_class_cache: Dict[Tuple[int, int], Level] = {}
+
+
+def _child_canons(
+    parent_rows: Tuple[int, ...], generators: bytes, r: int
+) -> List[Tuple[str, Tuple[int, ...], bytes]]:
+    """The canonical (form, rows, packed generators) of the one-vertex
+    extensions of a level representative that keep all degrees <= r and
+    whose new vertex is a canonical deletion vertex.
+
+    One neighbourhood is tried per orbit of the parent's automorphisms,
+    given by its packed ``generators``: an automorphism that maps one
+    neighbourhood onto another extends, fixing the new vertex, to an
+    isomorphism between the two children.  A neighbourhood that would
+    leave some vertex of the child above the new vertex's degree is not
+    tried, as the deletion test rejects it; degrees are invariant, so
+    its whole orbit is rejected too."""
     m = len(parent_rows)
-    eligible = 0
-    for v, row in enumerate(parent_rows):
-        if row.bit_count() < r:
+    deg = [row.bit_count() for row in parent_rows]
+    top = max(deg)
+    eligible = crowded = 0
+    for v, d in enumerate(deg):
+        if d < r:
             eligible |= 1 << v
+        if d == top:
+            crowded |= 1 << v
     # the bit each generator sends each vertex's bit to
-    images = [[1 << w for w in gamma] for gamma in canonical_labeling(m, parent_rows)[2]]
+    images = [[1 << w for w in generators[i:i + m]] for i in range(0, len(generators), m)]
     seen: Set[int] = set()  # the neighbourhoods in orbits already tried
     new_bit = 1 << m
-    out: List[str] = []
+    out: List[Tuple[str, Tuple[int, ...], bytes]] = []
     sub = eligible
     while True:
-        if sub.bit_count() <= r and sub not in seen:
+        size = sub.bit_count()
+        if (top < size <= r or (size == top and not sub & crowded)) and sub not in seen:
             if images:
                 _mark_orbit(sub, images, seen)
             child = tuple(
                 row | new_bit if (sub >> v) & 1 else row
                 for v, row in enumerate(parent_rows)
             ) + (sub,)
-            form = _canonical_child_form(child)
-            if form is not None:
-                out.append(form)
+            kept = _canonical_child_form(child)
+            if kept is not None:
+                out.append(kept)
         if sub == 0:
             break
         sub = (sub - 1) & eligible
@@ -111,9 +141,10 @@ def _mark_orbit(sub: int, images: List[List[int]], seen: Set[int]) -> None:
                 todo.append(t)
 
 
-def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[str]:
-    """The canonical form of ``rows`` if its last vertex u is a canonical
-    deletion vertex, else None.
+def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[Tuple[str, Tuple[int, ...], bytes]]:
+    """The canonical form of ``rows``, its canonically relabeled rows and its
+    packed automorphism generators, if its last vertex u is a canonical
+    deletion vertex; else None.
 
     The candidates are the vertices of largest invariant (degree, sorted
     neighbour degrees); u must be one.  The canonical candidate w* is the
@@ -142,12 +173,18 @@ def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[str]:
         _mark_orbit(1 << u, [[1 << w for w in gamma] for gamma in generators], orbit)
         if 1 << first not in orbit:
             return None
-    return form
+    # relabel so that order[i] becomes i: the rows then encode to ``form``
+    position = [0] * (u + 1)
+    for i, v in enumerate(order):
+        position[v] = i
+    relabeled = tuple(sum(1 << position[w] for w in bits(rows[v])) for v in order)
+    packed = bytes(position[gamma[v]] for gamma in generators for v in order)
+    return form, relabeled, packed
 
 
-def _expand_chunk(args) -> List[str]:
+def _expand_chunk(args) -> List[Tuple[str, Tuple[int, ...], bytes]]:
     parents, r = args
-    return [form for g in parents for form in _child_canons(g.adj, r)]
+    return [kept for rows, generators in parents for kept in _child_canons(rows, generators, r)]
 
 
 def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
@@ -162,16 +199,24 @@ def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
     return [chunk_fn((items, arg))]
 
 
-def _expand_level(parents: List[Graph], r: int, workers: int) -> List[Graph]:
-    """The next level's representatives from this level's.  A representative
-    is canonically labeled, so its graph6 string is its canonical form."""
-    forms = sorted(form for part in _fan_out(_expand_chunk, parents, r, workers) for form in part)
-    repeated = next((a for a, b in zip(forms, forms[1:]) if a == b), None)
+def _expand_level(parents: Level, r: int, workers: int) -> Level:
+    """The next level from this one, in canonical-form order.  Each child
+    comes with its canonical rows and generators, so no class is decoded
+    and no parent is searched again."""
+    items = list(zip((g.adj for g in parents.graphs), parents.generators))
+    children: list = [kept for part in _fan_out(_expand_chunk, items, r, workers) for kept in part]
+    children.sort(key=itemgetter(0))
+    repeated = next((a[0] for a, b in zip(children, children[1:]) if a[0] == b[0]), None)
     if repeated is not None:
         raise InternalConsistencyError(
             f"class {repeated} generated twice: automorphism generators were missed"
         )
-    return [graph6.decode(c) for c in forms]
+    generators = [packed for _, _, packed in children]
+    # each child becomes its Graph in place, so its form is freed as the
+    # Graph is built and a level's forms and Graphs are never all held at once
+    for i, (_, rows, _) in enumerate(children):
+        children[i] = Graph(len(rows), rows)
+    return Level(children, generators)
 
 
 def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
@@ -181,7 +226,12 @@ def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
 
 
 def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
-    """The class table: every (n, r) list is built once, from the level
+    """The representatives of the (n, r) level of the class table."""
+    return _level(n, r, workers).graphs
+
+
+def _level(n: int, r: int, workers: int = 1) -> Level:
+    """The class table: every (n, r) level is built once, from the level
     below, and kept.  A cap above n - 1 is clamped, so any cap may be asked
     for."""
     if n > GENERATION_MAX_VERTICES:
@@ -194,14 +244,15 @@ def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
         return _class_cache[key]
     wider = next((c for (cn, cr), c in _class_cache.items() if cn == n and cr > r), None)
     if wider is not None:
-        # a wider cached run filters down without regenerating
-        result = [g for g in wider if g.max_degree() <= r]
+        # a wider cached level filters down without regenerating
+        kept = [i for i, g in enumerate(wider.graphs) if g.max_degree() <= r]
+        level = Level([wider.graphs[i] for i in kept], [wider.generators[i] for i in kept])
     elif n <= 1:
-        result = [Graph(n, (0,) * n)]
+        level = Level([Graph(n, (0,) * n)], [b""])
     else:
-        result = _expand_level(_classes(n - 1, r, workers), r, workers)
-    _class_cache[key] = result
-    return result
+        level = _expand_level(_level(n - 1, r, workers), r, workers)
+    _class_cache[key] = level
+    return level
 
 
 def generate_regular(n: int, d: int, workers: int = 1) -> Iterator[Graph]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import sys
 from collections import Counter, defaultdict
@@ -6,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from cliquebound import enumeration, graph6, structure
-from cliquebound.canon import canonical_form
+from cliquebound.canon import _join_orbits, _root, canonical_form
 from cliquebound.counting import clique_vector
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
@@ -17,10 +18,31 @@ from cliquebound.enumeration import (
     verify_main,
 )
 from cliquebound.errors import CapacityError, InternalConsistencyError
-from cliquebound.graphs import bits, complete, cycle, disjoint_union, empty, from_edges, path
+from cliquebound.graphs import (
+    Graph,
+    bits,
+    complete,
+    cycle,
+    disjoint_union,
+    empty,
+    from_edges,
+    path,
+)
 
 # the package exports the function ``fixed_loss`` under the module's name
 fixed_loss_module = importlib.import_module("cliquebound.fixed_loss")
+
+
+def _networkx_orbits(nx, g):
+    """Vertex -> its orbit under Aut(g), from every networkx self-isomorphism."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    orbits = {v: set() for v in range(g.n)}
+    for iso in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+        for v in range(g.n):
+            orbits[v].add(iso[v])
+    return orbits
 
 
 class TestGenerate:
@@ -68,12 +90,14 @@ class TestGenerate:
         assert pooled == serial
 
     @pytest.mark.parametrize(
-        "n, r, classes, labelings", [(7, 6, 1044, 1507), (8, 4, 2590, 4387)]
+        "n, r, classes, labelings", [(7, 6, 1044, 1299), (8, 4, 2590, 3703)]
     )
     def test_deletion_test_labels_few_graphs(self, cold_labelings, n, r, classes, labelings):
         """Labeling every child took 11,290 canonical labelings for (7, 6)
-        and 33,383 for (8, 4).  The counts include one labeling per parent,
-        which gives its automorphism generators."""
+        and 33,383 for (8, 4); one more per parent, for its generators, made
+        1,507 and 4,387.  Only the children that pass the degree test are
+        labeled, and each parent's generators come from the labeling that
+        made it."""
         assert len(enumeration._classes(n, r)) == classes
         assert len(cold_labelings) == labelings
 
@@ -83,36 +107,37 @@ class TestGenerate:
         every level from K1 took 4,563 labelings)."""
         for n in range(1, 8):
             list(generate(n, min(6, max(n - 1, 1))))
-        assert len(cold_labelings) == 1507
+        assert len(cold_labelings) == 1299
 
-    def test_one_generator_search_per_parent(self, cold_labelings, monkeypatch):
-        searched = []
+    def test_no_parent_is_searched_or_decoded(self, monkeypatch):
+        """Every canonical labeling is of a child that passed the degree
+        test, and no level is decoded from graph6."""
+        callers = Counter()
         original = enumeration.canonical_labeling
 
         def counted(m, rows):
-            if sys._getframe(1).f_code.co_name == "_child_canons":
-                searched.append(rows)
+            callers[sys._getframe(1).f_code.co_name] += 1
             return original(m, rows)
 
+        def no_decode(text):
+            raise AssertionError(f"generation decoded {text}")
+
+        monkeypatch.setattr(enumeration, "_class_cache", {})
         monkeypatch.setattr(enumeration, "canonical_labeling", counted)
+        monkeypatch.setattr(graph6, "decode", no_decode)
         enumeration._classes(8, 4)
-        parents = [g.adj for m in range(1, 8) for g in enumeration._classes(m, 4)]
-        assert len(parents) == 684
-        assert sorted(searched) == sorted(parents)
+        assert callers == {"_canonical_child_form": 3703}
 
     def test_missing_parent_generators_repeat_a_class(self, monkeypatch):
         """Without its automorphisms a parent is extended by isomorphic
         neighbourhoods, each child passes the orbit test alike, and the
         level check reports the repeated class instead of dropping it."""
         monkeypatch.setattr(enumeration, "_class_cache", {})
-        parents = {g.adj for g in enumeration._classes(6, 5)}
-        original = enumeration.canonical_labeling
-
-        def without_parent_generators(m, rows):
-            form, order, generators = original(m, rows)
-            return form, order, [] if tuple(rows) in parents else generators
-
-        monkeypatch.setattr(enumeration, "canonical_labeling", without_parent_generators)
+        parents = enumeration._level(6, 5)
+        assert any(parents.generators)
+        enumeration._class_cache[6, 5] = enumeration.Level(
+            parents.graphs, [b""] * len(parents.graphs)
+        )
         with pytest.raises(InternalConsistencyError, match="generated twice"):
             enumeration._classes(7, 6)
 
@@ -125,26 +150,96 @@ class TestGenerate:
         nx = pytest.importorskip("networkx")
         for g in atlas_classes:
             n = g.n
-            h = nx.Graph()
-            h.add_nodes_from(range(n))
-            h.add_edges_from(g.edges())
-            orbits = {v: set() for v in range(n)}
-            for iso in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
-                for v in range(n):
-                    orbits[v].add(iso[v])
+            orbits = _networkx_orbits(nx, g)
             passed = set()
             for u in range(n):
                 last = [v - (v > u) for v in range(n)]  # u last, the rest in order
                 last[u] = n - 1
-                form = enumeration._canonical_child_form(g.relabel(last).adj)
-                if form is not None:
-                    assert form == canonical_form(g)
+                kept = enumeration._canonical_child_form(g.relabel(last).adj)
+                if kept is not None:
+                    form, rows, _ = kept
+                    assert form == canonical_form(g) == graph6.encode(Graph(n, rows))
                     passed.add(u)
             assert passed and passed == orbits[min(passed)], graph6.encode(g)
             invariant = [
                 (g.degree(v), sorted(g.degree(x) for x in bits(g.adj[v]))) for v in range(n)
             ]
             assert invariant[min(passed)] == max(invariant)
+
+    def test_degree_prefilter_is_exact(self, monkeypatch):
+        """Given no generators, ``_child_canons`` tries every neighbourhood
+        that the degree test lets through.  For every class on
+        n <= 6 vertices and every cap it meets, each neighbourhood of
+        vertices below the cap that it skips gives a child that the
+        deletion test rejects."""
+        tried = []
+        original = enumeration._canonical_child_form
+
+        def recorded(rows):
+            tried.append(rows[-1])
+            return original(rows)
+
+        monkeypatch.setattr(enumeration, "_canonical_child_form", recorded)
+        skipped = 0
+        for n in range(1, 7):
+            for g in generate(n, n - 1):
+                for r in range(g.max_degree(), n + 1):
+                    tried.clear()
+                    enumeration._child_canons(g.adj, b"", r)
+                    eligible = [v for v in range(n) if g.degree(v) < r]
+                    for size in range(min(r, len(eligible)) + 1):
+                        for xs in combinations(eligible, size):
+                            sub = sum(1 << v for v in xs)
+                            if sub in tried:
+                                continue
+                            skipped += 1
+                            child = tuple(
+                                row | (1 << n) if v in xs else row for v, row in enumerate(g.adj)
+                            ) + (sub,)
+                            assert original(child) is None, (graph6.encode(g), r, xs)
+        assert skipped > 0
+
+    def test_carried_generators_generate_the_automorphism_group(self):
+        """Each class with n <= 7 carries maps that are automorphisms of its
+        representative, and the orbits they generate are the orbits of its
+        whole automorphism group, as networkx finds them."""
+        nx = pytest.importorskip("networkx")
+        for n in range(1, 8):
+            level = enumeration._level(n, n - 1)
+            assert len(level.graphs) == len(level.generators)
+            for g, packed in zip(level.graphs, level.generators):
+                orbit = list(range(n))  # union-find over the carried maps
+                for i in range(0, len(packed), n):
+                    gamma = packed[i:i + n]
+                    assert sorted(gamma) == list(range(n))
+                    assert g.relabel(gamma) == g, graph6.encode(g)
+                    _join_orbits(orbit, gamma)
+                carried = {v: {w for w in range(n) if _root(orbit, w) == _root(orbit, v)}
+                           for v in range(n)}
+                assert carried == _networkx_orbits(nx, g), graph6.encode(g)
+
+    def test_representatives_are_canonically_labeled(self):
+        """A representative's rows are carried from its child labeling, not
+        decoded from its form: they must still encode to the form."""
+        for g in generate(8, 4):
+            assert graph6.encode(g) == canonical_form(g)
+
+    def test_class_stream_digest(self):
+        """sha256 of one line "n r graph6" per class, for n = 1..8 and every
+        cap r < n from the widest down (r = 0 alone at n = 1): 37,268
+        lines.  The value is the package's own output before levels were
+        carried as rows, so any change to the class stream shows here."""
+        digest = hashlib.sha256()
+        lines = 0
+        for n in range(1, 9):
+            for r in range(max(n - 1, 0), -1, -1):
+                for g in generate(n, r):
+                    digest.update(f"{n} {r} {graph6.encode(g)}\n".encode())
+                    lines += 1
+        assert lines == 37268
+        assert digest.hexdigest() == (
+            "ca80e66beeb764b5a487d80402f365c4b2b4289dd31ca4cad344ef2acd3d3062"
+        )
 
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
         enumeration._classes(7, 6)

@@ -2,6 +2,9 @@
 and only at module level."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,21 @@ def test_no_internal_import_inside_a_function(module):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             local.extend((node.lineno, target) for node, target in internal_imports(func))
     assert local == [], f"{module} imports package modules inside a function"
+
+
+def test_numpy_stays_off_the_import_path():
+    """Only the brute-force oracle needs numpy, and it imports numpy when
+    called: the CLI runs a verification without loading it."""
+    script = (
+        "import sys\n"
+        "from cliquebound.cli import main\n"
+        "assert main(['verify', '5', '3']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
