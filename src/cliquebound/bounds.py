@@ -11,14 +11,9 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List
 
-from .counting import (
-    CliqueVector,
-    clique_vector,
-    clique_weight,
-    clique_weights,
-)
+from .counting import CliqueVector, clique_weight, clique_weights
 from .fixed_loss import has_small_component
-from .graphs import Graph, turan
+from .graphs import Graph
 from .records import ConsistencyRecord, not_applicable
 from .structure import TightStructure, associated_cliques
 
@@ -176,11 +171,11 @@ def regular_independent_checks(
 
 def bounded_clique_checks(g: Graph, r: int, kvec: CliqueVector) -> List[ConsistencyRecord]:
     """Per-size upper bounds k_t(G) <= a C(r+1, t) plus the total k(G) <=
-    1 + a(2^(r+1) - 1), for max degree <= r and (r+1) | n; ``kvec`` counts g."""
+    main_bound(n, r), for max degree <= r and (r+1) | n; ``kvec`` counts g."""
     if g.max_degree() > r or g.n % (r + 1) != 0:
         return [not_applicable("bounded_clique_upper", f"n={g.n},r={r}")]
     a = g.n // (r + 1)
-    total_rhs = 1 + a * ((1 << (r + 1)) - 1)
+    total_rhs = main_bound(g.n, r)
     records = [
         ConsistencyRecord(
             predicate="bounded_clique_upper",
@@ -207,11 +202,14 @@ def bounded_clique_checks(g: Graph, r: int, kvec: CliqueVector) -> List[Consiste
 
 
 def zykov_check(g: Graph, kvec: CliqueVector) -> ConsistencyRecord:
-    """k(G) <= k(T_{n, omega}) with omega the clique number of G; ``kvec`` counts g."""
+    """k(G) <= k(T_{n, omega}) with omega the clique number of G; ``kvec`` counts g.
+    A clique of the Turan graph picks at most one vertex from each part, so
+    k(T_{n, omega}) = (q+2)^rho (q+1)^(omega-rho) with (q, rho) = divmod(n, omega)."""
     if g.n == 0:
         return not_applicable("zykov_upper", "n=0")
     omega = kvec.max_size
-    rhs = clique_vector(turan(g.n, omega)).total
+    q, rho = divmod(g.n, omega)
+    rhs = (q + 2) ** rho * (q + 1) ** (omega - rho)
     return ConsistencyRecord(
         predicate="zykov_upper",
         subject=f"n={g.n},omega={omega}",

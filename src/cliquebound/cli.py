@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -261,7 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Count cliques/independent sets in degree-bounded graphs "
         "and verify the extremal bounds exhaustively on small graphs.",
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument("--workers", type=int, default=1, metavar="WORKERS",
+                        choices=range(1, (os.cpu_count() or 1) + 1),
+                        help="worker processes, 1 up to the CPU count")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--checkpoint", help="sweep checkpoint file")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
@@ -299,7 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "verify" and not args.sweep and (args.n is None or args.r is None):
+    if args.subcommand == "verify" and args.sweep:
+        if args.n is not None or min(args.sweep) < 1:
+            parser.error("verify --sweep takes N_MAX >= 1 and R_MAX >= 1, and no n r")
+    elif args.subcommand == "verify" and (args.n is None or args.r is None):
         parser.error("verify needs n and r, or --sweep N_MAX R_MAX")
     if args.subcommand == "count" and args.tight and args.r is None:
         parser.error("--tight requires -r")

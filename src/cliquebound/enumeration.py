@@ -56,7 +56,7 @@ from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bits, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
 from .structure import clusters_among, outside_degree_check, tight_structures
-from .transform import apply_k2_move, fill_graph, fill_profitable, gain_lower_bound
+from .transform import fill_gain, fill_profitable, gain_lower_bound, k2_gain
 
 GENERATION_MAX_VERTICES = 12
 
@@ -431,8 +431,8 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
     for ts in tights:
         subject = f"r={r},T={ts.T:#x}"
         records.append(outside_degree_check(g, ts))
-        k_after = clique_vector(fill_graph(g, ts)).total
-        gain = fill_gains[ts.T] = k_after - k_total
+        gain = fill_gains[ts.T] = fill_gain(g.adj, ts)
+        k_after = k_total + gain
         lower = gain_lower_bound(ts)
         records.append(
             ConsistencyRecord(
@@ -454,15 +454,10 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
                 ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
             )
         if ts.t >= 2 and ts.k2_components:
-            report = apply_k2_move(g, ts, k_total)
+            k2_after = k_total + k2_gain(g.adj, ts)
             records.append(
                 ConsistencyRecord(
-                    "k2_move_gain",
-                    subject,
-                    report.k_after,
-                    report.k_before,
-                    True,
-                    report.k_after > report.k_before,
+                    "k2_move_gain", subject, k2_after, k_total, True, k2_after > k_total
                 )
             )
 

@@ -63,28 +63,40 @@ def _fill_rows(adj, ts: TightStructure) -> List[int]:
     return rows
 
 
-def fill_graph(g: Graph, ts: TightStructure) -> Graph:
-    """The rewritten graph itself, postconditions asserted, no counting."""
-    return Graph(g.n, tuple(_fill_rows(g.adj, ts)))
+def _report(g: Graph, rows, move: str, ts: TightStructure, k_before: int) -> RewriteReport:
+    """The rewritten graph built from ``rows`` and counted in full."""
+    after = Graph(g.n, tuple(rows))
+    return RewriteReport(
+        after, move, k_before, clique_vector(after).total, gain_lower_bound(ts), ts
+    )
+
+
+def fill_gain(adj, ts: TightStructure) -> int:
+    """k(G') - k(G) for the fill of ``ts``, on adjacency rows: the fill
+    changes edges only at S, so its gain is the change in the number of
+    cliques meeting S.  A T u S that is already a K_{r+1} component is the
+    identity fill and gains 0 without counting."""
+    inside = ts.T | ts.S
+    if all(adj[x] == inside & ~(1 << x) for x in bits(ts.S)):
+        return 0
+    return cliques_meeting(_fill_rows(adj, ts), ts.S) - cliques_meeting(adj, ts.S)
 
 
 def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     """Fill S into a clique with T and cut S off from the rest.  The caller
     passes k(g) as ``k_before``; only the rewritten graph is counted."""
-    after = fill_graph(g, ts)
-    return RewriteReport(
-        after=after,
-        move="fill",
-        k_before=k_before,
-        k_after=clique_vector(after).total,
-        gain_lower_bound=gain_lower_bound(ts),
-        tight_structure=ts,
-    )
+    return _report(g, _fill_rows(g.adj, ts), "fill", ts, k_before)
 
 
-def _k2_rows(adj, ts: TightStructure, pair: int) -> List[int]:
-    """Rows after the K2 move on ``pair``: add its missing edge and cut both
-    endpoints off from every vertex outside T u S."""
+def _k2_rows(adj, ts: TightStructure) -> List[int]:
+    """Rows after the K2 move: add the missing edge of the first K_2
+    component of R and cut both its endpoints off from every vertex
+    outside T u S."""
+    if ts.t < 2:
+        raise ValueError("the K2 move needs a tight clique of size >= 2")
+    if not ts.k2_components:
+        raise ValueError("the deficiency graph has no K_2 component")
+    pair = ts.k2_components[0]
     inside = ts.T | ts.S
     rows = list(adj)
     for x in bits(pair):
@@ -95,23 +107,19 @@ def _k2_rows(adj, ts: TightStructure, pair: int) -> List[int]:
     return rows
 
 
+def k2_gain(adj, ts: TightStructure) -> int:
+    """k(G') - k(G) for the K2 move of ``ts``, on adjacency rows: the move
+    changes edges only at its pair, so its gain is the change in the number
+    of cliques meeting the pair."""
+    rows, pair = _k2_rows(adj, ts), ts.k2_components[0]
+    return cliques_meeting(rows, pair) - cliques_meeting(adj, pair)
+
+
 def apply_k2_move(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     """Add the missing edge of a K_2 component of R and cut its endpoints
     off from everything outside T u S.  The strict clique gain is checked,
     not assumed; a non-gain is surfaced via the report.  ``k_before`` is k(g)."""
-    if ts.t < 2:
-        raise ValueError("the K2 move needs a tight clique of size >= 2")
-    if not ts.k2_components:
-        raise ValueError("the deficiency graph has no K_2 component")
-    after = Graph(g.n, tuple(_k2_rows(g.adj, ts, ts.k2_components[0])))
-    return RewriteReport(
-        after=after,
-        move="k2",
-        k_before=k_before,
-        k_after=clique_vector(after).total,
-        gain_lower_bound=gain_lower_bound(ts),
-        tight_structure=ts,
-    )
+    return _report(g, _k2_rows(g.adj, ts), "k2", ts, k_before)
 
 
 def gain_lower_bound(ts: TightStructure) -> int:
@@ -132,12 +140,6 @@ def fill_profitable(ts: TightStructure) -> Profitability:
     )
 
 
-def _local_gain(before, after, xs: int) -> int:
-    """k(after) - k(before) for two row sets that differ only in edges at
-    ``xs``: every clique avoiding ``xs`` is in both."""
-    return cliques_meeting(after, xs) - cliques_meeting(before, xs)
-
-
 def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     """Greedy local search over the two rewrites.
 
@@ -146,15 +148,13 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     within a move class the strictly improving rewrite with the largest
     gain wins, ties broken by lexicographically least tight clique.
     Moves that leave the count unchanged are never taken, so the
-    C_4 / K_3 u K_1 equality family cannot cycle.  A fill of a T u S that
-    is already a K_{r+1} component changes nothing and is not scored.
+    C_4 / K_3 u K_1 equality family cannot cycle.
 
-    Candidates are scored on adjacency rows by a local count: a fill
-    changes edges only at S and a K2 move only at its pair, so the gain is
-    the change in the number of cliques meeting that set.  Only the move
-    taken is built as a Graph and counted in full, through ``apply_k2_move``
-    or ``apply_fill``; a full count that disagrees with the local one
-    raises InternalConsistencyError.  At most ``MAX_STEPS`` moves are taken.
+    Candidates are scored on adjacency rows by ``k2_gain`` and
+    ``fill_gain``.  Only the move taken is built as a Graph and counted in
+    full, through ``apply_k2_move`` or ``apply_fill``; a full count that
+    disagrees with the local one raises InternalConsistencyError.  At most
+    ``MAX_STEPS`` moves are taken.
     """
     if g.max_degree() > r:
         raise ValueError("hill climbing needs the degree cap to hold")
@@ -166,14 +166,8 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
         scored = []
         for ts in tight_structures(current, r):
             if ts.t >= 2 and ts.k2_components:
-                pair = ts.k2_components[0]
-                gain = _local_gain(adj, _k2_rows(adj, ts, pair), pair)
-                scored.append((0, -gain, ts.T, ts))
-            inside = ts.T | ts.S
-            if all(adj[x] == inside & ~(1 << x) for x in bits(ts.S)):
-                continue  # the identity fill
-            gain = _local_gain(adj, _fill_rows(adj, ts), ts.S)
-            scored.append((1, -gain, ts.T, ts))
+                scored.append((0, -k2_gain(adj, ts), ts.T, ts))
+            scored.append((1, -fill_gain(adj, ts), ts.T, ts))
         improving = [entry for entry in scored if entry[1] < 0]
         if not improving:
             break

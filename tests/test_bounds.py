@@ -161,6 +161,12 @@ class TestZykov:
     def test_never_fails(self, g):
         assert zykov_check(g, clique_vector(g)).passed
 
+    def test_closed_form_counts_the_turan_graph(self):
+        for n in range(1, 13):
+            for omega in range(1, n + 1):
+                t = turan(n, omega)
+                assert zykov_check(t, clique_vector(t)).rhs == clique_vector(t).total
+
 
 class TestGalvin:
     def test_values(self):

@@ -1,5 +1,7 @@
 import io
 import json
+import multiprocessing
+import os
 
 import jsonschema
 import pytest
@@ -186,6 +188,27 @@ class TestVerify:
         assert main(["verify", "40", "3"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "6", "3", "--sweep", "2", "1"],
+            ["verify", "--sweep", "3", "0"],
+            ["verify", "--sweep", "-2", "3"],
+            ["verify", "--sweep", "3", "-1"],
+        ],
+        ids=["pair-and-sweep", "zero-cap", "negative-n", "negative-cap"],
+    )
+    def test_bad_arguments_fail_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verified before rejecting the arguments")
+
+        monkeypatch.setattr(cli, "verify_main", no_work)
+        monkeypatch.setattr(cli, "consistency_sweep", no_work)
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
         "line",
         [
             "5",
@@ -334,3 +357,19 @@ class TestOutputModes:
         (rec,) = doc["results"]["verifications"]
         assert rec["max_k"] == 128
         assert "128" in out and "e+" not in out
+
+
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "workers", [0, -1, (os.cpu_count() or 1) + 1], ids=["zero", "negative", "above-cpus"]
+    )
+    @pytest.mark.parametrize("command", [["verify", "4", "2"], ["gen", "4", "2"]])
+    def test_out_of_range_is_usage_error(self, capsys, monkeypatch, workers, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--workers", str(workers)] + command)
+        assert exc_info.value.code == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err

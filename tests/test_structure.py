@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
     complete,
@@ -182,6 +183,19 @@ class TestClusters:
         cls = [cl.T for cl in clusters(g, r)]
         for t_mask in tight_cliques(g, r):
             assert sum(1 for c in cls if t_mask & c == t_mask) == 1
+
+
+def test_no_tight_clique_above_the_maximum_degree():
+    """A tight clique's vertices have degree exactly r, so a cap above the
+    maximum degree leaves none: every class with n <= 7, every such cap."""
+    pairs = 0
+    for n in range(1, 8):
+        for g in generate(n, n - 1):
+            for r in range(g.max_degree() + 1, n):
+                assert tight_structures(g, r) == []
+                pairs += 1
+    # the (graph, cap) pairs of consistency_sweep(7, 6) with r > max degree
+    assert pairs == 1843
 
 
 def test_clusters_partition_exhaustive_small():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliquebound import transform
 from cliquebound.counting import clique_vector
+from cliquebound.enumeration import generate
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import (
     complete,
@@ -13,14 +14,16 @@ from cliquebound.graphs import (
     from_edges,
     mask_of,
 )
-from cliquebound.structure import derive, tight_cliques
+from cliquebound.structure import derive, tight_cliques, tight_structures
 from cliquebound.transform import (
     Profitability,
     apply_fill,
     apply_k2_move,
+    fill_gain,
     fill_profitable,
     gain_lower_bound,
     hill_climb,
+    k2_gain,
 )
 
 
@@ -137,6 +140,26 @@ class TestK2Move:
         g = complete(4)
         with pytest.raises(ValueError):
             apply_k2_move(g, derive(g, 3, 0b0011), clique_vector(g).total)
+        with pytest.raises(ValueError):
+            k2_gain(g.adj, derive(g, 3, 0b0011))
+
+
+def test_local_gains_match_full_counts():
+    """Every class with n <= 7, every cap the sweep uses, every tight
+    structure: the local gains equal the gains of the rewritten graphs
+    counted in full."""
+    fills = k2_moves = 0
+    for n in range(1, 8):
+        for g in generate(n, n - 1):
+            k = clique_vector(g).total
+            for r in range(max(1, g.max_degree()), n):
+                for ts in tight_structures(g, r):
+                    assert fill_gain(g.adj, ts) == apply_fill(g, ts, k).gain
+                    fills += 1
+                    if ts.t >= 2 and ts.k2_components:
+                        assert k2_gain(g.adj, ts) == apply_k2_move(g, ts, k).gain
+                        k2_moves += 1
+    assert fills > 0 and k2_moves > 0
 
 
 class TestGainLowerBound:
@@ -183,26 +206,25 @@ class TestHillClimb:
         assert is_tight_calls == []
 
     def test_identity_fills_are_not_scored(self, monkeypatch):
-        scored = []
-        original = transform._local_gain
+        counted_sets = []
+        original = transform.cliques_meeting
 
-        def counted(before, after, xs):
-            scored.append(xs)
-            return original(before, after, xs)
+        def counted(rows, xs):
+            counted_sets.append(xs)
+            return original(rows, xs)
 
-        monkeypatch.setattr(transform, "_local_gain", counted)
+        monkeypatch.setattr(transform, "cliques_meeting", counted)
         g = disjoint_union(complete(4), staging_graph())  # the K_4 on 0..3
         assert len(hill_climb(g, 3)) == 1
-        # only the staging graph's 6 candidates are scored: no fill inside
-        # the K_4 component, nor inside the K_4 the move builds
-        assert len(scored) == 6
-        assert all(xs & mask_of(range(4)) == 0 for xs in scored)
+        # only the staging graph's 6 candidates are counted, before and
+        # after each: no fill inside the K_4 component, nor inside the K_4
+        # the move builds
+        assert len(counted_sets) == 12
+        assert all(xs & mask_of(range(4)) == 0 for xs in counted_sets)
 
     def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch):
-        original = transform._local_gain
-        monkeypatch.setattr(
-            transform, "_local_gain", lambda before, after, xs: original(before, after, xs) + 1
-        )
+        original = transform.fill_gain
+        monkeypatch.setattr(transform, "fill_gain", lambda adj, ts: original(adj, ts) + 1)
         with pytest.raises(InternalConsistencyError):
             hill_climb(staging_graph(), 3)
 
