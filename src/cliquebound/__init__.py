@@ -9,7 +9,7 @@ from .bounds import (
     strong_chain_bound,
     strong_inequalities,
 )
-from .canon import canonical_form, canonical_graph
+from .canon import canonical_form
 from .counting import (
     CliqueVector,
     brute_force_clique_vector,
@@ -42,7 +42,6 @@ from .graphs import (
     empty,
     extremal_graph,
     from_edges,
-    lex_graph,
     path,
     turan,
 )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .graph6 import _encode_ordered, decode
+from .graph6 import _encode_ordered
 from .graphs import Graph, bits
 
 
@@ -195,8 +195,3 @@ def _join_orbits(parent: List[int], gamma: List[int]) -> None:
         a, b = _root(parent, v), _root(parent, w)
         if a != b:
             parent[max(a, b)] = min(a, b)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """Canonically relabeled copy of ``g``."""
-    return decode(canonical_form(g))

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from . import __version__, graph6
 from .counting import clique_vector, independent_vector
-from .enumeration import consistency_sweep, generate, generate_regular, verify_main
+from .enumeration import SWEEP_MAX_VERTICES, consistency_sweep, generate, generate_regular, verify_main
 from .errors import CapacityError, Graph6ParseError, InternalConsistencyError
 from .graphs import bit_list, mask_of
 from .structure import clusters_among, derive, tight_structures
@@ -303,8 +303,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "verify" and args.sweep:
-        if args.n is not None or min(args.sweep) < 1:
-            parser.error("verify --sweep takes N_MAX >= 1 and R_MAX >= 1, and no n r")
+        if args.n is not None or min(args.sweep) < 1 or args.sweep[0] > SWEEP_MAX_VERTICES:
+            parser.error(f"verify --sweep takes 1 <= N_MAX <= {SWEEP_MAX_VERTICES}, "
+                         "R_MAX >= 1, and no n r")
     elif args.subcommand == "verify" and (args.n is None or args.r is None):
         parser.error("verify needs n and r, or --sweep N_MAX R_MAX")
     if args.subcommand == "count" and args.tight and args.r is None:

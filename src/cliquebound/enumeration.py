@@ -59,6 +59,7 @@ from .structure import clusters_among, outside_degree_check, tight_structures
 from .transform import fill_gain, fill_profitable, gain_lower_bound, k2_gain
 
 GENERATION_MAX_VERTICES = 12
+SWEEP_MAX_VERTICES = 9
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +546,8 @@ def consistency_sweep(
     runs, worker counts, and checkpoint restarts.  With ``checkpoint``,
     completed per-n units are appended to the file and skipped on restart.
     """
-    if n_max > 9:
-        raise CapacityError("full consistency sweeps are capped at n_max <= 9")
+    if n_max > SWEEP_MAX_VERTICES:
+        raise CapacityError(f"full consistency sweeps are capped at n_max <= {SWEEP_MAX_VERTICES}")
     done: Dict[int, Tuple[Dict[str, List[int]], List[dict]]] = {}
     if checkpoint is not None:
         done = _load_checkpoint(checkpoint, r_max)

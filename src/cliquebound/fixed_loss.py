@@ -35,13 +35,6 @@ class FixedLossBreakdown:
             raise ValueError("fixed-loss split does not add up")
 
 
-def min_degree_over(r_graph: Graph, independent: int) -> int:
-    """Minimum R-degree over a nonempty independent set of R."""
-    if independent == 0:
-        raise ValueError("the minimum degree of an empty set is undefined")
-    return min(r_graph.degree(v) for v in bits(independent))
-
-
 def fixed_loss(r_graph: Graph) -> FixedLossBreakdown:
     """Exact fixed loss by enumerating the independent sets of R.
 

@@ -179,19 +179,6 @@ def turan(n: int, w: int) -> Graph:
     return complete_multipartite([q + 1] * rem + [q] * (w - rem))
 
 
-def lex_graph(n: int, m: int) -> Graph:
-    """First ``m`` pairs of [n] in lexicographic order, as edges."""
-    if not 0 <= m <= n * (n - 1) // 2:
-        raise ValueError("edge count out of range")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if len(edges) == m:
-                return from_edges(n, edges)
-            edges.append((u, v))
-    return from_edges(n, edges)
-
-
 def extremal_graph(n: int, r: int) -> Graph:
     """aK_{r+1} u K_b where n = a(r+1) + b, 0 <= b <= r.
 

@@ -87,9 +87,14 @@ def is_tight(g: Graph, r: int, c: int) -> bool:
 
 
 def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
-    """All tight cliques of size >= min_size, by size then mask order."""
-    if g.max_degree() > r:
+    """All tight cliques of size >= min_size, by size then mask order.  A
+    nonempty k-clique has weight at most Delta(G) + 1 - k, so none is tight
+    under a cap r > Delta(G), and no clique is scanned there."""
+    max_degree = g.max_degree()
+    if max_degree > r:
         raise ValueError("tightness needs the degree cap to hold")
+    if max_degree < r and min_size >= 1:
+        return iter([])
     found: List[Tuple[int, int]] = []
     for mask, size, weight in clique_weights(g):
         if size >= min_size and _meets_ceiling(weight, size, r):

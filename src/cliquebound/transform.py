@@ -73,13 +73,14 @@ def _report(g: Graph, rows, move: str, ts: TightStructure, k_before: int) -> Rew
 
 def fill_gain(adj, ts: TightStructure) -> int:
     """k(G') - k(G) for the fill of ``ts``, on adjacency rows: the fill
-    changes edges only at S, so its gain is the change in the number of
-    cliques meeting S.  A T u S that is already a K_{r+1} component is the
-    identity fill and gains 0 without counting."""
+    changes edges only at S and leaves T u S a K_{r+1} component, whose
+    2^(r+1) - 2^t subsets meeting S are then the cliques meeting S.  A T u S
+    that is already a K_{r+1} component is the identity fill and gains 0
+    without counting."""
     inside = ts.T | ts.S
     if all(adj[x] == inside & ~(1 << x) for x in bits(ts.S)):
         return 0
-    return cliques_meeting(_fill_rows(adj, ts), ts.S) - cliques_meeting(adj, ts.S)
+    return (1 << (ts.r + 1)) - (1 << ts.t) - cliques_meeting(adj, ts.S)
 
 
 def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
@@ -88,15 +89,20 @@ def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
     return _report(g, _fill_rows(g.adj, ts), "fill", ts, k_before)
 
 
-def _k2_rows(adj, ts: TightStructure) -> List[int]:
-    """Rows after the K2 move: add the missing edge of the first K_2
-    component of R and cut both its endpoints off from every vertex
-    outside T u S."""
+def _k2_pair(ts: TightStructure) -> int:
+    """The pair the K2 move joins: the first K_2 component of R."""
     if ts.t < 2:
         raise ValueError("the K2 move needs a tight clique of size >= 2")
     if not ts.k2_components:
         raise ValueError("the deficiency graph has no K_2 component")
-    pair = ts.k2_components[0]
+    return ts.k2_components[0]
+
+
+def _k2_rows(adj, ts: TightStructure) -> List[int]:
+    """Rows after the K2 move: add the missing edge of the first K_2
+    component of R and cut both its endpoints off from every vertex
+    outside T u S."""
+    pair = _k2_pair(ts)
     inside = ts.T | ts.S
     rows = list(adj)
     for x in bits(pair):
@@ -108,11 +114,13 @@ def _k2_rows(adj, ts: TightStructure) -> List[int]:
 
 
 def k2_gain(adj, ts: TightStructure) -> int:
-    """k(G') - k(G) for the K2 move of ``ts``, on adjacency rows: the move
-    changes edges only at its pair, so its gain is the change in the number
-    of cliques meeting the pair."""
-    rows, pair = _k2_rows(adj, ts), ts.k2_components[0]
-    return cliques_meeting(rows, pair) - cliques_meeting(adj, pair)
+    """k(G') - k(G) for the K2 move of ``ts``, on adjacency rows; the move
+    changes edges only at its pair.  Afterwards both ends of the pair are
+    adjacent to all of T u S and to nothing else, so the cliques meeting the
+    pair number 3 k(G[T u S - pair]) = 3 2^t i(R - pair), the empty clique
+    included.  The pair is a K_2 component of R, so i(R) = 3 i(R - pair)
+    and that count is 2^t i(R)."""
+    return (1 << ts.t) * ts.i_R - cliques_meeting(adj, _k2_pair(ts))
 
 
 def apply_k2_move(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
@@ -129,15 +137,13 @@ def gain_lower_bound(ts: TightStructure) -> int:
 
 
 def fill_profitable(ts: TightStructure) -> Profitability:
-    """Evaluate both strict-gain thresholds in exact cross-multiplied form."""
-    t, s, i_r, phi = ts.t, ts.s, ts.i_R, ts.phi
-    literal_denominator = (1 << s) - i_r + s + 1
-    if literal_denominator <= 0:
+    """Both strict-gain thresholds, cross-multiplied by 2^t: as
+    2^t 2^s = 2^(r+1), corrected is ``gain_lower_bound(ts) > 0`` and literal
+    adds 2^t (s + 1) to that bound."""
+    if (1 << ts.s) - ts.i_R + ts.s + 1 <= 0:
         raise ValueError("literal threshold needs a positive denominator")
-    return Profitability(
-        literal=(1 << t) * literal_denominator > phi,
-        corrected=(1 << t) * ((1 << s) - i_r) > phi,
-    )
+    lower = gain_lower_bound(ts)
+    return Profitability(literal=lower + (1 << ts.t) * (ts.s + 1) > 0, corrected=lower > 0)
 
 
 def hill_climb(g: Graph, r: int) -> List[RewriteReport]:

@@ -194,8 +194,9 @@ class TestVerify:
             ["verify", "--sweep", "3", "0"],
             ["verify", "--sweep", "-2", "3"],
             ["verify", "--sweep", "3", "-1"],
+            ["verify", "--sweep", "10", "2"],
         ],
-        ids=["pair-and-sweep", "zero-cap", "negative-n", "negative-cap"],
+        ids=["pair-and-sweep", "zero-cap", "negative-n", "negative-cap", "n-past-sweep-cap"],
     )
     def test_bad_arguments_fail_before_any_work(self, capsys, monkeypatch, argv):
         def no_work(*args, **kwargs):

@@ -10,7 +10,6 @@ from cliquebound.fixed_loss import (
     fixed_loss,
     has_small_component,
     max_bound_check,
-    min_degree_over,
 )
 from cliquebound.graphs import (
     Graph,
@@ -76,14 +75,6 @@ class TestFixedLoss:
         assert isinstance(b, FixedLossBreakdown)
         assert b.phi == b.phi_L + b.phi_rest
         assert b.ell == sum(1 for v in range(g.n) if g.degree(v) == 1)
-
-
-class TestMinDegreeOver:
-    def test_singleton(self):
-        assert min_degree_over(path(3), 0b010) == 2
-
-    def test_pair(self):
-        assert min_degree_over(path(3), 0b101) == 1
 
 
 class TestMaxBound:

@@ -16,7 +16,6 @@ from cliquebound.graphs import (
     extremal_graph,
     from_edges,
     induced,
-    lex_graph,
     mask_of,
     path,
     turan,
@@ -85,11 +84,6 @@ class TestConstructions:
         # parts of sizes 3,2,2
         assert g == complete_multipartite([3, 2, 2])
         assert g.num_edges() == 3 * 2 + 3 * 2 + 2 * 2
-
-    def test_lex_graph_prefix_property(self):
-        # lex_graph(n, m) edges are the first m pairs in lexicographic order
-        g = lex_graph(4, 3)
-        assert sorted(g.edges()) == [(0, 1), (0, 2), (0, 3)]
 
     def test_extremal_graph_shape(self):
         # n = a(r+1) + b: a disjoint K_{r+1} plus one K_b

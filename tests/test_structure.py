@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquebound.counting import clique_weights
 from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
@@ -186,13 +187,20 @@ class TestClusters:
 
 
 def test_no_tight_clique_above_the_maximum_degree():
-    """A tight clique's vertices have degree exactly r, so a cap above the
-    maximum degree leaves none: every class with n <= 7, every such cap."""
+    """A nonempty clique of size k has weight at most Delta(G) + 1 - k, so a
+    cap above the maximum degree leaves no tight clique of size >= 1: every
+    class with n <= 7, every such cap, checked on a clique scan of its own.
+    Only the empty clique, of weight n, can still be tight there."""
     pairs = 0
     for n in range(1, 8):
         for g in generate(n, n - 1):
-            for r in range(g.max_degree() + 1, n):
+            delta = g.max_degree()
+            scan = [(size, weight) for _, size, weight in clique_weights(g) if size >= 1]
+            assert all(weight <= delta + 1 - size for size, weight in scan)
+            for r in range(delta + 1, n):
+                assert not any(weight == r + 1 - size for size, weight in scan)
                 assert tight_structures(g, r) == []
+                assert list(tight_cliques(g, r, 0)) == ([0] if r + 1 == n else [])
                 pairs += 1
     # the (graph, cap) pairs of consistency_sweep(7, 6) with r > max degree
     assert pairs == 1843

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliquebound import transform
 from cliquebound.counting import clique_vector
-from cliquebound.enumeration import generate
+from cliquebound.enumeration import consistency_sweep, generate
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import (
     complete,
@@ -144,22 +144,66 @@ class TestK2Move:
             k2_gain(g.adj, derive(g, 3, 0b0011))
 
 
-def test_local_gains_match_full_counts():
-    """Every class with n <= 7, every cap the sweep uses, every tight
-    structure: the local gains equal the gains of the rewritten graphs
-    counted in full."""
+def assert_gains_match_full_counts(cases):
+    """For every (graph, cap) of ``cases`` and every tight structure, the
+    local gains equal the gains of the rewritten graphs counted in full.
+    At least one fill and one K2 move must be checked."""
     fills = k2_moves = 0
-    for n in range(1, 8):
-        for g in generate(n, n - 1):
-            k = clique_vector(g).total
-            for r in range(max(1, g.max_degree()), n):
-                for ts in tight_structures(g, r):
-                    assert fill_gain(g.adj, ts) == apply_fill(g, ts, k).gain
-                    fills += 1
-                    if ts.t >= 2 and ts.k2_components:
-                        assert k2_gain(g.adj, ts) == apply_k2_move(g, ts, k).gain
-                        k2_moves += 1
+    for g, r in cases:
+        k = clique_vector(g).total
+        for ts in tight_structures(g, r):
+            assert fill_gain(g.adj, ts) == apply_fill(g, ts, k).gain
+            fills += 1
+            if ts.t >= 2 and ts.k2_components:
+                assert k2_gain(g.adj, ts) == apply_k2_move(g, ts, k).gain
+                k2_moves += 1
     assert fills > 0 and k2_moves > 0
+
+
+def test_local_gains_match_full_counts():
+    """Every class with n <= 7, every cap the sweep uses."""
+    assert_gains_match_full_counts(
+        (g, r)
+        for n in range(1, 8)
+        for g in generate(n, n - 1)
+        for r in range(max(1, g.max_degree()), n)
+    )
+
+
+def test_local_gains_match_full_counts_on_random_capped_graphs(random_capped_graph):
+    """Past the n <= 7 classes: seeded degree-capped graphs with n 10-16
+    and r 3-5."""
+    rng = random.Random(1306)
+    cases = []
+    for _ in range(36):
+        n, r = rng.randint(10, 16), rng.randint(3, 5)
+        cases.append((random_capped_graph(rng, n, r), r))
+    assert_gains_match_full_counts(cases)
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """Every rewrite whose rows are built, as the move name."""
+    built = []
+    for name, move in (("_fill_rows", "fill"), ("_k2_rows", "k2")):
+        original = getattr(transform, name)
+
+        def counted(adj, ts, original=original, move=move):
+            built.append(move)
+            return original(adj, ts)
+
+        monkeypatch.setattr(transform, name, counted)
+    return built
+
+
+def test_rows_are_built_only_for_moves_taken(rows_built):
+    trace = hill_climb(staging_graph(), 3)
+    assert rows_built == [step.move for step in trace]
+
+
+def test_sweep_builds_no_rows(rows_built):
+    consistency_sweep(5, 4)
+    assert rows_built == []
 
 
 class TestGainLowerBound:
@@ -216,10 +260,10 @@ class TestHillClimb:
         monkeypatch.setattr(transform, "cliques_meeting", counted)
         g = disjoint_union(complete(4), staging_graph())  # the K_4 on 0..3
         assert len(hill_climb(g, 3)) == 1
-        # only the staging graph's 6 candidates are counted, before and
-        # after each: no fill inside the K_4 component, nor inside the K_4
-        # the move builds
-        assert len(counted_sets) == 12
+        # only the staging graph's 6 candidates are counted, once each
+        # before the move: no fill inside the K_4 component, nor inside the
+        # K_4 the move builds
+        assert len(counted_sets) == 6
         assert all(xs & mask_of(range(4)) == 0 for xs in counted_sets)
 
     def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch):
