@@ -13,6 +13,7 @@ from .canon import canonical_form
 from .counting import (
     CliqueVector,
     brute_force_clique_vector,
+    clique_count,
     clique_vector,
     clique_weight,
     clique_weights,
@@ -30,7 +31,12 @@ from .enumeration import (
     verify_main,
 )
 from .errors import CapacityError, Graph6ParseError, InternalConsistencyError
-from .fixed_loss import FixedLossBreakdown, complete_graph_fixed_loss, fixed_loss
+from .fixed_loss import (
+    FixedLossBreakdown,
+    complete_graph_fixed_loss,
+    fixed_loss,
+    fixed_loss_on_rows,
+)
 from .graph6 import decode, encode
 from .graphs import (
     Graph,

@@ -12,7 +12,6 @@ from math import comb
 from typing import Dict, List
 
 from .counting import CliqueVector, clique_weight, clique_weights
-from .fixed_loss import has_small_component
 from .graphs import Graph
 from .records import ConsistencyRecord, not_applicable
 from .structure import TightStructure, associated_cliques
@@ -261,7 +260,7 @@ def associated_low_weight_check(
         r < 3
         or not cluster.is_cluster
         or not 2 <= c <= t
-        or has_small_component(cluster.R)
+        or cluster.has_small_component
         or fill_gain > 0
     ):
         return not_applicable("associated_low_weight", f"T={cluster.T:#x},c={c}")

@@ -1,10 +1,14 @@
 """Exact per-size clique and independent-set counting.
 
-The production counter is a pivoted branch-and-count over candidate sets;
-``brute_force_clique_vector`` is an independent oracle that scans all 2^n
-subsets and is kept free of any shared logic with the pivoted path.  It is
-the only user of numpy, which it imports when called, so the rest of the
-package runs without it.
+Cliques are counted by a pivoted branch-and-count over candidate sets, on
+a graph or on bare adjacency rows restricted to a vertex mask.  Independent
+sets are counted on the graph itself, never on its complement: the graphs
+here have bounded degree, so their complements are dense, and the
+independence polynomial splits over connected components and branches on
+a vertex of maximum degree instead.  ``brute_force_clique_vector`` is an
+independent oracle that scans all 2^n subsets and is kept free of any
+shared logic with the pivoted path.  It is the only user of numpy, which
+it imports when called, so the rest of the package runs without it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from math import comb
 from typing import Iterator, List, Tuple
 
 from .errors import CapacityError
-from .graphs import Graph, bits, common_neighbors, complement
+from .graphs import Graph, bits, common_neighbors
 
 BRUTE_FORCE_MAX_VERTICES = 24
 
@@ -92,6 +96,15 @@ def clique_vector(g: Graph) -> CliqueVector:
     return _normalize(counts)
 
 
+def clique_count(rows, mask: int) -> int:
+    """Number of cliques of the subgraph induced on ``mask``, the empty one
+    included, for bare adjacency rows.  Bits of ``rows`` outside ``mask`` are
+    ignored."""
+    counts = [0] * (mask.bit_count() + 1)
+    _count_into(rows, mask, 0, 0, counts)
+    return sum(counts)
+
+
 def cliques_meeting(rows, xs: int) -> int:
     """Number of cliques that meet the vertex set ``xs``, for bare adjacency
     rows.
@@ -103,17 +116,65 @@ def cliques_meeting(rows, xs: int) -> int:
     re-validating) their rows as Graphs.  The empty set gives 0, and the
     full vertex set gives k(G) - 1.
     """
-    counts = [0] * (len(rows) + 1)
+    total = 0
     earlier = 0
     for x in bits(xs):
-        _count_into(rows, rows[x] & ~earlier, 1, 0, counts)
+        total += clique_count(rows, rows[x] & ~earlier)
         earlier |= 1 << x
-    return sum(counts)
+    return total
+
+
+def _poly_product(p: List[int], q: List[int]) -> List[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _independence_poly(adj, mask: int, memo) -> List[int]:
+    """Coefficients of the independence polynomial of the subgraph induced
+    on ``mask``; ``memo`` maps vertex masks already done to their results,
+    which are never mutated.
+
+    A disconnected subgraph is the product of its component and the rest.
+    A connected one branches on a vertex v of maximum degree:
+    I(H) = I(H - v) + x I(H - N[v]).
+    """
+    if not mask:
+        return [1]
+    done = memo.get(mask)
+    if done is not None:
+        return done
+    component = frontier = mask & -mask
+    while frontier:
+        reached = 0
+        for u in bits(frontier):
+            reached |= adj[u]
+        frontier = reached & mask & ~component
+        component |= frontier
+    if component != mask:
+        result = _poly_product(
+            _independence_poly(adj, component, memo),
+            _independence_poly(adj, mask ^ component, memo),
+        )
+    elif not mask & (mask - 1):
+        result = [1, 1]
+    else:
+        v = max(bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        without = _independence_poly(adj, mask & ~(1 << v), memo)
+        beside = _independence_poly(adj, mask & ~adj[v] & ~(1 << v), memo)
+        result = without + [0] * (len(beside) + 1 - len(without))
+        for i, c in enumerate(beside):
+            result[i + 1] += c
+    memo[mask] = result
+    return result
 
 
 def independent_vector(g: Graph) -> CliqueVector:
-    """Per-size independent-set counts, via cliques of the complement."""
-    return clique_vector(complement(g))
+    """Per-size independent-set counts, from the independence polynomial of
+    ``g`` itself.  Results are memoized by vertex mask within the call."""
+    return CliqueVector(tuple(_independence_poly(g.adj, g.vertex_mask, {})))
 
 
 def clique_weight(g: Graph, c: int) -> int:

@@ -3,14 +3,16 @@
 For a graph R, the fixed loss is the sum of 2^(min degree over I) - 1 over
 all nonempty independent sets I of R.  It upper-bounds the number of
 cliques destroyed by the clique-fill rewrite whose deficiency graph is R.
+A deficiency graph is the complement of some G[S], so it is counted on G's
+rows as the cliques of G[S]; a graph given as R itself is read the same
+way through its complement's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import clique_weights
-from .graphs import Graph, bits, complement, connected_components
+from .graphs import Graph, bits, connected_components
 from .records import ConsistencyRecord, not_applicable
 
 
@@ -36,36 +38,58 @@ class FixedLossBreakdown:
 
 
 def fixed_loss(r_graph: Graph) -> FixedLossBreakdown:
-    """Exact fixed loss by enumerating the independent sets of R.
+    """Exact fixed loss of the graph ``r_graph``, taken as R itself.
 
     A degree-0 vertex contributes 2^0 - 1 = 0, so graphs with no edges have
-    fixed loss zero; the formula is applied literally.
+    fixed loss zero; the formula is applied literally.  The complement's
+    rows are handed to ``fixed_loss_on_rows``; no Graph is built.
     """
+    full = r_graph.vertex_mask
+    rows = [full & ~row & ~(1 << v) for v, row in enumerate(r_graph.adj)]
+    return fixed_loss_on_rows(rows, full)
+
+
+def fixed_loss_on_rows(rows, mask: int) -> FixedLossBreakdown:
+    """Exact fixed loss of R, the complement of the subgraph that the
+    adjacency rows ``rows`` induce on ``mask``.
+
+    The independent sets of R are the cliques of that subgraph, and the
+    R-degree of x is |mask| - 1 - |N(x) & mask|, so R is never built: the
+    cliques are enumerated on ``rows``, carrying the least R-degree and
+    whether the set meets the degree-one set L.
+    """
+    s = mask.bit_count()
+    degree = [0] * len(rows)
     degree_one = 0
-    degrees = []
-    for v in range(r_graph.n):
-        d = r_graph.degree(v)
-        degrees.append(d)
-        if d == 1:
-            degree_one |= 1 << v
-    phi_l = 0
-    phi_rest = 0
-    weighted = 0
-    for mask, size, _ in clique_weights(complement(r_graph)):
-        if size == 0:
-            continue
-        term = (1 << min(degrees[v] for v in bits(mask))) - 1
-        weighted += size * term
-        if mask & degree_one:
-            phi_l += term
-        else:
-            phi_rest += term
+    for x in bits(mask):
+        degree[x] = s - 1 - (rows[x] & mask).bit_count()
+        if degree[x] == 1:
+            degree_one |= 1 << x
+    phi_l = phi_rest = weighted = 0
+    # (candidates, size, least R-degree, meets L) of each clique to extend
+    stack = [(mask, 0, s, 0)]
+    while stack:
+        allowed, size, least, meets = stack.pop()
+        while allowed:
+            low = allowed & -allowed
+            v = low.bit_length() - 1
+            allowed ^= low
+            d = min(least, degree[v])
+            hit = meets | (low & degree_one)
+            term = (1 << d) - 1
+            weighted += (size + 1) * term
+            if hit:
+                phi_l += term
+            else:
+                phi_rest += term
+            if allowed & rows[v]:
+                stack.append((allowed & rows[v], size + 1, d, hit))
     return FixedLossBreakdown(
         phi=phi_l + phi_rest,
         phi_L=phi_l,
         phi_rest=phi_rest,
         ell=degree_one.bit_count(),
-        s=r_graph.n,
+        s=s,
         weighted_sum=weighted,
     )
 

@@ -4,7 +4,9 @@ Under a degree cap r, a clique T is tight when its weight meets the
 ceiling r+1-|T|.  Every vertex of a tight clique then has degree exactly
 r, the common neighborhood S has size exactly r+1-|T|, and the deficiency
 graph R (complement of the subgraph induced on S) records the edges that
-the clique-fill rewrite would add.
+the clique-fill rewrite would add.  R is never built: its independent sets
+are the cliques of G[S], and its degrees, K_2 components, i(R) and phi(R)
+are all read off G's adjacency rows restricted to S.
 """
 
 from __future__ import annotations
@@ -13,28 +15,27 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Set, Tuple
 
-from .counting import clique_weights, cliques_of_size, independent_vector
+from .counting import clique_count, clique_weights, cliques_of_size
 from .errors import InternalConsistencyError
-from .fixed_loss import fixed_loss
-from .graphs import Graph, bits, common_neighbors, complement, connected_components, induced
+from .fixed_loss import fixed_loss_on_rows
+from .graphs import Graph, bits, common_neighbors
 from .records import ConsistencyRecord
 
 
 @dataclass(frozen=True)
 class TightStructure:
-    """A tight clique with its common neighborhood and deficiency graph.
+    """A tight clique T with its common neighborhood S, and the adjacency
+    rows ``adj`` of the graph G they were found in.
 
-    ``label_map`` sends vertex i of R back to its original label in G;
-    R's vertices are S in increasing original-label order.  i(R), phi(R)
-    and the K_2 components of R are computed on first use and kept with the
-    structure, so every rewrite and predicate handed the same structure
-    shares them.
+    The deficiency graph R, the complement of G[S], is read off ``adj``
+    restricted to S.  i(R), phi(R) and the K_2 components of R are computed
+    on first use and kept with the structure, so every rewrite and predicate
+    handed the same structure shares them.
     """
 
     T: int
     S: int
-    R: Graph
-    label_map: Tuple[int, ...]
+    adj: Tuple[int, ...]
     is_cluster: bool
 
     @property
@@ -52,22 +53,41 @@ class TightStructure:
 
     @cached_property
     def i_R(self) -> int:
-        """i(R): the number of independent sets of R, the empty set included."""
-        return independent_vector(self.R).total
+        """i(R): the number of independent sets of R, the empty set
+        included, which are the cliques of G[S]."""
+        return clique_count(self.adj, self.S)
 
     @cached_property
     def phi(self) -> int:
         """phi(R): the fixed loss of the deficiency graph."""
-        return fixed_loss(self.R).phi
+        return fixed_loss_on_rows(self.adj, self.S).phi
+
+    def r_degree(self, x: int) -> int:
+        """The degree in R of x in S: its non-neighbors in S - x."""
+        return self.s - 1 - (self.adj[x] & self.S).bit_count()
 
     @cached_property
     def k2_components(self) -> Tuple[int, ...]:
-        """K_2 components of R, as masks in original G labels."""
-        return tuple(
-            sum(1 << self.label_map[i] for i in bits(comp))
-            for comp in connected_components(self.R)
-            if comp.bit_count() == 2
-        )
+        """K_2 components of R, as masks in G's labels, by least member: the
+        pairs {x, y} in S whose only non-neighbors in S are each other."""
+        s_mask, adj = self.S, self.adj
+        pairs = []
+        later = s_mask
+        while later:
+            low = later & -later
+            later ^= low
+            missing = (s_mask & ~adj[low.bit_length() - 1]) ^ low
+            # a single missing y after x, so each pair is found once, at x
+            if missing & later and not missing & (missing - 1):
+                if (s_mask & ~adj[missing.bit_length() - 1]) ^ missing == low:
+                    pairs.append(missing | low)
+        return tuple(pairs)
+
+    @property
+    def has_small_component(self) -> bool:
+        """Whether R has a K_1 component (an x in S adjacent to all of
+        S - x) or a K_2 component."""
+        return bool(self.k2_components) or any(self.r_degree(x) == 0 for x in bits(self.S))
 
 
 def _meets_ceiling(weight: int, size: int, r: int) -> bool:
@@ -104,13 +124,12 @@ def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
 
 
 def _structure(g: Graph, tight: int, tight_set: Set[int]) -> TightStructure:
-    """S, R, and cluster status for ``tight``, where ``tight_set`` holds every
+    """S and cluster status for ``tight``, where ``tight_set`` holds every
     tight clique of ``g`` of size >= 1."""
     s_mask = common_neighbors(g, tight)
-    sub, labels = induced(g, s_mask)
     # maximal iff no tight strict superset; any such superset extends into S
     maximal = not any(tight | (1 << v) in tight_set for v in bits(s_mask))
-    return TightStructure(tight, s_mask, complement(sub), tuple(labels), maximal)
+    return TightStructure(tight, s_mask, g.adj, maximal)
 
 
 def tight_structures(g: Graph, r: int) -> List[TightStructure]:
@@ -122,7 +141,7 @@ def tight_structures(g: Graph, r: int) -> List[TightStructure]:
 
 
 def derive(g: Graph, r: int, tight: int) -> TightStructure:
-    """S, R, and cluster status for one tight clique, checked to be one."""
+    """S and cluster status for one tight clique, checked to be one."""
     if not is_tight(g, r, tight):
         raise ValueError("derive requires a tight clique")
     return _structure(g, tight, set(tight_cliques(g, r)))
@@ -176,9 +195,9 @@ def outside_degree_check(g: Graph, ts: TightStructure) -> ConsistencyRecord:
     inside = ts.T | ts.S
     per_vertex = {}
     worst = None
-    for i, x in enumerate(ts.label_map):
+    for x in bits(ts.S):
         outside = (g.adj[x] & ~inside).bit_count()
-        r_deg = ts.R.degree(i)
+        r_deg = ts.r_degree(x)
         per_vertex[x] = (outside, r_deg)
         if worst is None or outside - r_deg > worst[0] - worst[1]:
             worst = (outside, r_deg)

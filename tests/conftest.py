@@ -20,8 +20,7 @@ def clique_vector_calls(monkeypatch):
 
     The wrapper replaces the function in every ``cliquebound`` module that
     imported it, so a count made from any layer above ``counting`` is seen.
-    The complements that ``independent_vector`` counts inside ``counting``
-    are not.
+    ``independent_vector`` counts on the graph itself and never calls it.
     """
     calls = []
     original = counting.clique_vector

@@ -16,7 +16,7 @@ from cliquebound.cli import (
     main,
 )
 from cliquebound.errors import InternalConsistencyError
-from cliquebound.graphs import complete, cycle, disjoint_union
+from cliquebound.graphs import complete, cycle, disjoint_union, from_edges
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -70,6 +70,14 @@ class TestCount:
         jsonschema.validate(rec, COUNT_RECORD_SCHEMA)
         assert rec["clique_vector"] == [1, 5, 5]
         assert rec["i"] == 11
+
+    def test_perfect_matching_on_64_vertices(self, capsys, monkeypatch):
+        matching = from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)])
+        code, out = run(["count"], graph6.encode(matching) + "\n", capsys, monkeypatch)
+        assert code == EXIT_OK
+        (rec,) = json.loads(out)["results"]["graphs"]
+        assert rec["k"] == 1 + 64 + 32
+        assert rec["i"] == 3**32
 
     def test_tight_flag(self, capsys, monkeypatch):
         code, out = run(

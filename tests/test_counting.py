@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +137,40 @@ def test_weight_identity(g):
 @given(graphs)
 def test_complement_duality(g):
     assert independent_vector(g) == clique_vector(complement(g))
+
+
+def test_agrees_with_the_complement_route(random_capped_graph):
+    """Seeded degree-capped graphs, n 16-30 and r 3-7, and denser ones up to
+    r = n - 1, against the cliques of the complement: the route
+    ``independent_vector`` no longer takes."""
+    rng = random.Random(1306)
+    for _ in range(40):
+        n = rng.randint(16, 30)
+        r = rng.randint(3, 7) if rng.random() < 0.75 else rng.randint(8, n - 1)
+        g = random_capped_graph(rng, n, r)
+        assert independent_vector(g) == clique_vector(complement(g))
+
+
+def _disjoint_copies(h, copies):
+    g = empty(0)
+    for _ in range(copies):
+        g = disjoint_union(g, h)
+    return g
+
+
+@pytest.mark.parametrize(
+    "g, total",
+    [
+        (_disjoint_copies(complete(2), 32), 3**32),
+        (cycle(64), 23_725_150_497_407),  # the Lucas number L_64
+        (_disjoint_copies(cycle(4), 16), 7**16),
+    ],
+    ids=["32K2", "C64", "16C4"],
+)
+def test_sparse_graphs_on_64_vertices_count_fast(g, total):
+    start = time.perf_counter()
+    assert independent_vector(g).total == total
+    assert time.perf_counter() - start < 1.0
 
 
 @given(graphs)

@@ -6,14 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from cliquebound.counting import clique_weights
 from cliquebound.enumeration import generate
+from cliquebound.fixed_loss import has_small_component
 from cliquebound.graphs import (
     Graph,
+    bits,
+    complement,
     complete,
     common_neighbors,
     complete_bipartite,
+    connected_components,
     cycle,
     disjoint_union,
     from_edges,
+    induced,
     mask_of,
     path,
 )
@@ -69,7 +74,8 @@ class TestDerive:
         assert ts.S == 0b1010
         assert ts.t == 1 and ts.s == 2
         # vertices 1 and 3 are nonadjacent, so R = K_2
-        assert ts.R.num_edges() == 1
+        assert ts.r_degree(1) == ts.r_degree(3) == 1
+        assert ts.k2_components == (0b1010,)
 
     def test_sizes_always_sum_to_budget(self):
         g = disjoint_union(complete(3), complete(2))
@@ -77,10 +83,11 @@ class TestDerive:
             ts = derive(g, 4, t_mask)
             assert ts.t + ts.s == 5
 
-    def test_label_map_consistent(self):
+    def test_r_degrees_in_original_labels(self):
         g = cycle(5)
         ts = derive(g, 2, 0b00001)
-        assert sorted(ts.label_map) == [1, 4]
+        assert list(bits(ts.S)) == [1, 4]
+        assert [ts.r_degree(x) for x in (1, 4)] == [1, 1]
 
     def test_requires_tight_input(self):
         with pytest.raises(ValueError):
@@ -88,10 +95,10 @@ class TestDerive:
 
 
 def reference_facts(g, r):
-    """Each tight clique's T, S, R rows, label map, cluster flag and K_2
-    components, built the long way: maximality tests every one-vertex
-    extension with ``is_tight``, and a K_2 component is an edge of R whose
-    ends have no other R-neighbour."""
+    """Each tight clique's T, S, R-degree of each member of S, cluster flag
+    and K_2 components, built the long way: maximality tests every
+    one-vertex extension with ``is_tight``, and a K_2 component is an edge
+    of R whose ends have no other R-neighbour."""
     facts = []
     for t_mask in tight_cliques(g, r):
         s_mask = common_neighbors(g, t_mask)
@@ -107,13 +114,20 @@ def reference_facts(g, r):
             for j in range(i + 1, len(labels))
             if rows[i] == 1 << j and rows[j] == 1 << i
         ]
-        facts.append((t_mask, s_mask, tuple(rows), tuple(labels), maximal, tuple(k2)))
+        degrees = tuple((x, row.bit_count()) for x, row in zip(labels, rows))
+        facts.append((t_mask, s_mask, degrees, maximal, tuple(k2)))
     return facts
 
 
 def structure_facts(structures):
     return [
-        (ts.T, ts.S, ts.R.adj, ts.label_map, ts.is_cluster, ts.k2_components)
+        (
+            ts.T,
+            ts.S,
+            tuple((x, ts.r_degree(x)) for x in bits(ts.S)),
+            ts.is_cluster,
+            ts.k2_components,
+        )
         for ts in structures
     ]
 
@@ -146,6 +160,44 @@ class TestTightStructures:
     def test_k2_components_in_original_labels(self):
         # C_5 with a singleton tight clique: R on {1, 4} is one edge
         assert derive(cycle(5), 2, 0b00001).k2_components == (0b10010,)
+
+
+def explicit_r_facts(g, ts):
+    """i(R), phi(R), the K_2 components, the R-degree of each member of S
+    and whether R has a K_1 or K_2 component, read off R = complement(G[S])
+    built as a Graph, by subset scans."""
+    r_graph, labels = induced(g, ts.S)
+    r_graph = complement(r_graph)
+    independent = [
+        sub
+        for sub in range(1 << r_graph.n)
+        if all(not r_graph.adj[v] & sub for v in bits(sub))
+    ]
+    phi = sum((1 << min(r_graph.degree(v) for v in bits(sub))) - 1 for sub in independent if sub)
+    k2 = tuple(
+        sum(1 << labels[i] for i in bits(comp))
+        for comp in connected_components(r_graph)
+        if comp.bit_count() == 2
+    )
+    degrees = tuple((x, r_graph.degree(i)) for i, x in enumerate(labels))
+    return len(independent), phi, k2, degrees, has_small_component(r_graph)
+
+
+def test_deficiency_data_matches_an_explicit_r():
+    """Every tight structure of every class with n <= 7, under every cap
+    the sweep uses (max(1, Delta) <= r <= n - 1): i(R), phi(R), the K_2
+    components, the R-degrees and the small-component test read off G's
+    rows equal the values on an explicitly built R."""
+    structures = 0
+    for n in range(1, 8):
+        for g in generate(n, n - 1):
+            for r in range(max(1, g.max_degree()), n):
+                for ts in tight_structures(g, r):
+                    degrees = tuple((x, ts.r_degree(x)) for x in bits(ts.S))
+                    got = (ts.i_R, ts.phi, ts.k2_components, degrees, ts.has_small_component)
+                    assert got == explicit_r_facts(g, ts)
+                    structures += 1
+    assert structures == 3392
 
 
 class TestClusters:

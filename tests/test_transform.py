@@ -8,6 +8,7 @@ from cliquebound.counting import clique_vector
 from cliquebound.enumeration import consistency_sweep, generate
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import (
+    Graph,
     complete,
     cycle,
     disjoint_union,
@@ -244,6 +245,21 @@ class TestHillClimb:
         assert len(clique_vector_calls) == 2
         assert clique_vector_calls[0] is g
         assert clique_vector_calls[1] is trace[0].after
+
+    def test_scoring_builds_no_graph(self, monkeypatch):
+        built = []
+        original = Graph.__post_init__
+
+        def counted(graph):
+            built.append(graph)
+            original(graph)
+
+        g = staging_graph()
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        trace = hill_climb(g, 3)
+        # only the graph after the one move taken
+        assert [graph.adj for graph in built] == [step.after.adj for step in trace]
+        assert len(trace) == 1
 
     def test_candidates_need_no_tightness_test(self, is_tight_calls):
         assert len(hill_climb(staging_graph(), 3)) == 1
