@@ -132,12 +132,14 @@ def _structure(g: Graph, tight: int, tight_set: Set[int]) -> TightStructure:
     return TightStructure(tight, s_mask, g.adj, maximal)
 
 
-def tight_structures(g: Graph, r: int) -> List[TightStructure]:
-    """Every tight clique of size >= 1, derived, in ``tight_cliques`` order.
-    One clique scan decides tightness for all of them."""
+def tight_structures(g: Graph, r: int, skip: int = 0) -> List[TightStructure]:
+    """Every tight clique of size >= 1 that misses the vertex mask ``skip``,
+    derived, in ``tight_cliques`` order.  One clique scan of the whole graph
+    decides tightness for all of them, so cluster flags are read against
+    every tight clique, skipped ones included."""
     masks = list(tight_cliques(g, r))
     tight_set = set(masks)
-    return [_structure(g, t, tight_set) for t in masks]
+    return [_structure(g, t, tight_set) for t in masks if not t & skip]
 
 
 def derive(g: Graph, r: int, tight: int) -> TightStructure:

@@ -13,7 +13,7 @@ from typing import List
 
 from .counting import clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
-from .graphs import Graph, bits
+from .graphs import Graph, bits, connected_components
 from .structure import TightStructure, tight_structures
 
 # the hill climber's cap on moves taken
@@ -48,18 +48,29 @@ class Profitability:
     corrected: bool
 
 
+def _check_cap(rows, ts: TightStructure, move: str) -> None:
+    """Raise unless every row of the rewritten graph keeps the degree cap."""
+    if max(row.bit_count() for row in rows) > ts.r:
+        raise InternalConsistencyError(f"{move} at T={ts.T:#x} breaks the degree cap {ts.r}")
+
+
 def _fill_rows(adj, ts: TightStructure) -> List[int]:
     """Rows after the fill: each S row becomes (T|S) - x, and S is cut off
-    from every vertex outside T u S.  Postconditions asserted on the rows."""
+    from every vertex outside T u S.  Postconditions checked on the rows;
+    a structure whose S is not the common neighborhood of T fails them."""
     inside = ts.T | ts.S
     rows = list(adj)
     for x in bits(ts.S):
         for y in bits(adj[x] & ~inside):
             rows[y] &= ~(1 << x)
         rows[x] = inside & ~(1 << x)
-    assert inside.bit_count() == ts.r + 1
-    assert all(rows[v] == inside & ~(1 << v) for v in bits(inside))
-    assert max(row.bit_count() for row in rows) <= ts.r
+    if inside.bit_count() != ts.r + 1 or any(
+        rows[v] != inside & ~(1 << v) for v in bits(inside)
+    ):
+        raise InternalConsistencyError(
+            f"fill at T={ts.T:#x} leaves T u S no K_{ts.r + 1} component"
+        )
+    _check_cap(rows, ts, "fill")
     return rows
 
 
@@ -109,7 +120,7 @@ def _k2_rows(adj, ts: TightStructure) -> List[int]:
         for y in bits(adj[x] & ~inside):
             rows[y] &= ~(1 << x)
         rows[x] = (adj[x] & inside) | (pair & ~(1 << x))
-    assert max(row.bit_count() for row in rows) <= ts.r
+    _check_cap(rows, ts, "k2")
     return rows
 
 
@@ -146,6 +157,16 @@ def fill_profitable(ts: TightStructure) -> Profitability:
     return Profitability(literal=lower + (1 << ts.t) * (ts.s + 1) > 0, corrected=lower > 0)
 
 
+def _complete_components(g: Graph, r: int) -> int:
+    """The vertices of the K_{r+1} components of ``g``: the components of
+    r + 1 vertices, each of degree r."""
+    union = 0
+    for comp in connected_components(g):
+        if comp.bit_count() == r + 1 and all(g.adj[v].bit_count() == r for v in bits(comp)):
+            union |= comp
+    return union
+
+
 def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     """Greedy local search over the two rewrites.
 
@@ -161,6 +182,14 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     full, through ``apply_k2_move`` or ``apply_fill``; a full count that
     disagrees with the local one raises InternalConsistencyError.  At most
     ``MAX_STEPS`` moves are taken.
+
+    The tight cliques inside complete K_{r+1} components, which every fill
+    builds, are neither derived nor scored.  Leaving them out is exact: in
+    such a component C each tight T has S = C - T, so R is edgeless, the
+    fill is the identity (gain 0) and there is no K2 pair; and C is
+    disconnected from the rest, so no other structure's S, cluster flag or
+    gain depends on it.  The moves taken and their tie-breaks are those of
+    scoring every tight clique.
     """
     if g.max_degree() > r:
         raise ValueError("hill climbing needs the degree cap to hold")
@@ -170,7 +199,7 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
         adj = current.adj
         # (move class, -gain, T, structure): K2 moves sort before fills
         scored = []
-        for ts in tight_structures(current, r):
+        for ts in tight_structures(current, r, _complete_components(current, r)):
             if ts.t >= 2 and ts.k2_components:
                 scored.append((0, -k2_gain(adj, ts), ts.T, ts))
             scored.append((1, -fill_gain(adj, ts), ts.T, ts))

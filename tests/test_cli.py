@@ -278,6 +278,48 @@ class TestTransform:
         assert len(clique_vector_calls) == 2
         assert json.loads(out)["results"]["final_k"] == 18
 
+    def test_greedy_document_with_complete_components(self, capsys, monkeypatch):
+        # two K_4 components on 0..7 and a degree-3 graph on 8..18; pinned
+        # from the climb that scored the tight cliques of K_4 components too
+        code, out = run(
+            ["transform", "-r", "3", "--greedy"],
+            "R~?GW[???????G???EO@C?BO?P??_G\n",
+            capsys,
+            monkeypatch,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        del doc["wall_time_seconds"]
+        assert doc == {
+            "command": "transform",
+            "parameters": {"greedy": True, "input": "-", "move": None, "r": 3},
+            "results": {
+                "final_graph6": "R~?GW[?????@?G?B?CO@D?BO?O??_G",
+                "final_k": 68,
+                "trace": [
+                    {
+                        "after_graph6": "R~?GW[???????G???CO@D?BO?P??_G",
+                        "gain": 3,
+                        "gain_lower_bound": 2,
+                        "k_after": 61,
+                        "k_before": 58,
+                        "move": "k2",
+                        "tight": [8, 12],
+                    },
+                    {
+                        "after_graph6": "R~?GW[?????@?G?B?CO@D?BO?O??_G",
+                        "gain": 7,
+                        "gain_lower_bound": -1,
+                        "k_after": 68,
+                        "k_before": 61,
+                        "move": "fill",
+                        "tight": [16],
+                    },
+                ],
+            },
+            "version": "0.1.0",
+        }
+
     def test_greedy_fixed_point_has_empty_trace(self, capsys, monkeypatch):
         code, out = run(
             ["transform", "-r", "3", "--greedy"],

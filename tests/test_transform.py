@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +18,9 @@ from cliquebound.graphs import (
     disjoint_union,
     from_edges,
     mask_of,
+    path,
 )
-from cliquebound.structure import derive, tight_cliques, tight_structures
+from cliquebound.structure import TightStructure, derive, tight_cliques, tight_structures
 from cliquebound.transform import (
     Profitability,
     apply_fill,
@@ -207,6 +212,44 @@ def test_sweep_builds_no_rows(rows_built):
     assert rows_built == []
 
 
+def test_postconditions_hold_under_optimize():
+    """The rewrites' postconditions are checks that raise, not ``assert``s
+    that ``python -O`` strips: TestPostconditions run in such a process."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+    script = (
+        "from test_transform import TestPostconditions as T\n"
+        "T().test_fill_keeping_an_edge_out_of_T_u_S_raises()\n"
+        "T().test_k2_move_over_the_cap_raises()\n"
+        "print(__debug__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+class TestPostconditions:
+    def test_fill_keeping_an_edge_out_of_T_u_S_raises(self):
+        # T = {0, 1} of the staging graph with S = {2}: the common neighbor
+        # 3 is left out, so the fill leaves the edges 0-3 and 1-3 in place
+        g = staging_graph()
+        ts = TightStructure(mask_of([0, 1]), mask_of([2]), g.adj, True)
+        with pytest.raises(InternalConsistencyError, match="no K_3 component"):
+            apply_fill(g, ts, clique_vector(g).total)
+
+    def test_k2_move_over_the_cap_raises(self):
+        # a real tight structure of the staging graph, handed the rows of a
+        # graph that also holds a K_5, whose degree 4 exceeds the cap 3
+        g = disjoint_union(staging_graph(), complete(5))
+        ts = TightStructure(mask_of([0, 1]), mask_of([2, 3]), g.adj, True)
+        with pytest.raises(InternalConsistencyError, match="breaks the degree cap 3"):
+            apply_k2_move(g, ts, clique_vector(g).total)
+
+
 class TestGainLowerBound:
     def test_cycle4_is_zero(self):
         assert gain_lower_bound(derive(cycle(4), 2, 0b0001)) == 0
@@ -240,8 +283,9 @@ class TestHillClimb:
         g = staging_graph()
         trace = hill_climb(g, 3)
         assert len(trace) == 1
-        # the 6 candidate rewrites of g and the 15 of trace[0].after (K_4 plus
-        # two isolated vertices) are scored by local counts, not recounted
+        # the 6 candidate rewrites of g are scored by local counts, not
+        # recounted; trace[0].after (K_4 plus two isolated vertices) has no
+        # tight clique outside its K_4 component, so nothing is scored there
         assert len(clique_vector_calls) == 2
         assert clique_vector_calls[0] is g
         assert clique_vector_calls[1] is trace[0].after
@@ -282,11 +326,41 @@ class TestHillClimb:
         assert len(counted_sets) == 6
         assert all(xs & mask_of(range(4)) == 0 for xs in counted_sets)
 
-    def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch):
-        original = transform.fill_gain
-        monkeypatch.setattr(transform, "fill_gain", lambda adj, ts: original(adj, ts) + 1)
-        with pytest.raises(InternalConsistencyError):
-            hill_climb(staging_graph(), 3)
+    def test_complete_components_are_never_scored(self, monkeypatch):
+        scored = []
+        for name in ("fill_gain", "k2_gain"):
+            original = getattr(transform, name)
+
+            def counted(adj, ts, original=original):
+                scored.append((adj, ts.T))
+                return original(adj, ts)
+
+            monkeypatch.setattr(transform, name, counted)
+        # two K_4 components on 0..7, then the staging graph on 8..13
+        g = disjoint_union(disjoint_union(complete(4), complete(4)), staging_graph())
+        (step,) = hill_climb(g, 3)
+        built = step.tight_structure.T | step.tight_structure.S
+        assert step.after.is_clique(built) and built & mask_of(range(8)) == 0
+        # the staging graph's 5 fills and 1 K2 move, all scored on g; after
+        # the move every tight clique lies in a K_4 component, and none is
+        assert [adj for adj, _ in scored] == [g.adj] * 6
+        assert all(t & mask_of(range(8)) == 0 for _, t in scored)
+
+    @pytest.mark.parametrize(
+        "gain, g, r",
+        [
+            pytest.param("fill_gain", path(3), 2, id="fill_gain"),
+            pytest.param("k2_gain", staging_graph(), 3, id="k2_gain"),
+        ],
+    )
+    def test_local_count_disagreeing_with_full_count_raises(self, monkeypatch, gain, g, r):
+        # the first move taken on g is of the kind whose local count is skewed
+        move = gain.removesuffix("_gain")
+        assert hill_climb(g, r)[0].move == move
+        original = getattr(transform, gain)
+        monkeypatch.setattr(transform, gain, lambda adj, ts: original(adj, ts) + 1)
+        with pytest.raises(InternalConsistencyError, match=f"^{move} at T=0x[0-9a-f]+: full count"):
+            hill_climb(g, r)
 
     def test_cycle4_terminates_immediately(self):
         assert hill_climb(cycle(4), 2) == []
@@ -311,6 +385,23 @@ class TestHillClimb:
         for _ in range(200):
             n, r = rng.randint(8, 22), rng.randint(2, 6)
             g = random_capped_graph(rng, n, r)
+            trace = hill_climb(g, r)
+            assert trace_facts(trace) == trace_facts(reference_climb(g, r))
+            k2_steps += sum(step.move == "k2" for step in trace)
+        assert k2_steps >= 1
+
+    def test_matches_reference_climb_with_complete_components(self, random_capped_graph):
+        """Seeded capped graphs joined with 1-3 copies of K_{r+1}, before or
+        after them; the climb skips those components, the reference scores
+        every tight clique in them."""
+        rng = random.Random(1515)
+        k2_steps = 0
+        for _ in range(60):
+            n, r = rng.randint(6, 16), rng.randint(2, 5)
+            g = random_capped_graph(rng, n, r)
+            for _ in range(rng.randint(1, 3)):
+                k = complete(r + 1)
+                g = disjoint_union(k, g) if rng.random() < 0.5 else disjoint_union(g, k)
             trace = hill_climb(g, r)
             assert trace_facts(trace) == trace_facts(reference_climb(g, r))
             k2_steps += sum(step.move == "k2" for step in trace)
