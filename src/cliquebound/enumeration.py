@@ -429,10 +429,15 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
 
     tights = tight_structures(g, r)
     fill_gains = {}
+    # every T of a class fills T u S = X into the same graph: one count per X
+    class_gains = {}
     for ts in tights:
         subject = f"r={r},T={ts.T:#x}"
         records.append(outside_degree_check(g, ts))
-        gain = fill_gains[ts.T] = fill_gain(g.adj, ts)
+        x = ts.T | ts.S
+        if x not in class_gains:
+            class_gains[x] = fill_gain(g.adj, ts)
+        gain = fill_gains[ts.T] = class_gains[x]
         k_after = k_total + gain
         lower = gain_lower_bound(ts)
         records.append(

@@ -1,24 +1,32 @@
 """Tight cliques, clusters, and the derived common-neighborhood data.
 
-Under a degree cap r, a clique T is tight when its weight meets the
-ceiling r+1-|T|.  Every vertex of a tight clique then has degree exactly
-r, the common neighborhood S has size exactly r+1-|T|, and the deficiency
-graph R (complement of the subgraph induced on S) records the edges that
-the clique-fill rewrite would add.  R is never built: its independent sets
-are the cliques of G[S], and its degrees, K_2 components, i(R) and phi(R)
-are all read off G's adjacency rows restricted to S.
+Under a degree cap r, a clique T is tight when its weight |N(T)| meets the
+ceiling r+1-|T|.  A nonempty T is tight exactly when its members all have
+degree r and share one closed neighborhood X, of r + 1 vertices.  Each v in
+a tight T has N(v) containing (T - v) and N(T), r vertices already, so
+N[v] = T u N(T); and the members of a class K = {v : deg v = r, N[v] = X}
+are pairwise adjacent with common neighborhood X - T for every nonempty
+T in K.  So the tight cliques are the nonempty subsets T of the classes,
+with S = X - T, and the clusters (maximal tight cliques) are the classes
+themselves; no clique is walked to find them.
+
+The deficiency graph R (complement of the subgraph induced on S) records
+the edges that the clique-fill rewrite would add.  R is never built: its
+independent sets are the cliques of G[S], and its degrees, K_2
+components, i(R) and phi(R) are all read off G's adjacency rows
+restricted to S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .counting import clique_count, clique_weights, cliques_of_size
+from .counting import clique_count, cliques_of_size
 from .errors import InternalConsistencyError
 from .fixed_loss import fixed_loss_on_rows
-from .graphs import Graph, bits, common_neighbors
+from .graphs import Graph, bits, common_neighbors, mask_of
 from .records import ConsistencyRecord
 
 
@@ -90,10 +98,6 @@ class TightStructure:
         return bool(self.k2_components) or any(self.r_degree(x) == 0 for x in bits(self.S))
 
 
-def _meets_ceiling(weight: int, size: int, r: int) -> bool:
-    return weight == r + 1 - size
-
-
 def is_tight(g: Graph, r: int, c: int) -> bool:
     """Whether clique ``c`` meets the weight ceiling r+1-|c|.
 
@@ -103,83 +107,106 @@ def is_tight(g: Graph, r: int, c: int) -> bool:
         raise ValueError("tightness needs the degree cap to hold")
     if not g.is_clique(c):
         raise ValueError("tightness is defined only for cliques")
-    return _meets_ceiling(common_neighbors(g, c).bit_count(), c.bit_count(), r)
+    return common_neighbors(g, c).bit_count() == r + 1 - c.bit_count()
+
+
+def tight_classes(g: Graph, r: int) -> List[Tuple[int, int]]:
+    """The classes (K, X) with K = {v : deg v = r, N[v] = X} nonempty, in
+    order of least member of K.  Each X has r + 1 vertices and contains K.
+    The tight cliques are exactly the nonempty subsets of the classes'
+    K's, and the clusters are the K's themselves."""
+    if g.max_degree() > r:
+        raise ValueError("tightness needs the degree cap to hold")
+    classes: Dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        if row.bit_count() == r:
+            x = row | (1 << v)
+            classes[x] = classes.get(x, 0) | (1 << v)
+    return [(k, x) for x, k in classes.items()]
+
+
+def class_structure(adj, k: int, x: int, t: int) -> TightStructure:
+    """The tight structure of a nonempty T within the class (K, X): its
+    common neighborhood is X - T, and T is a cluster iff T = K."""
+    return TightStructure(t, x & ~t, adj, t == k)
+
+
+def _by_size(g: Graph, r: int) -> List[Tuple[int, int, int, int]]:
+    """(|T|, T, K, X) for every nonempty tight clique T in class (K, X),
+    sorted by size then mask."""
+    found = []
+    for k, x in tight_classes(g, r):
+        t = k
+        while t:
+            found.append((t.bit_count(), t, k, x))
+            t = (t - 1) & k
+    found.sort()
+    return found
 
 
 def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
-    """All tight cliques of size >= min_size, by size then mask order.  A
-    nonempty k-clique has weight at most Delta(G) + 1 - k, so none is tight
-    under a cap r > Delta(G), and no clique is scanned there."""
-    max_degree = g.max_degree()
-    if max_degree > r:
-        raise ValueError("tightness needs the degree cap to hold")
-    if max_degree < r and min_size >= 1:
-        return iter([])
-    found: List[Tuple[int, int]] = []
-    for mask, size, weight in clique_weights(g):
-        if size >= min_size and _meets_ceiling(weight, size, r):
-            found.append((size, mask))
-    found.sort()
-    return iter([mask for _, mask in found])
+    """All tight cliques of size >= min_size, by size then mask order: the
+    nonempty subsets of each class, and the empty clique, of weight n, when
+    n = r + 1 and min_size <= 0."""
+    found = [t for size, t, _, _ in _by_size(g, r) if size >= min_size]
+    if min_size <= 0 and g.n == r + 1:
+        found.insert(0, 0)
+    return iter(found)
 
 
-def _structure(g: Graph, tight: int, tight_set: Set[int]) -> TightStructure:
-    """S and cluster status for ``tight``, where ``tight_set`` holds every
-    tight clique of ``g`` of size >= 1."""
-    s_mask = common_neighbors(g, tight)
-    # maximal iff no tight strict superset; any such superset extends into S
-    maximal = not any(tight | (1 << v) in tight_set for v in bits(s_mask))
-    return TightStructure(tight, s_mask, g.adj, maximal)
-
-
-def tight_structures(g: Graph, r: int, skip: int = 0) -> List[TightStructure]:
-    """Every tight clique of size >= 1 that misses the vertex mask ``skip``,
-    derived, in ``tight_cliques`` order.  One clique scan of the whole graph
-    decides tightness for all of them, so cluster flags are read against
-    every tight clique, skipped ones included."""
-    masks = list(tight_cliques(g, r))
-    tight_set = set(masks)
-    return [_structure(g, t, tight_set) for t in masks if not t & skip]
+def tight_structures(g: Graph, r: int) -> List[TightStructure]:
+    """Every tight clique of size >= 1, derived, in ``tight_cliques`` order."""
+    return [class_structure(g.adj, k, x, t) for _, t, k, x in _by_size(g, r)]
 
 
 def derive(g: Graph, r: int, tight: int) -> TightStructure:
     """S and cluster status for one tight clique, checked to be one."""
     if not is_tight(g, r, tight):
         raise ValueError("derive requires a tight clique")
-    return _structure(g, tight, set(tight_cliques(g, r)))
+    if not tight:
+        # the empty clique (n = r + 1) is maximal iff no vertex is tight
+        return TightStructure(0, g.vertex_mask, g.adj, not tight_classes(g, r))
+    x = g.closed_neighborhood((tight & -tight).bit_length() - 1)
+    k = mask_of(v for v in bits(x) if g.closed_neighborhood(v) == x)
+    return class_structure(g.adj, k, x, tight)
 
 
 def clusters(g: Graph, r: int) -> List[TightStructure]:
-    """All maximal tight cliques, cross-validated against closed-neighborhood
-    equivalence classes of the degree-r vertices."""
+    """All maximal tight cliques, each checked against the definition."""
     return clusters_among(g, r, tight_structures(g, r))
 
 
 def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[TightStructure]:
     """The maximal members of ``tights``, which holds every tight clique of
-    ``g`` under ``r``, derived; cross-validated against closed-neighborhood
-    equivalence classes of the degree-r vertices.
+    ``g`` under ``r``, derived, by mask.
 
-    The two computations must agree; a mismatch raises rather than silently
-    preferring one.
+    Each is checked against the definition on G's rows: T is a clique,
+    S = N(T) with |S| = r + 1 - |T|, and no v in S has
+    |N(T + v)| = r - |T|.  As a
+    singleton {v} is tight exactly when deg v = r, the clusters must also
+    cover the degree-r vertices.  A mismatch raises rather than silently
+    preferring one computation.
     """
-    maximal = [ts for ts in tights if ts.is_cluster]
-
-    # Independent route: vertices lying in some tight clique all have degree
-    # exactly r, and sharing a tight clique is the same as sharing a closed
-    # neighborhood.
-    tight_vertices = [v for v in range(g.n) if g.degree(v) == r]
-    classes = {}
-    for v in tight_vertices:
-        classes.setdefault(g.closed_neighborhood(v), 0)
-        classes[g.closed_neighborhood(v)] |= 1 << v
-    expected = sorted(classes.values())
-    if sorted(ts.T for ts in maximal) != expected:
+    maximal = sorted((ts for ts in tights if ts.is_cluster), key=lambda ts: ts.T)
+    covered = 0
+    for ts in maximal:
+        common = common_neighbors(g, ts.T)
+        if (
+            not g.is_clique(ts.T)
+            or common != ts.S
+            or ts.s != r + 1 - ts.t
+            or any((common & g.adj[v]).bit_count() == r - ts.t for v in bits(common))
+        ):
+            raise InternalConsistencyError(
+                f"cluster T={ts.T:#x} is not a maximal tight clique under r={r}"
+            )
+        covered |= ts.T
+    tight_vertices = mask_of(v for v in range(g.n) if g.degree(v) == r)
+    if covered != tight_vertices:
         raise InternalConsistencyError(
-            f"cluster computations disagree: maximal tight cliques "
-            f"{sorted(ts.T for ts in maximal)} vs closed-neighborhood classes {expected}"
+            f"clusters cover {covered:#x}, but the degree-{r} vertices are {tight_vertices:#x}"
         )
-    return sorted(maximal, key=lambda ts: ts.T)
+    return maximal
 
 
 def associated_cliques(g: Graph, cluster: int, c: int) -> Iterator[int]:

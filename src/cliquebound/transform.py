@@ -13,8 +13,8 @@ from typing import List
 
 from .counting import clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
-from .graphs import Graph, bits, connected_components
-from .structure import TightStructure, tight_structures
+from .graphs import Graph, bits
+from .structure import TightStructure, class_structure, tight_classes
 
 # the hill climber's cap on moves taken
 MAX_STEPS = 64
@@ -157,16 +157,6 @@ def fill_profitable(ts: TightStructure) -> Profitability:
     return Profitability(literal=lower + (1 << ts.t) * (ts.s + 1) > 0, corrected=lower > 0)
 
 
-def _complete_components(g: Graph, r: int) -> int:
-    """The vertices of the K_{r+1} components of ``g``: the components of
-    r + 1 vertices, each of degree r."""
-    union = 0
-    for comp in connected_components(g):
-        if comp.bit_count() == r + 1 and all(g.adj[v].bit_count() == r for v in bits(comp)):
-            union |= comp
-    return union
-
-
 def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     """Greedy local search over the two rewrites.
 
@@ -183,13 +173,15 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     disagrees with the local one raises InternalConsistencyError.  At most
     ``MAX_STEPS`` moves are taken.
 
-    The tight cliques inside complete K_{r+1} components, which every fill
-    builds, are neither derived nor scored.  Leaving them out is exact: in
-    such a component C each tight T has S = C - T, so R is edgeless, the
-    fill is the identity (gain 0) and there is no K2 pair; and C is
-    disconnected from the rest, so no other structure's S, cluster flag or
-    gain depends on it.  The moves taken and their tie-breaks are those of
-    scoring every tight clique.
+    Candidates come from the classes (K, X) of ``tight_classes``, not
+    from every tight clique.  Every nonempty T in K has T u S = X, so its
+    fill builds the same graph with the same gain; and for |T| >= 2 its
+    K2 move does too, since R's K_2 components lie in X - K and
+    2^t i(R) = 2^|K| k(G[X - K]).  So each class scores one fill, at the
+    least vertex of K, and at most one K2 move, at the two least vertices
+    of K: the tight cliques the least-T tie-break picks among equal
+    gains.  A class with K = X is a K_{r+1} component, where the fill is
+    the identity and R is edgeless, and is not scored.
     """
     if g.max_degree() > r:
         raise ValueError("hill climbing needs the degree cap to hold")
@@ -199,10 +191,18 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
         adj = current.adj
         # (move class, -gain, T, structure): K2 moves sort before fills
         scored = []
-        for ts in tight_structures(current, r, _complete_components(current, r)):
-            if ts.t >= 2 and ts.k2_components:
-                scored.append((0, -k2_gain(adj, ts), ts.T, ts))
-            scored.append((1, -fill_gain(adj, ts), ts.T, ts))
+        for k, x in tight_classes(current, r):
+            if k == x:
+                continue
+            low = k & -k
+            rest = k ^ low
+            if rest:
+                pair = low | (rest & -rest)
+                ts = class_structure(adj, k, x, pair)
+                if ts.k2_components:
+                    scored.append((0, -k2_gain(adj, ts), pair, ts))
+            ts = class_structure(adj, k, x, low)
+            scored.append((1, -fill_gain(adj, ts), low, ts))
         improving = [entry for entry in scored if entry[1] < 0]
         if not improving:
             break

@@ -91,14 +91,15 @@ class TestCount:
         assert rec["tight_cliques"] == [[0], [1], [2], [3]]
 
     def test_tight_cliques_enumerated_once_per_graph(self, capsys, monkeypatch):
+        # tight cliques are enumerated from the closed-neighborhood classes
         calls = []
-        original = structure.tight_cliques
+        original = structure.tight_classes
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(structure, "tight_cliques", counted)
+        monkeypatch.setattr(structure, "tight_classes", counted)
         two_triangles = disjoint_union(complete(3), complete(3))
         code, out = run(
             ["count", "--tight", "-r", "2"],

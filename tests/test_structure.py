@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquebound import graph6
 from cliquebound.counting import clique_weights
 from cliquebound.enumeration import generate
+from cliquebound.errors import InternalConsistencyError
 from cliquebound.fixed_loss import has_small_component
 from cliquebound.graphs import (
     Graph,
@@ -26,6 +28,7 @@ from cliquebound.structure import (
     TightStructure,
     associated_cliques,
     clusters,
+    clusters_among,
     derive,
     is_tight,
     outside_degree_check,
@@ -94,13 +97,27 @@ class TestDerive:
             derive(cycle(5), 3, 0b00001)  # weight 2 != r+1-1
 
 
+def walk_tight_cliques(g, r):
+    """The nonempty tight cliques by definition, by size then mask: a walk
+    over every clique of ``g``, keeping each C of weight r + 1 - |C|."""
+    return [
+        mask
+        for size, mask in sorted(
+            (size, mask)
+            for mask, size, weight in clique_weights(g)
+            if size >= 1 and weight == r + 1 - size
+        )
+    ]
+
+
 def reference_facts(g, r):
     """Each tight clique's T, S, R-degree of each member of S, cluster flag
-    and K_2 components, built the long way: maximality tests every
-    one-vertex extension with ``is_tight``, and a K_2 component is an edge
-    of R whose ends have no other R-neighbour."""
+    and K_2 components, built the long way: the tight cliques come from a
+    walk over every clique, maximality tests every one-vertex extension
+    with ``is_tight``, and a K_2 component is an edge of R whose ends have
+    no other R-neighbour."""
     facts = []
-    for t_mask in tight_cliques(g, r):
+    for t_mask in walk_tight_cliques(g, r):
         s_mask = common_neighbors(g, t_mask)
         labels = [v for v in range(g.n) if (s_mask >> v) & 1]
         rows = [
@@ -215,6 +232,24 @@ class TestClusters:
         cls = clusters(path(4), 2)
         assert sorted(cl.T for cl in cls) == [0b0010, 0b0100]
 
+    @pytest.mark.parametrize(
+        "g, r, cluster, fault",
+        [
+            # each flagged T breaks one clause of the definition only
+            pytest.param(cycle(4), 3, (0b0101, 0b1010), "T=0x5 is not a", id="non-clique"),
+            pytest.param(cycle(4), 2, (0b0001, 0b0110), "T=0x1 is not a", id="S-not-N(T)"),
+            pytest.param(cycle(4), 3, (0b0001, 0b1010), "T=0x1 is not a", id="not-tight"),
+            # {0} of K_4 extends to the tight {0, 1}
+            pytest.param(complete(4), 3, (0b0001, 0b1110), "T=0x1 is not a", id="not-maximal"),
+            # nothing flagged leaves the degree-3 vertices of K_4 uncovered
+            pytest.param(complete(4), 3, None, "degree-3 vertices are 0xf", id="uncovered"),
+        ],
+    )
+    def test_clusters_are_checked_against_the_definition(self, g, r, cluster, fault):
+        tights = [] if cluster is None else [TightStructure(*cluster, g.adj, True)]
+        with pytest.raises(InternalConsistencyError, match=fault):
+            clusters_among(g, r, tights)
+
     @settings(max_examples=150, deadline=None)
     @given(capped)
     def test_clusters_partition_tight_vertices(self, gr):
@@ -225,7 +260,7 @@ class TestClusters:
             assert covered & cl.T == 0  # pairwise disjoint
             covered |= cl.T
         tight_vertices = 0
-        for t_mask in tight_cliques(g, r):
+        for t_mask in walk_tight_cliques(g, r):
             tight_vertices |= t_mask
         assert covered == tight_vertices
 
@@ -234,7 +269,7 @@ class TestClusters:
     def test_every_tight_clique_in_exactly_one_cluster(self, gr):
         g, r = gr
         cls = [cl.T for cl in clusters(g, r)]
-        for t_mask in tight_cliques(g, r):
+        for t_mask in walk_tight_cliques(g, r):
             assert sum(1 for c in cls if t_mask & c == t_mask) == 1
 
 
@@ -256,6 +291,22 @@ def test_no_tight_clique_above_the_maximum_degree():
                 pairs += 1
     # the (graph, cap) pairs of consistency_sweep(7, 6) with r > max degree
     assert pairs == 1843
+
+
+def test_tight_cliques_are_the_subsets_of_closed_neighborhood_classes():
+    """``tight_cliques(g, r, 0)`` equals the walk-and-weight definition on
+    every class with n <= 8, under every cap Delta(G) <= r <= max(n, 1):
+    the empty clique when n = r + 1, and the nonempty subsets of each class
+    of degree-r vertices sharing a closed neighborhood."""
+    pairs = 0
+    for n in range(9):
+        for g in generate(n, max(n - 1, 0)):
+            walk = sorted((size, mask, weight) for mask, size, weight in clique_weights(g))
+            for r in range(g.max_degree(), max(n, 1) + 1):
+                expected = [mask for size, mask, weight in walk if weight == r + 1 - size]
+                assert list(tight_cliques(g, r, 0)) == expected, (graph6.encode(g), r)
+                pairs += 1
+    assert pairs == 50868
 
 
 def test_clusters_partition_exhaustive_small():

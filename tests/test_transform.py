@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquebound import transform
-from cliquebound.counting import clique_vector
+from cliquebound.counting import clique_vector, clique_weights
 from cliquebound.enumeration import consistency_sweep, generate
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import (
     Graph,
+    bits,
+    common_neighbors,
     complete,
     cycle,
     disjoint_union,
@@ -51,15 +53,23 @@ def capped(draw):
 
 
 def reference_climb(g, r, max_steps=64):
-    """The greedy climb with every candidate built by apply_k2_move or
-    apply_fill and counted in full: K2 moves first, then the largest gain,
-    then the least T."""
+    """The greedy climb with every tight clique found by a walk over every
+    clique (weight r + 1 - |C|), and every candidate built by apply_k2_move
+    or apply_fill and counted in full: K2 moves first, then the largest
+    gain, then the least T."""
     trace = []
     current, k = g, clique_vector(g).total
     for _ in range(max_steps):
         best = {}
-        for tight in tight_cliques(current, r, 1):
-            ts = derive(current, r, tight)
+        tights = {
+            mask
+            for mask, size, weight in clique_weights(current)
+            if size >= 1 and weight == r + 1 - size
+        }
+        for tight in tights:
+            s = common_neighbors(current, tight)
+            maximal = not any(tight | (1 << v) in tights for v in bits(s))
+            ts = TightStructure(tight, s, current.adj, maximal)
             reports = [apply_fill(current, ts, k)]
             if ts.t >= 2 and ts.k2_components:
                 reports.append(apply_k2_move(current, ts, k))
@@ -283,9 +293,9 @@ class TestHillClimb:
         g = staging_graph()
         trace = hill_climb(g, 3)
         assert len(trace) == 1
-        # the 6 candidate rewrites of g are scored by local counts, not
+        # the 4 candidate rewrites of g are scored by local counts, not
         # recounted; trace[0].after (K_4 plus two isolated vertices) has no
-        # tight clique outside its K_4 component, so nothing is scored there
+        # class but its K_4 component, so nothing is scored there
         assert len(clique_vector_calls) == 2
         assert clique_vector_calls[0] is g
         assert clique_vector_calls[1] is trace[0].after
@@ -320,10 +330,11 @@ class TestHillClimb:
         monkeypatch.setattr(transform, "cliques_meeting", counted)
         g = disjoint_union(complete(4), staging_graph())  # the K_4 on 0..3
         assert len(hill_climb(g, 3)) == 1
-        # only the staging graph's 6 candidates are counted, once each
-        # before the move: no fill inside the K_4 component, nor inside the
-        # K_4 the move builds
-        assert len(counted_sets) == 6
+        # only the staging graph's 4 candidates are counted, once each
+        # before the move: one fill per class ({0, 1}, {2}, {3}) and the
+        # K2 move of {0, 1}; no fill inside the K_4 component, nor inside
+        # the K_4 the move builds
+        assert len(counted_sets) == 4
         assert all(xs & mask_of(range(4)) == 0 for xs in counted_sets)
 
     def test_complete_components_are_never_scored(self, monkeypatch):
@@ -341,9 +352,10 @@ class TestHillClimb:
         (step,) = hill_climb(g, 3)
         built = step.tight_structure.T | step.tight_structure.S
         assert step.after.is_clique(built) and built & mask_of(range(8)) == 0
-        # the staging graph's 5 fills and 1 K2 move, all scored on g; after
-        # the move every tight clique lies in a K_4 component, and none is
-        assert [adj for adj, _ in scored] == [g.adj] * 6
+        # the staging graph's 3 fills (one per class) and 1 K2 move, all
+        # scored on g; after the move every class is a K_4 component, and
+        # none is
+        assert [adj for adj, _ in scored] == [g.adj] * 4
         assert all(t & mask_of(range(8)) == 0 for _, t in scored)
 
     @pytest.mark.parametrize(
