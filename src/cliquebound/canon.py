@@ -29,7 +29,22 @@ neighbourhood per orbit when the class is extended in turn.
 
 Refinement starts from the degree ranks, so every cell holds vertices of
 one degree, and it ranks vertices by an integer key that sorts like
-(colour, sorted neighbour colours); see ``_refine``.
+(colour, sorted neighbour colours); see ``_refine``.  It returns the number
+of cells with the colours, so no node counts them again, and a leaf's
+order is the inverse of its discrete colouring.
+
+A target cell whose members are all twins of its least vertex is
+individualized whole, in one step and with no refinement: member i gets
+the cell's colour plus i.  This is the chain of nodes the search would
+walk one vertex at a time, collapsed.  Open twins (equal rows) and closed
+twins (equal rows with the vertex itself added) are each an equivalence
+relation, and a cell of three or more cannot mix the two kinds, so
+checking each member against the least one is enough.  In an equitable
+colouring every vertex outside such a cell sees all of it or none of it,
+and its members see each other alike, so individualizing them one at a
+time refines nothing, and twin pruning gives each node of the chain one
+child.  The chain therefore reaches the same leaves in the same order, with
+the same paths and the same automorphisms; only its refinements are gone.
 """
 
 from __future__ import annotations
@@ -37,11 +52,12 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .graph6 import _encode_ordered
-from .graphs import Graph, bits
+from .graphs import Graph, bit_list
 
 
-def _refine(nbrs, colors: List[int], weight: List[int]) -> List[int]:
+def _refine(nbrs, colors: List[int], weight: List[int]) -> Tuple[List[int], int]:
     """Equitable refinement: split cells by multisets of neighbor colors.
+    Returns the refined colours and their number of cells.
 
     ``colors`` are dense ranks, and all vertices of one cell have the same
     degree.  Sorted neighbour-colour tuples of equal length compare like
@@ -54,7 +70,7 @@ def _refine(nbrs, colors: List[int], weight: List[int]) -> List[int]:
     """
     n = len(nbrs)
     top = weight[0] * n
-    ncolors = len(set(colors))
+    ncolors = max(colors) + 1
     while True:
         w = [weight[c] for c in colors]
         keys = [top * c - sum(map(w.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
@@ -62,7 +78,7 @@ def _refine(nbrs, colors: List[int], weight: List[int]) -> List[int]:
         colors = [ranking[key] for key in keys]
         count = len(ranking)
         if count == ncolors or count == n:
-            return colors
+            return colors, count
         ncolors = count
 
 
@@ -110,24 +126,25 @@ def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
     if n <= 1:
         return _encode_ordered(n, rows, list(range(n))), list(range(n)), []
     adj = list(rows)
-    nbrs = [list(bits(row)) for row in adj]
+    nbrs = [bit_list(row) for row in adj]
     weight = [n ** (n - 1 - c) for c in range(n)]
     degree = [row.bit_count() for row in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degree)))}
-    colors = _refine(nbrs, [rank[d] for d in degree], weight)
-    if len(set(colors)) == n:
-        order = sorted(range(n), key=colors.__getitem__)
+    colors, count = _refine(nbrs, [rank[d] for d in degree], weight)
+    if count == n:
+        order = _inverse(colors)
         return _encode_ordered(n, adj, order), order, []
     path: List[int] = []  # the vertices individualized above the current node
     first: List = []  # graph6, vertex order and path of the first leaf
     best: List = []  # the same for the least leaf so far
     autos: List[List[int]] = []  # automorphisms found, as vertex maps
 
-    def search(colors: List[int]) -> int:
-        """Search below the node whose refined coloring is ``colors``.
-        Returns a depth: every node deeper than it stops at once."""
-        if len(set(colors)) == n:
-            order = sorted(range(n), key=colors.__getitem__)
+    def search(colors: List[int], count: int) -> int:
+        """Search below the node whose equitable coloring is ``colors``,
+        with ``count`` cells.  Returns a depth: every node deeper than it
+        stops at once."""
+        if count == n:
+            order = _inverse(colors)
             enc = _encode_ordered(n, adj, order)
             if not best or enc < best[0]:
                 best[:] = enc, order, path[:]
@@ -150,6 +167,18 @@ def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
         ranked = sorted(colors)
         target = next(c for c, d in zip(ranked, ranked[1:]) if c == d)
         cell = [v for v in range(n) if colors[v] == target]
+        head = cell[0]
+        if all(_are_twins(adj, head, w) for w in cell[1:]):
+            # pairwise twins: the one-at-a-time chain refines nothing and
+            # has one child per node (module docstring), so take it at once
+            size = len(cell)
+            child = [c + (c > target) * (size - 1) for c in colors]
+            for i, v in enumerate(cell):
+                child[v] = target + i
+            path.extend(cell[:-1])
+            resume = search(child, count + size - 1)
+            del path[depth:]
+            return resume if resume < depth else depth
         tried: List[int] = []
         orbit: Optional[List[int]] = None  # union-find: Aut orbits fixing path
         joined = 0  # automorphisms already looked at for ``orbit``
@@ -173,14 +202,23 @@ def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
             child = [c + (c >= target) for c in colors]
             child[u] = target
             path.append(u)
-            resume = search(_refine(nbrs, child, weight))
+            resume = search(*_refine(nbrs, child, weight))
             path.pop()
             if resume < depth:
                 return resume
         return depth
 
-    search(colors)
+    search(colors, count)
     return best[0], best[1], autos
+
+
+def _inverse(colors: List[int]) -> List[int]:
+    """The vertex order of a discrete coloring: the vertex of colour i is
+    in position i."""
+    order = [0] * len(colors)
+    for v, c in enumerate(colors):
+        order[c] = v
+    return order
 
 
 def _root(parent: List[int], v: int) -> int:

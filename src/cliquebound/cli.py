@@ -100,11 +100,17 @@ def _render_table(doc: dict) -> str:
 
 
 def _read_graph6_lines(path: Optional[str]) -> List[str]:
+    """The nonblank lines of the file at ``path``, or of stdin for None or
+    "-".  Bytes that are not UTF-8 read as U+FFFD, which graph6 rejects, so
+    each line holding them is a parse error of its own."""
     if path is None or path == "-":
-        data = sys.stdin.read()
+        # the bytes under a text stdin; a stream with none is read as text
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             data = fh.read()
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
     return [line.strip() for line in data.splitlines() if line.strip()]
 
 

@@ -158,11 +158,16 @@ def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[Tuple[str, Tuple[in
     d = deg[u]
     if max(deg) > d:
         return None
-    top = sorted(deg[x] for x in bits(rows[u]))
+    # Sorted neighbour-degree lists of one length d order like the vectors
+    # of negated counts per degree 0..d, so those stand in for the lists.
+    by_degree = [0] * (d + 1)
+    for v, k in enumerate(deg):
+        by_degree[k] |= 1 << v
+    top = [-(rows[u] & mask).bit_count() for mask in by_degree]
     tied = 1 << u
     for w in range(u):
         if deg[w] == d:
-            key = sorted(deg[x] for x in bits(rows[w]))
+            key = [-(rows[w] & mask).bit_count() for mask in by_degree]
             if key > top:
                 return None
             if key == top:
@@ -178,9 +183,18 @@ def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[Tuple[str, Tuple[in
     position = [0] * (u + 1)
     for i, v in enumerate(order):
         position[v] = i
-    relabeled = tuple(sum(1 << position[w] for w in bits(rows[v])) for v in order)
+    moved = [1 << i for i in position]  # the bit that vertex w's bit becomes
+    relabeled = []
+    for v in order:
+        row = rows[v]
+        new = 0
+        while row:
+            low = row & -row
+            new |= moved[low.bit_length() - 1]
+            row ^= low
+        relabeled.append(new)
     packed = bytes(position[gamma[v]] for gamma in generators for v in order)
-    return form, relabeled, packed
+    return form, tuple(relabeled), packed
 
 
 def _expand_chunk(args) -> List[Tuple[str, Tuple[int, ...], bytes]]:

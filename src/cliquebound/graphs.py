@@ -24,7 +24,14 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def bit_list(mask: int) -> List[int]:
-    return list(bits(mask))
+    """The set bit positions of ``mask`` in increasing order, as a list;
+    built in one loop, without resuming a generator per bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mask_of(vertices) -> int:

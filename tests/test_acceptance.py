@@ -7,6 +7,7 @@ The criteria that take more than 10 s, and those that read criterion 2's
 nine-vertex classes, are marked ``slow``.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -230,6 +231,9 @@ def test_criterion_09_consistency_report(sweep_n8):
         assert graph6.decode(failure["graph6"]).n <= 8
     # determinism: byte-identical across runs and worker counts
     text = sweep_n8.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c817cd4f4bbfcfec1fe07afa4ded921e1cfb68fecd231cc4def756fffb11863e"
+    )
     assert consistency_sweep(8, 7, workers=1).to_json() == text
     assert consistency_sweep(8, 7, workers=2).to_json() == text
     print("criterion 9 PASS: consistency report clean, witnessed, and byte-identical")

@@ -174,10 +174,11 @@ def test_integer_keyed_refinement_matches_tuple_keys(monkeypatch):
     original = canon._refine
 
     def compared(nbrs, colors, weight):
-        refined = original(nbrs, colors, weight)
+        refined, count = original(nbrs, colors, weight)
         assert refined == reference_refine(nbrs, colors)
+        assert count == len(set(refined))
         checked.append(len(nbrs))
-        return refined
+        return refined, count
 
     monkeypatch.setattr(canon, "_refine", compared)
     rng = random.Random(2014)
@@ -185,6 +186,31 @@ def test_integer_keyed_refinement_matches_tuple_keys(monkeypatch):
         for g in generate(n, 7):
             canonical_form(relabeled(g, rng))
     assert checked.count(8) > 12346  # the search refines below the root too
+
+
+@pytest.mark.parametrize(
+    "g, refinements",
+    [
+        (empty(8), 1),
+        (complete_bipartite(1, 7), 1),
+        (complete(8), 1),
+        (disjoint_union(complete(4), complete(4)), 3),
+    ],
+    ids=["E8", "K1,7", "K8", "2xK4"],
+)
+def test_twin_cells_are_individualized_without_refinement(monkeypatch, g, refinements):
+    """A cell of pairwise twins is individualized in one step: one by one,
+    with a refinement each, it took 8, 7, 8 and 13 refinements here."""
+    calls = []
+    original = canon._refine
+
+    def counted(nbrs, colors, weight):
+        calls.append(colors)
+        return original(nbrs, colors, weight)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    assert canonical_form(g) == reference_canonical_form(g)
+    assert len(calls) == refinements
 
 
 @settings(max_examples=150, deadline=None)

@@ -133,6 +133,24 @@ class TestCount:
         (rec,) = json.loads(out)["results"]["graphs"]
         assert "byte offset 1" in rec["error"] and "n" not in rec
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_bytes_are_a_parse_error_of_their_line(
+        self, capsys, monkeypatch, tmp_path, source
+    ):
+        data = b"A_\n\xff\xfe\nB?\n"  # K2, two bytes that are not UTF-8, E3
+        if source == "file":
+            p = tmp_path / "in.g6"
+            p.write_bytes(data)
+            argv = ["count", str(p)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            argv = ["count"]
+        code, out = run(argv, capsys=capsys)
+        assert code == EXIT_PARSE
+        k2, bad, e3 = json.loads(out)["results"]["graphs"]
+        assert (k2["line"], k2["k"], e3["line"], e3["k"]) == (1, 4, 3, 4)
+        assert bad["line"] == 2 and "invalid graph6 character" in bad["error"]
+
     def test_tight_without_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(graph6.encode(cycle(4)) + "\n"))
         with pytest.raises(SystemExit) as exc_info:

@@ -241,6 +241,30 @@ class TestGenerate:
             "ca80e66beeb764b5a487d80402f365c4b2b4289dd31ca4cad344ef2acd3d3062"
         )
 
+    def test_labeling_output_digest(self, monkeypatch):
+        """sha256 of one repr((rows, form, order, generators)) line per
+        canonical labeling that a cold (8, 4) build makes: 3,703 lines.
+        The value is the package's own output before twin cells were
+        individualized in one step, so any change to a form, an order or a
+        generator list shows here."""
+        digest = hashlib.sha256()
+        lines = []
+        original = enumeration.canonical_labeling
+
+        def hashed(m, rows):
+            out = original(m, rows)
+            digest.update(f"{(rows, *out)!r}\n".encode())
+            lines.append(m)
+            return out
+
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        monkeypatch.setattr(enumeration, "canonical_labeling", hashed)
+        enumeration._classes(8, 4)
+        assert len(lines) == 3703
+        assert digest.hexdigest() == (
+            "a1050e31ff309d7e56c957869b6910cb49fcacba78af7391233f1871d54da371"
+        )
+
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
         enumeration._classes(7, 6)
         built = len(cold_labelings)
@@ -385,6 +409,15 @@ class TestConsistencySweep:
         for failure in rep.failures:
             g = graph6.decode(failure["graph6"])  # must parse
             assert g.n <= 5
+
+    def test_report_digest(self):
+        """sha256 of ``consistency_sweep(7, 6).to_json()``, the package's own
+        output: any change to a tally, a failure record or the document's
+        layout shows here."""
+        text = consistency_sweep(7, 6).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "12143404af0934251a4a55dbe5baabb766215dc06490751c106268b3eec4e13d"
+        )
 
     def test_byte_identical_across_runs_and_workers(self):
         one = consistency_sweep(5, 4, workers=1).to_json()
