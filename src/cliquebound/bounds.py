@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Dict, List
 
@@ -57,9 +58,11 @@ def strong_inequalities(kvec: CliqueVector, r: int) -> List[ConsistencyRecord]:
     return records
 
 
+@lru_cache(maxsize=None)
 def strong_chain_bound(n: int, r: int) -> Fraction:
     """1 + n(2^r - 2)/(r - 1): the clique ceiling implied by the strong
-    inequalities together with the trivial k_0, k_1, k_2 bounds."""
+    inequalities together with the trivial k_0, k_1, k_2 bounds.  Memoized:
+    a sweep asks for it once per (graph, cap) but meets few (n, r)."""
     if r < 2:
         raise ValueError("the chain bound needs r >= 2")
     return 1 + Fraction(n, r - 1) * ((1 << r) - 2)

@@ -96,13 +96,41 @@ def clique_vector(g: Graph) -> CliqueVector:
     return _normalize(counts)
 
 
+def _count_total(adj, cand: int) -> int:
+    """Number of cliques inside ``cand``, the empty one included.
+
+    ``_count_into``'s pivot split, counting totals only: the cliques
+    avoiding every non-neighbor of the pivot p are those of N(p), with and
+    without p, and the rest are counted at their first non-neighbor of p.
+    """
+    if cand == 0:
+        return 1
+    pivot, best = -1, -1
+    m = cand
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        d = (cand & adj[u]).bit_count()
+        if d > best:
+            best, pivot = d, u
+    row = adj[pivot]
+    total = 2 * _count_total(adj, cand & row)
+    rest = cand
+    m = cand & ~row & ~(1 << pivot)
+    while m:
+        low = m & -m
+        m ^= low
+        rest ^= low
+        total += _count_total(adj, rest & adj[low.bit_length() - 1])
+    return total
+
+
 def clique_count(rows, mask: int) -> int:
     """Number of cliques of the subgraph induced on ``mask``, the empty one
     included, for bare adjacency rows.  Bits of ``rows`` outside ``mask`` are
     ignored."""
-    counts = [0] * (mask.bit_count() + 1)
-    _count_into(rows, mask, 0, 0, counts)
-    return sum(counts)
+    return _count_total(rows, mask)
 
 
 def cliques_meeting(rows, xs: int) -> int:
@@ -210,12 +238,31 @@ def clique_weights(g: Graph) -> Iterator[Tuple[int, int, int]]:
 
 
 def weight_sums(g: Graph) -> List[int]:
-    """sums[t] = sum of weights over all t-cliques (t = 0..max size)."""
+    """sums[t] = sum of weights over all t-cliques (t = 0..max size).
+
+    The cliques are walked as in ``clique_weights``, on an explicit stack
+    rather than through its generator, carrying each clique's common
+    neighborhood.  The walk shares no logic with ``clique_vector``'s pivoted
+    count, so double counting compares two independent computations.
+    """
+    adj = g.adj
     sums = [0] * (g.n + 1)
+    sums[0] = g.n
     top = 0
-    for _, size, w in clique_weights(g):
-        sums[size] += w
-        top = max(top, size)
+    # (candidates, size, common neighborhood) of each clique to extend
+    stack = [(g.vertex_mask, 0, g.vertex_mask)]
+    while stack:
+        allowed, size, common = stack.pop()
+        size += 1
+        if allowed and size > top:
+            top = size
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            row = adj[low.bit_length() - 1]
+            sums[size] += (common & row).bit_count()
+            if allowed & row:
+                stack.append((allowed & row, size, common & row))
     return sums[: top + 1]
 
 

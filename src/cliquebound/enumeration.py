@@ -464,7 +464,7 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
                 k_after >= k_total + lower,
             )
         )
-        profitable = fill_profitable(ts)
+        profitable = fill_profitable(ts, lower)
         if profitable.literal:
             records.append(
                 ConsistencyRecord("fill_threshold_literal", subject, gain, 1, True, gain > 0)

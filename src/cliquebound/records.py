@@ -6,13 +6,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConsistencyRecord:
     """Outcome of evaluating one predicate on one subject.
 
     ``lhs`` and ``rhs`` are the two sides of the comparison, always exact
     integers (cross-multiplied where the original statement is rational).
-    ``passed`` is meaningful only when ``applicable`` is true.
+    ``passed`` is meaningful only when ``applicable`` is true.  Records are
+    built by the ten thousand in a sweep and never mutated or hashed, so the
+    class is slotted rather than frozen: a frozen dataclass pays an
+    ``object.__setattr__`` per field.
     """
 
     predicate: str

@@ -12,16 +12,19 @@ themselves; no clique is walked to find them.
 
 The deficiency graph R (complement of the subgraph induced on S) records
 the edges that the clique-fill rewrite would add.  R is never built: its
-independent sets are the cliques of G[S], and its degrees, K_2
-components, i(R) and phi(R) are all read off G's adjacency rows
-restricted to S.
+independent sets are the cliques of G[S], and its degrees and K_2
+components are read off G's adjacency rows restricted to S.  Within a
+class the vertices of K - T are adjacent to all of S, so they are isolated
+in R: i(R) = 2^|K - T| k(G[X - K]) and phi(R) = phi(R(X - K)), where R(X - K)
+is the complement of G[X - K].  Both are counted once per class, on its
+core X - K, and shared by every T of the class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .counting import clique_count, cliques_of_size
 from .errors import InternalConsistencyError
@@ -30,21 +33,50 @@ from .graphs import Graph, bits, common_neighbors, mask_of
 from .records import ConsistencyRecord
 
 
+class ClassCore:
+    """G's adjacency rows restricted to the core of a class (K, X), the
+    vertices X - K.  Its clique count and the fixed loss of its complement
+    are computed on first use; every T of the class shares one core."""
+
+    def __init__(self, adj, mask: int):
+        self.adj = adj
+        self.mask = mask
+
+    @cached_property
+    def cliques(self) -> int:
+        """k(G[X - K]), the empty clique included."""
+        return clique_count(self.adj, self.mask)
+
+    @cached_property
+    def phi(self) -> int:
+        """phi of the complement of G[X - K]."""
+        return fixed_loss_on_rows(self.adj, self.mask).phi
+
+
 @dataclass(frozen=True)
 class TightStructure:
     """A tight clique T with its common neighborhood S, and the adjacency
     rows ``adj`` of the graph G they were found in.
 
     The deficiency graph R, the complement of G[S], is read off ``adj``
-    restricted to S.  i(R), phi(R) and the K_2 components of R are computed
-    on first use and kept with the structure, so every rewrite and predicate
-    handed the same structure shares them.
+    restricted to S.  ``K`` is T's class, the vertices of T u S whose closed
+    neighborhood is T u S; each vertex of K - T is adjacent to all of S and
+    isolated in R, so i(R) and phi(R) are read off ``core``, G restricted to
+    S - K, which the structures of one class share.  ``K`` = 0 (the empty
+    clique's class, and the default) puts all of S in the core.  The K_2
+    components of R are computed on first use and kept with the structure.
     """
 
     T: int
     S: int
     adj: Tuple[int, ...]
     is_cluster: bool
+    K: int = 0
+    core: Optional[ClassCore] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.core is None:
+            object.__setattr__(self, "core", ClassCore(self.adj, self.S & ~self.K))
 
     @property
     def t(self) -> int:
@@ -59,16 +91,18 @@ class TightStructure:
         """The degree cap T is tight under: tightness makes s = r + 1 - t."""
         return self.t + self.s - 1
 
-    @cached_property
+    @property
     def i_R(self) -> int:
         """i(R): the number of independent sets of R, the empty set
-        included, which are the cliques of G[S]."""
-        return clique_count(self.adj, self.S)
+        included, which are the cliques of G[S]: 2^|K - T| k(G[S - K])."""
+        return self.core.cliques << (self.S & self.K).bit_count()
 
-    @cached_property
+    @property
     def phi(self) -> int:
-        """phi(R): the fixed loss of the deficiency graph."""
-        return fixed_loss_on_rows(self.adj, self.S).phi
+        """phi(R): the fixed loss of the deficiency graph.  Isolated
+        vertices add nothing and change no other R-degree, so it is that
+        of the core."""
+        return self.core.phi
 
     def r_degree(self, x: int) -> int:
         """The degree in R of x in S: its non-neighbors in S - x."""
@@ -125,21 +159,24 @@ def tight_classes(g: Graph, r: int) -> List[Tuple[int, int]]:
     return [(k, x) for x, k in classes.items()]
 
 
-def class_structure(adj, k: int, x: int, t: int) -> TightStructure:
+def class_structure(adj, k: int, x: int, t: int, core: ClassCore) -> TightStructure:
     """The tight structure of a nonempty T within the class (K, X): its
-    common neighborhood is X - T, and T is a cluster iff T = K."""
-    return TightStructure(t, x & ~t, adj, t == k)
+    common neighborhood is X - T, and T is a cluster iff T = K.  ``core``
+    is the class's ``ClassCore(adj, x & ~k)``, shared by its structures."""
+    return TightStructure(t, x & ~t, adj, t == k, k, core)
 
 
-def _by_size(g: Graph, r: int) -> List[Tuple[int, int, int, int]]:
-    """(|T|, T, K, X) for every nonempty tight clique T in class (K, X),
-    sorted by size then mask."""
+def _by_size(g: Graph, r: int) -> List[Tuple[int, int, int, int, ClassCore]]:
+    """(|T|, T, K, X, core) for every nonempty tight clique T in class
+    (K, X), sorted by size then mask; each class has one core."""
     found = []
     for k, x in tight_classes(g, r):
+        core = ClassCore(g.adj, x & ~k)
         t = k
         while t:
-            found.append((t.bit_count(), t, k, x))
+            found.append((t.bit_count(), t, k, x, core))
             t = (t - 1) & k
+    # no two entries share T, so the sort never compares cores
     found.sort()
     return found
 
@@ -148,15 +185,16 @@ def tight_cliques(g: Graph, r: int, min_size: int = 1) -> Iterator[int]:
     """All tight cliques of size >= min_size, by size then mask order: the
     nonempty subsets of each class, and the empty clique, of weight n, when
     n = r + 1 and min_size <= 0."""
-    found = [t for size, t, _, _ in _by_size(g, r) if size >= min_size]
+    found = [entry[1] for entry in _by_size(g, r) if entry[0] >= min_size]
     if min_size <= 0 and g.n == r + 1:
         found.insert(0, 0)
     return iter(found)
 
 
 def tight_structures(g: Graph, r: int) -> List[TightStructure]:
-    """Every tight clique of size >= 1, derived, in ``tight_cliques`` order."""
-    return [class_structure(g.adj, k, x, t) for _, t, k, x in _by_size(g, r)]
+    """Every tight clique of size >= 1, derived, in ``tight_cliques`` order;
+    the structures of one class share its core."""
+    return [class_structure(g.adj, k, x, t, core) for _, t, k, x, core in _by_size(g, r)]
 
 
 def derive(g: Graph, r: int, tight: int) -> TightStructure:
@@ -168,7 +206,7 @@ def derive(g: Graph, r: int, tight: int) -> TightStructure:
         return TightStructure(0, g.vertex_mask, g.adj, not tight_classes(g, r))
     x = g.closed_neighborhood((tight & -tight).bit_length() - 1)
     k = mask_of(v for v in bits(x) if g.closed_neighborhood(v) == x)
-    return class_structure(g.adj, k, x, tight)
+    return class_structure(g.adj, k, x, tight, ClassCore(g.adj, x & ~k))
 
 
 def clusters(g: Graph, r: int) -> List[TightStructure]:

@@ -14,7 +14,7 @@ from typing import List
 from .counting import clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
 from .graphs import Graph, bits
-from .structure import TightStructure, class_structure, tight_classes
+from .structure import ClassCore, TightStructure, class_structure, tight_classes
 
 # the hill climber's cap on moves taken
 MAX_STEPS = 64
@@ -147,13 +147,12 @@ def gain_lower_bound(ts: TightStructure) -> int:
     return (1 << (ts.r + 1)) - (1 << ts.t) * ts.i_R - ts.phi
 
 
-def fill_profitable(ts: TightStructure) -> Profitability:
+def fill_profitable(ts: TightStructure, lower: int) -> Profitability:
     """Both strict-gain thresholds, cross-multiplied by 2^t: as
-    2^t 2^s = 2^(r+1), corrected is ``gain_lower_bound(ts) > 0`` and literal
-    adds 2^t (s + 1) to that bound."""
+    2^t 2^s = 2^(r+1), corrected is ``lower > 0`` and literal adds
+    2^t (s + 1) to it.  ``lower`` is ``gain_lower_bound(ts)``."""
     if (1 << ts.s) - ts.i_R + ts.s + 1 <= 0:
         raise ValueError("literal threshold needs a positive denominator")
-    lower = gain_lower_bound(ts)
     return Profitability(literal=lower + (1 << ts.t) * (ts.s + 1) > 0, corrected=lower > 0)
 
 
@@ -194,14 +193,15 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
         for k, x in tight_classes(current, r):
             if k == x:
                 continue
+            core = ClassCore(adj, x & ~k)
             low = k & -k
             rest = k ^ low
             if rest:
                 pair = low | (rest & -rest)
-                ts = class_structure(adj, k, x, pair)
+                ts = class_structure(adj, k, x, pair, core)
                 if ts.k2_components:
                     scored.append((0, -k2_gain(adj, ts), pair, ts))
-            ts = class_structure(adj, k, x, low)
+            ts = class_structure(adj, k, x, low, core)
             scored.append((1, -fill_gain(adj, ts), low, ts))
         improving = [entry for entry in scored if entry[1] < 0]
         if not improving:

@@ -8,6 +8,7 @@ from cliquebound.counting import (
     BRUTE_FORCE_MAX_VERTICES,
     CliqueVector,
     brute_force_clique_vector,
+    clique_count,
     clique_vector,
     clique_weight,
     clique_weights,
@@ -16,6 +17,7 @@ from cliquebound.counting import (
     independent_vector,
     weight_sums,
 )
+from cliquebound.enumeration import generate
 from cliquebound.errors import CapacityError
 from cliquebound.graphs import (
     complement,
@@ -192,3 +194,44 @@ class TestCliquesMeeting:
     def test_empty_and_full_sets(self, g):
         assert cliques_meeting(g.adj, 0) == 0
         assert cliques_meeting(g.adj, g.vertex_mask) == brute_force_clique_vector(g).total - 1
+
+
+def weight_sums_from_stream(g):
+    """Weight sums read off ``clique_weights``: an independent walk."""
+    sums = [0] * (g.n + 1)
+    top = 0
+    for _, size, weight in clique_weights(g):
+        sums[size] += weight
+        top = max(top, size)
+    return sums[: top + 1]
+
+
+def assert_counters_agree(g, masks):
+    assert weight_sums(g) == weight_sums_from_stream(g)
+    for mask in masks:
+        assert clique_count(g.adj, mask) == clique_vector(induced(g, mask)[0]).total
+
+
+class TestTotalCounters:
+    """``clique_count`` counts totals only and ``weight_sums`` walks the
+    cliques on a stack; each is checked against a counter that shares none
+    of its code path."""
+
+    def test_every_class_up_to_seven_vertices(self):
+        rng = random.Random(1807)
+        classes = [g for n in range(8) for g in generate(n, max(n - 1, 0))]
+        assert len(classes) == 1253
+        for g in classes:
+            assert_counters_agree(g, [g.vertex_mask] + [rng.randrange(1 << g.n) for _ in range(3)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs, st.data())
+    def test_random_masks(self, g, data):
+        assert_counters_agree(g, [data.draw(st.integers(0, g.vertex_mask))])
+
+    def test_degree_capped_graphs_up_to_forty_vertices(self, random_capped_graph):
+        rng = random.Random(4018)
+        for _ in range(30):
+            n = rng.randint(8, 40)
+            g = random_capped_graph(rng, n, rng.randint(2, 7))
+            assert_counters_agree(g, [g.vertex_mask, rng.randrange(1 << n), rng.randrange(1 << n)])

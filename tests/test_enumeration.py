@@ -404,6 +404,31 @@ class TestConsistencySweep:
         }
         assert calls == [p3]
 
+    def test_fixed_loss_counted_once_per_graph_and_once_per_class(self, monkeypatch):
+        """phi(R) is the same for every T of a class (K, X), so the sweep
+        computes it once per class, not once per tight clique."""
+        calls = []
+        original = fixed_loss_module.fixed_loss_on_rows
+
+        def counted(rows, mask):
+            calls.append(mask)
+            return original(rows, mask)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cliquebound") and getattr(
+                module, "fixed_loss_on_rows", None
+            ) is original:
+                monkeypatch.setattr(module, "fixed_loss_on_rows", counted)
+        consistency_sweep(5, 4)
+        graphs = [g for n in range(1, 6) for g in generate(n, min(4, max(n - 1, 1)))]
+        classes = tights = 0
+        for g in graphs:
+            for r in range(max(1, g.max_degree()), min(4, g.n - 1) + 1):
+                classes += len(structure.tight_classes(g, r))
+                tights += len(structure.tight_structures(g, r))
+        assert len(calls) == len(graphs) + classes
+        assert classes < tights  # some class holds more than one tight clique
+
     def test_every_failure_has_a_witness(self):
         rep = consistency_sweep(5, 4)
         for failure in rep.failures:

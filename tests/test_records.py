@@ -27,3 +27,40 @@ def test_not_applicable_helper():
     assert rec.predicate == "some_bound"
     assert not rec.applicable
     assert rec.passed is None
+
+
+def test_records_equal_when_only_detail_differs():
+    a = ConsistencyRecord("p", "s", 1, 2, True, True, {"why": 1})
+    b = ConsistencyRecord("p", "s", 1, 2, True, True, {"why": 2})
+    assert a == b
+    assert a != ConsistencyRecord("p", "s", 1, 3, True, True, {"why": 1})
+    assert not_applicable("p", "s", why=1) == not_applicable("p", "s")
+
+
+def test_positional_and_keyword_construction_agree():
+    positional = ConsistencyRecord("p", "s", 3, 4, True, False, {"k": 5})
+    keyword = ConsistencyRecord(
+        predicate="p", subject="s", lhs=3, rhs=4, applicable=True, passed=False, detail={"k": 5}
+    )
+    assert positional == keyword
+    assert (positional.predicate, positional.subject, positional.lhs, positional.rhs) == (
+        "p", "s", 3, 4,
+    )
+    assert positional.detail == {"k": 5}
+    assert ConsistencyRecord("p", "s", 0, 0, False, None).detail == {}
+    assert positional.failed
+
+
+@pytest.mark.parametrize(
+    "applicable, passed, message",
+    [
+        (True, None, "need a pass/fail outcome"),
+        (False, True, "defined only when applicable"),
+        (False, False, "defined only when applicable"),
+    ],
+)
+def test_both_verdict_checks_fire_by_keyword(applicable, passed, message):
+    with pytest.raises(ValueError, match=message):
+        ConsistencyRecord(
+            predicate="p", subject="s", lhs=0, rhs=0, applicable=applicable, passed=passed
+        )

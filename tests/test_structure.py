@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquebound import graph6
-from cliquebound.counting import clique_weights
+from cliquebound.counting import clique_count, clique_weights
 from cliquebound.enumeration import generate
 from cliquebound.errors import InternalConsistencyError
-from cliquebound.fixed_loss import has_small_component
+from cliquebound.fixed_loss import fixed_loss_on_rows, has_small_component
 from cliquebound.graphs import (
     Graph,
     bits,
@@ -32,6 +32,7 @@ from cliquebound.structure import (
     derive,
     is_tight,
     outside_degree_check,
+    tight_classes,
     tight_cliques,
     tight_structures,
 )
@@ -307,6 +308,40 @@ def test_tight_cliques_are_the_subsets_of_closed_neighborhood_classes():
                 assert list(tight_cliques(g, r, 0)) == expected, (graph6.encode(g), r)
                 pairs += 1
     assert pairs == 50868
+
+
+def test_class_core_gives_i_R_and_phi_of_every_tight_clique():
+    """Within a class (K, X) the vertices of K - T are isolated in R, so
+    i(R) = 2^|K - T| k(G[X - K]) and phi(R) = phi(R(X - K)), counted once
+    per class.  Checked against the direct count on S for every tight
+    clique of every (graph, cap) pair of consistency_sweep(7, 6)."""
+    classes = structures = 0
+    for n in range(1, 8):
+        for g in generate(n, min(6, max(n - 1, 1))):
+            for r in range(max(1, g.max_degree()), min(6, n - 1) + 1):
+                cores = {}
+                for ts in tight_structures(g, r):
+                    assert ts.i_R == clique_count(g.adj, ts.S)
+                    assert ts.phi == fixed_loss_on_rows(g.adj, ts.S).phi
+                    assert cores.setdefault(ts.K, ts.core) is ts.core
+                    alone = derive(g, r, ts.T)  # a core of its own
+                    assert alone == ts and (alone.i_R, alone.phi) == (ts.i_R, ts.phi)
+                    structures += 1
+                assert sorted(cores) == sorted(k for k, _ in tight_classes(g, r))
+                classes += len(cores)
+    assert (classes, structures) == (2082, 3392)
+
+
+def test_structures_built_without_a_class_count_on_s():
+    """A structure given no class (K = 0) counts i(R) and phi(R) on all of
+    S, as does the empty clique of derive."""
+    g = complete(4)
+    ts = TightStructure(0b0001, 0b1110, g.adj, False)
+    assert (ts.i_R, ts.phi) == (8, 0) == (derive(g, 3, 0b0001).i_R, derive(g, 3, 0b0001).phi)
+    empty_clique = derive(cycle(4), 3, 0)
+    assert empty_clique.K == 0
+    assert empty_clique.i_R == clique_count(cycle(4).adj, 0b1111) == 9
+    assert empty_clique.phi == fixed_loss_on_rows(cycle(4).adj, 0b1111).phi
 
 
 def test_clusters_partition_exhaustive_small():

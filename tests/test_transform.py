@@ -272,14 +272,15 @@ class TestGainLowerBound:
 
 class TestProfitability:
     def test_cycle4_separates_the_two_readings(self):
-        p = fill_profitable(derive(cycle(4), 2, 0b0001))
+        ts = derive(cycle(4), 2, 0b0001)
+        p = fill_profitable(ts, gain_lower_bound(ts))
         assert p == Profitability(literal=True, corrected=False)
 
     def test_corrected_implies_positive_proven_gain(self):
         g = staging_graph()
         for t_mask in tight_cliques(g, 3):
             ts = derive(g, 3, t_mask)
-            assert fill_profitable(ts).corrected == (gain_lower_bound(ts) > 0)
+            assert fill_profitable(ts, gain_lower_bound(ts)).corrected == (gain_lower_bound(ts) > 0)
 
 
 class TestHillClimb:
