@@ -31,7 +31,18 @@ Refinement starts from the degree ranks, so every cell holds vertices of
 one degree, and it ranks vertices by an integer key that sorts like
 (colour, sorted neighbour colours); see ``_refine``.  It returns the number
 of cells with the colours, so no node counts them again, and a leaf's
-order is the inverse of its discrete colouring.
+order is the inverse of its discrete colouring.  The root of the search,
+``root_partition``, is the degree ranks refined once; a caller that needs
+it for its own test (the generator's deletion test) computes it and starts
+the search from it with ``labeling_from_root``.  Refinement and
+individualization only ever split a cell into cells that keep its place
+among the others, so every leaf order lists the vertices by increasing
+root colour.
+
+Leaves are compared by ``graph6.ordered_key``, the integer of their graph6
+bits.  For one vertex count every leaf has the same number of bits, so the
+integers order exactly like the strings, and the least leaf is the same;
+only its key is packed into text, once per labeling.
 
 A target cell whose members are all twins of its least vertex is
 individualized whole, in one step and with no refinement: member i gets
@@ -49,13 +60,20 @@ the same paths and the same automorphisms; only its refinements are gone.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .graph6 import _encode_ordered
+from .graph6 import ordered_key, pack
 from .graphs import Graph, bit_list
 
 
-def _refine(nbrs, colors: List[int], weight: List[int]) -> Tuple[List[int], int]:
+@lru_cache(maxsize=None)
+def _weights(n: int) -> Tuple[int, ...]:
+    """``_refine``'s weight of each colour for n vertices: n**(n-1-c)."""
+    return tuple(n ** (n - 1 - c) for c in range(n))
+
+
+def _refine(nbrs, colors: List[int], weight) -> Tuple[List[int], int]:
     """Equitable refinement: split cells by multisets of neighbor colors.
     Returns the refined colours and their number of cells.
 
@@ -95,7 +113,10 @@ def canonical_form_raw(n: int, rows) -> str:
     """As canonical_form, for a bare adjacency-row sequence that has not
     been wrapped (and re-validated) as a Graph.  ``canonical_labeling``
     also gives the vertex order and the automorphism generators."""
-    return _search(n, rows)[0]
+    if n <= 1:
+        return pack(n, 0)
+    nbrs = [bit_list(row) for row in rows]
+    return _search(rows, nbrs, *root_partition(nbrs))[0]
 
 
 def canonical_labeling(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
@@ -105,9 +126,33 @@ def canonical_labeling(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
     that generate the automorphism group: the ones the search records at
     equal leaves, and the transposition of each vertex with its least twin,
     which covers what twin pruning skips."""
-    form, order, autos = _search(n, rows)
+    if n <= 1:
+        return pack(n, 0), list(range(n)), []
+    nbrs = [bit_list(row) for row in rows]
+    return labeling_from_root(rows, nbrs, *root_partition(nbrs))
+
+
+def root_partition(nbrs) -> Tuple[List[int], int]:
+    """The root of the search for the graph on n >= 1 vertices whose
+    neighbour lists are ``nbrs``: its degree ranks refined to an equitable
+    colouring, and the number of cells.  The colouring is invariant (an
+    isomorphism maps it onto the other graph's), and every leaf's order
+    lists the vertices by increasing root colour."""
+    degree = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degree)))}
+    return _refine(nbrs, [rank[d] for d in degree], _weights(len(nbrs)))
+
+
+def labeling_from_root(
+    rows, nbrs, colors: List[int], count: int
+) -> Tuple[str, List[int], List[List[int]]]:
+    """``canonical_labeling`` of the graph on n >= 2 vertices with adjacency
+    ``rows`` and neighbour lists ``nbrs``, searched from its
+    ``root_partition``, ``colors`` with ``count`` cells."""
+    form, order, autos = _search(rows, nbrs, colors, count)
     # twins share open rows (non-adjacent) or closed rows (adjacent), and no
     # open row equals a closed one: open or closed row -> least vertex
+    n = len(rows)
     least = {}
     for v, row in enumerate(rows):
         for key in (row, row | 1 << v):
@@ -119,23 +164,20 @@ def canonical_labeling(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
     return form, order, autos
 
 
-def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
-    """The canonical form of the graph with adjacency ``rows``, the vertex
-    order of the least leaf, and the automorphisms the search recorded on
-    the way."""
-    if n <= 1:
-        return _encode_ordered(n, rows, list(range(n))), list(range(n)), []
-    adj = list(rows)
-    nbrs = [bit_list(row) for row in adj]
-    weight = [n ** (n - 1 - c) for c in range(n)]
-    degree = [row.bit_count() for row in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(degree)))}
-    colors, count = _refine(nbrs, [rank[d] for d in degree], weight)
+def _search(rows, nbrs, colors: List[int], count: int) -> Tuple[str, List[int], List[List[int]]]:
+    """The canonical form of the graph with adjacency ``rows`` and neighbour
+    lists ``nbrs``, searched from the root colouring ``colors`` with
+    ``count`` cells; the vertex order of the least leaf; and the
+    automorphisms the search recorded on the way.  Leaves are compared by
+    their ``ordered_key``, and only the least is packed into text."""
+    n = len(rows)
     if count == n:
         order = _inverse(colors)
-        return _encode_ordered(n, adj, order), order, []
+        return pack(n, ordered_key(nbrs, order)), order, []
+    adj = list(rows)
+    weight = _weights(n)
     path: List[int] = []  # the vertices individualized above the current node
-    first: List = []  # graph6, vertex order and path of the first leaf
+    first: List = []  # graph6 key, vertex order and path of the first leaf
     best: List = []  # the same for the least leaf so far
     autos: List[List[int]] = []  # automorphisms found, as vertex maps
 
@@ -145,17 +187,17 @@ def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
         stops at once."""
         if count == n:
             order = _inverse(colors)
-            enc = _encode_ordered(n, adj, order)
-            if not best or enc < best[0]:
-                best[:] = enc, order, path[:]
+            key = ordered_key(nbrs, order)
+            if not best or key < best[0]:
+                best[:] = key, order, path[:]
                 if not first:
                     first[:] = best
-            elif enc == best[0] or enc == first[0]:
+            elif key == best[0] or key == first[0]:
                 # The earlier leaf's order maps onto this one by an
                 # automorphism, which maps its path onto this path.  Below
                 # their first difference, this subtree mirrors one already
                 # searched: resume at the node where they part.
-                ref = first if enc == first[0] else best
+                ref = first if key == first[0] else best
                 gamma = [0] * n
                 for v, w in zip(ref[1], order):
                     gamma[v] = w
@@ -209,7 +251,7 @@ def _search(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
         return depth
 
     search(colors, count)
-    return best[0], best[1], autos
+    return pack(n, best[0]), best[1], autos
 
 
 def _inverse(colors: List[int]) -> List[int]:

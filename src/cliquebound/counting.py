@@ -84,9 +84,12 @@ def _count_into(adj, cand: int, required: int, optional: int, counts: List[int])
             best, pivot = d, u
     _count_into(adj, cand & adj[pivot], required, optional + 1, counts)
     rest = cand
-    for v in bits(cand & ~adj[pivot] & ~(1 << pivot)):
-        rest &= ~(1 << v)
-        _count_into(adj, rest & adj[v], required + 1, optional, counts)
+    m = cand & ~adj[pivot] & ~(1 << pivot)
+    while m:
+        low = m & -m
+        m ^= low
+        rest ^= low
+        _count_into(adj, rest & adj[low.bit_length() - 1], required + 1, optional, counts)
 
 
 def clique_vector(g: Graph) -> CliqueVector:

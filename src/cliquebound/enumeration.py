@@ -16,7 +16,13 @@ extend it through neighbourhoods in one orbit: every class is kept exactly
 once.  A class kept twice means generators were missed, and raises
 ``InternalConsistencyError``.
 
-A kept child's one ``canon.canonical_labeling`` call gives everything its
+Before a child is searched for its canonical order, its root partition
+(``canon.root_partition``) is computed once, on neighbour lists derived
+from its parent's, and the search starts from it.  A leaf order lists the vertices by increasing root
+colour, so w* has the least root colour among the candidates, and
+automorphisms keep root colours: a child whose new vertex has a larger
+root colour than some candidate is rejected with no search.  A kept
+child's one labeling (``canon.labeling_from_root``) gives everything its
 class needs as a parent: the child's rows and automorphism generators are
 relabeled through the canonical order and kept with the class, so no parent
 is searched again and no form is decoded.  Level representatives are the
@@ -49,11 +55,11 @@ from .bounds import (
     strong_inequalities,
     zykov_check,
 )
-from .canon import canonical_form, canonical_labeling
-from .counting import CliqueVector, clique_vector, independent_vector, weight_sums
+from .canon import canonical_form, labeling_from_root, root_partition
+from .counting import CliqueVector, clique_count, clique_vector, independent_vector, weight_sums
 from .errors import CapacityError, InternalConsistencyError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
-from .graphs import Graph, bits, complete, cycle, disjoint_union, extremal_graph
+from .graphs import Graph, bit_list, complete, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
 from .structure import clusters_among, outside_degree_check, tight_structures
 from .transform import fill_gain, fill_profitable, gain_lower_bound, k2_gain
@@ -102,6 +108,7 @@ def _child_canons(
             eligible |= 1 << v
         if d == top:
             crowded |= 1 << v
+    nbrs = [bit_list(row) for row in parent_rows]
     # the bit each generator sends each vertex's bit to
     images = [[1 << w for w in generators[i:i + m]] for i in range(0, len(generators), m)]
     seen: Set[int] = set()  # the neighbourhoods in orbits already tried
@@ -117,7 +124,7 @@ def _child_canons(
                 row | new_bit if (sub >> v) & 1 else row
                 for v, row in enumerate(parent_rows)
             ) + (sub,)
-            kept = _canonical_child_form(child)
+            kept = _canonical_child_form(child, nbrs)
             if kept is not None:
                 out.append(kept)
         if sub == 0:
@@ -135,23 +142,35 @@ def _mark_orbit(sub: int, images: List[List[int]], seen: Set[int]) -> None:
         s = todo.pop()
         for image in images:
             t = 0
-            for v in bits(s):
-                t |= image[v]
+            m = s
+            while m:
+                low = m & -m
+                t |= image[low.bit_length() - 1]
+                m ^= low
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
 
 
-def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[Tuple[str, Tuple[int, ...], bytes]]:
+def _canonical_child_form(
+    rows: Tuple[int, ...], parent_nbrs: List[List[int]]
+) -> Optional[Tuple[str, Tuple[int, ...], bytes]]:
     """The canonical form of ``rows``, its canonically relabeled rows and its
     packed automorphism generators, if its last vertex u is a canonical
-    deletion vertex; else None.
+    deletion vertex; else None.  ``parent_nbrs`` are the neighbour lists of
+    the parent, the graph without u.
 
     The candidates are the vertices of largest invariant (degree, sorted
     neighbour degrees); u must be one.  The canonical candidate w* is the
     one the canonical order places first, and u passes iff it lies in w*'s
     orbit.  Every class has such a vertex, and deleting it leaves a level
     representative's class, so the class is reached from that parent.
+
+    The search starts from the child's root partition, computed once, and
+    u is rejected with no search unless its root colour is the least among
+    the candidates'.  That is exact: a leaf order lists the vertices by
+    increasing root colour, so w* has the least one, and automorphisms keep
+    root colours, so a vertex of another colour is not in w*'s orbit.
     """
     u = len(rows) - 1
     deg = [row.bit_count() for row in rows]
@@ -164,16 +183,26 @@ def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[Tuple[str, Tuple[in
     for v, k in enumerate(deg):
         by_degree[k] |= 1 << v
     top = [-(rows[u] & mask).bit_count() for mask in by_degree]
-    tied = 1 << u
+    tied = [u]
     for w in range(u):
         if deg[w] == d:
             key = [-(rows[w] & mask).bit_count() for mask in by_degree]
             if key > top:
                 return None
             if key == top:
-                tied |= 1 << w
-    form, order, generators = canonical_labeling(u + 1, rows)
-    first = next(w for w in order if (tied >> w) & 1)
+                tied.append(w)
+    # the child's neighbour lists: u is the largest vertex, so appending it
+    # keeps each list sorted
+    new = bit_list(rows[u])
+    nbrs = parent_nbrs + [new]
+    for v in new:
+        nbrs[v] = nbrs[v] + [u]
+    colors, count = root_partition(nbrs)
+    least = min(colors[w] for w in tied)
+    if colors[u] != least:
+        return None
+    form, order, generators = labeling_from_root(rows, nbrs, colors, count)
+    first = next(w for w in order if colors[w] == least)
     if first != u:
         orbit: Set[int] = set()
         _mark_orbit(1 << u, [[1 << w for w in gamma] for gamma in generators], orbit)
@@ -184,17 +213,9 @@ def _canonical_child_form(rows: Tuple[int, ...]) -> Optional[Tuple[str, Tuple[in
     for i, v in enumerate(order):
         position[v] = i
     moved = [1 << i for i in position]  # the bit that vertex w's bit becomes
-    relabeled = []
-    for v in order:
-        row = rows[v]
-        new = 0
-        while row:
-            low = row & -row
-            new |= moved[low.bit_length() - 1]
-            row ^= low
-        relabeled.append(new)
+    relabeled = tuple([sum(map(moved.__getitem__, nbrs[v])) for v in order])
     packed = bytes(position[gamma[v]] for gamma in generators for v in order)
-    return form, tuple(relabeled), packed
+    return form, relabeled, packed
 
 
 def _expand_chunk(args) -> List[Tuple[str, Tuple[int, ...], bytes]]:
@@ -330,7 +351,7 @@ def verify_main(n: int, r: int, workers: int = 1) -> VerificationReport:
     max_k = 0
     extremal: List[str] = []
     for g in cls:
-        k = clique_vector(g).total
+        k = clique_count(g.adj, g.vertex_mask)
         if k > max_k:
             max_k = k
             extremal = [graph6.encode(g)]

@@ -114,7 +114,6 @@ def max_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> Consistenc
         rhs=ceiling,
         applicable=True,
         passed=breakdown.phi <= ceiling and breakdown.weighted_sum <= ceiling,
-        detail={"weighted_sum": breakdown.weighted_sum},
     )
 
 
@@ -139,5 +138,4 @@ def degree_one_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> Con
         rhs=bound,
         applicable=True,
         passed=breakdown.phi <= bound,
-        detail={"phi_L": breakdown.phi_L, "phi_rest": breakdown.phi_rest},
     )

@@ -3,39 +3,57 @@
 The format packs the upper triangle of the adjacency matrix, read column
 by column (bit (i, j) for i < j, columns in increasing j), into 6-bit
 chunks offset by 63.  One graph per line in all file interfaces.
+
+``ordered_key`` reads those bits, for any vertex order, as one integer,
+and ``pack`` is the one routine that turns such an integer into text.
+Canonical labeling compares its leaves by the integer and packs only the
+least one.
 """
 
 from __future__ import annotations
 
 from .errors import CapacityError, Graph6ParseError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, bit_list
 
 
 def encode(g: Graph) -> str:
-    return _encode_ordered(g.n, g.adj, range(g.n))
+    return pack(g.n, ordered_key([bit_list(row) for row in g.adj], range(g.n)))
 
 
-def _encode_ordered(n: int, adj, order) -> str:
-    """graph6 string of the graph relabeled so that order[k] becomes k."""
+def ordered_key(nbrs, order) -> int:
+    """The graph6 bits of the graph relabeled so that order[k] becomes k,
+    read as one integer with the first bit most significant; ``nbrs[v]``
+    lists the neighbours of v.
+
+    For one vertex count the bit string has one length, so these integers
+    order exactly like the graph6 strings that ``pack`` makes of them.
+    Vertex v stands for bit n - 1 - (its position) of a relabeled row, so
+    the column of position j, its bits for positions i < j with i = 0
+    first, is that row shifted right by n - j.
+    """
+    n = len(order)
+    top = 1 << n >> 1
+    shifted = [0] * n
+    for k, v in enumerate(order):
+        shifted[v] = top >> k
+    key = 0
+    for j in range(1, n):
+        key = key << j | sum(map(shifted.__getitem__, nbrs[order[j]])) >> n - j
+    return key
+
+
+def pack(n: int, key: int) -> str:
+    """The graph6 string of the n-vertex graph whose bits ``ordered_key``
+    gives: the size header, then the bits, zero-padded to whole 6-bit
+    chunks, each offset by 63."""
     if n <= 62:
         header = chr(n + 63)
     else:
         header = "~" + "".join(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
-    chunks = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = adj[order[j]]
-        for i in range(j):
-            acc = (acc << 1) | ((row >> order[i]) & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        chunks.append(chr((acc << (6 - nbits)) + 63))
-    return header + "".join(chunks)
+    length = n * (n - 1) // 2
+    pad = -length % 6
+    key <<= pad
+    return header + bytes([(key >> s & 0x3F) + 63 for s in range(length + pad - 6, -1, -6)]).decode()
 
 
 def decode(text: str) -> Graph:

@@ -69,9 +69,13 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"vertex {v} is self-adjacent")
         for v in range(n):
-            for u in bits(adj[v]):
+            row = adj[v]
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+                row ^= low
 
     # -- basic queries -------------------------------------------------
 

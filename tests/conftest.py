@@ -7,13 +7,6 @@ from cliquebound import canon, counting, enumeration, structure
 from cliquebound.graphs import from_edges
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "slow: takes more than 10 s; deselect with -m \"not slow\" for a quick loop",
-    )
-
-
 @pytest.fixture
 def clique_vector_calls(monkeypatch):
     """Every graph handed to ``clique_vector`` during the test, in call order.
@@ -45,14 +38,14 @@ def cold_labelings(monkeypatch):
     the test, of parents and children alike, starting from an empty class
     table."""
     calls = []
-    original = enumeration.canonical_labeling
+    original = enumeration.labeling_from_root
 
-    def counted(m, rows):
-        calls.append(m)
-        return original(m, rows)
+    def counted(rows, nbrs, colors, count):
+        calls.append(len(rows))
+        return original(rows, nbrs, colors, count)
 
     monkeypatch.setattr(enumeration, "_class_cache", {})
-    monkeypatch.setattr(enumeration, "canonical_labeling", counted)
+    monkeypatch.setattr(enumeration, "labeling_from_root", counted)
     return calls
 
 
@@ -71,16 +64,16 @@ def atlas_classes():
 
 @pytest.fixture
 def canon_leaves(monkeypatch):
-    """The vertex count of every search-tree leaf canonical labeling encodes
-    during the test, one entry per leaf."""
+    """The vertex count of every search-tree leaf canonical labeling reads
+    the graph6 key of during the test, one entry per leaf."""
     calls = []
-    original = canon._encode_ordered
+    original = canon.ordered_key
 
-    def counted(n, adj, order):
-        calls.append(n)
-        return original(n, adj, order)
+    def counted(nbrs, order):
+        calls.append(len(order))
+        return original(nbrs, order)
 
-    monkeypatch.setattr(canon, "_encode_ordered", counted)
+    monkeypatch.setattr(canon, "ordered_key", counted)
     return calls
 
 

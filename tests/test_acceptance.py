@@ -34,6 +34,7 @@ from cliquebound.counting import (
 )
 from cliquebound.enumeration import (
     _classes,
+    _level,
     consistency_sweep,
     generate_regular,
     verify_main,
@@ -93,6 +94,23 @@ def test_criterion_02_exhaustive_maximum():
     elapsed = time.monotonic() - t0
     assert elapsed < 15 * 60
     print(f"criterion 2 PASS: exhaustive maximum matches the bound for n<=9 ({elapsed:.0f}s)")
+
+
+@pytest.mark.slow
+def test_nine_vertex_level_digest():
+    """sha256 of one line "graph6 generators-hex" per class of the (9, 8)
+    level, in its order, reading the level criterion 2 built: 274,668
+    lines.  The value is the package's own output before the root-cell
+    rule, integer leaf keys and parent-derived neighbour lists, so any
+    change to a class, its order or its carried generators shows here."""
+    level = _level(9, 8)
+    digest = hashlib.sha256()
+    for g, packed in zip(level.graphs, level.generators):
+        digest.update(f"{graph6.encode(g)} {packed.hex()}\n".encode())
+    assert len(level.graphs) == 274668
+    assert digest.hexdigest() == (
+        "fc7861295c6b3712b80c3c5e2c11b40d1ca81d88d9b45b9f0e562edf523f553b"
+    )
 
 
 @pytest.mark.slow

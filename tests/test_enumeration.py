@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from cliquebound import enumeration, graph6, structure
-from cliquebound.canon import _join_orbits, _root, canonical_form
+from cliquebound.canon import _join_orbits, _root, canonical_form, canonical_labeling
 from cliquebound.counting import clique_vector
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
@@ -20,6 +20,7 @@ from cliquebound.enumeration import (
 from cliquebound.errors import CapacityError, InternalConsistencyError
 from cliquebound.graphs import (
     Graph,
+    bit_list,
     bits,
     complete,
     cycle,
@@ -43,6 +44,46 @@ def _networkx_orbits(nx, g):
         for v in range(g.n):
             orbits[v].add(iso[v])
     return orbits
+
+
+def _child_form(rows):
+    """``_canonical_child_form`` of ``rows``, given the neighbour lists of
+    its parent, the graph without its last vertex."""
+    u = len(rows) - 1
+    return enumeration._canonical_child_form(rows, [bit_list(row & ~(1 << u)) for row in rows[:u]])
+
+
+def _candidates(rows):
+    """The vertices of largest invariant (degree, sorted neighbour degrees)."""
+    deg = [row.bit_count() for row in rows]
+    top = max(deg)
+    invariant = {
+        v: sorted(map(deg.__getitem__, bits(row))) for v, row in enumerate(rows) if deg[v] == top
+    }
+    best = max(invariant.values())
+    return {v for v, neighbours in invariant.items() if neighbours == best}
+
+
+def _labeled_child_form(rows):
+    """The deletion test without the root-cell rule: the candidates of
+    largest (degree, sorted neighbour degrees), one full canonical
+    labeling, and the orbit test on the first candidate of the canonical
+    order; a kept child's rows and generators relabeled through it."""
+    n = len(rows)
+    u = n - 1
+    candidates = _candidates(rows)
+    if u not in candidates:
+        return None
+    form, order, gens = canonical_labeling(n, rows)
+    first = next(w for w in order if w in candidates)
+    orbit = list(range(n))
+    for gamma in gens:
+        _join_orbits(orbit, gamma)
+    if _root(orbit, first) != _root(orbit, u):
+        return None
+    position = {v: i for i, v in enumerate(order)}
+    relabeled = tuple(sum(1 << position[w] for w in bits(rows[v])) for v in order)
+    return form, relabeled, bytes(position[gamma[v]] for gamma in gens for v in order)
 
 
 class TestGenerate:
@@ -90,14 +131,15 @@ class TestGenerate:
         assert pooled == serial
 
     @pytest.mark.parametrize(
-        "n, r, classes, labelings", [(7, 6, 1044, 1299), (8, 4, 2590, 3703)]
+        "n, r, classes, labelings", [(7, 6, 1044, 1253), (8, 4, 2590, 3294)]
     )
     def test_deletion_test_labels_few_graphs(self, cold_labelings, n, r, classes, labelings):
         """Labeling every child took 11,290 canonical labelings for (7, 6)
         and 33,383 for (8, 4); one more per parent, for its generators, made
-        1,507 and 4,387.  Only the children that pass the degree test are
-        labeled, and each parent's generators come from the labeling that
-        made it."""
+        1,507 and 4,387, and labeling each child that passes the degree
+        test made 1,299 and 3,703.  Only the children whose new vertex is
+        also in the least root cell of the candidates are labeled, and each
+        parent's generators come from the labeling that made it."""
         assert len(enumeration._classes(n, r)) == classes
         assert len(cold_labelings) == labelings
 
@@ -107,26 +149,26 @@ class TestGenerate:
         every level from K1 took 4,563 labelings)."""
         for n in range(1, 8):
             list(generate(n, min(6, max(n - 1, 1))))
-        assert len(cold_labelings) == 1299
+        assert len(cold_labelings) == 1253
 
     def test_no_parent_is_searched_or_decoded(self, monkeypatch):
         """Every canonical labeling is of a child that passed the degree
-        test, and no level is decoded from graph6."""
+        and root-cell tests, and no level is decoded from graph6."""
         callers = Counter()
-        original = enumeration.canonical_labeling
+        original = enumeration.labeling_from_root
 
-        def counted(m, rows):
+        def counted(rows, nbrs, colors, count):
             callers[sys._getframe(1).f_code.co_name] += 1
-            return original(m, rows)
+            return original(rows, nbrs, colors, count)
 
         def no_decode(text):
             raise AssertionError(f"generation decoded {text}")
 
         monkeypatch.setattr(enumeration, "_class_cache", {})
-        monkeypatch.setattr(enumeration, "canonical_labeling", counted)
+        monkeypatch.setattr(enumeration, "labeling_from_root", counted)
         monkeypatch.setattr(graph6, "decode", no_decode)
         enumeration._classes(8, 4)
-        assert callers == {"_canonical_child_form": 3703}
+        assert callers == {"_canonical_child_form": 3294}
 
     def test_missing_parent_generators_repeat_a_class(self, monkeypatch):
         """Without its automorphisms a parent is extended by isomorphic
@@ -155,7 +197,7 @@ class TestGenerate:
             for u in range(n):
                 last = [v - (v > u) for v in range(n)]  # u last, the rest in order
                 last[u] = n - 1
-                kept = enumeration._canonical_child_form(g.relabel(last).adj)
+                kept = _child_form(g.relabel(last).adj)
                 if kept is not None:
                     form, rows, _ = kept
                     assert form == canonical_form(g) == graph6.encode(Graph(n, rows))
@@ -175,14 +217,15 @@ class TestGenerate:
         tried = []
         original = enumeration._canonical_child_form
 
-        def recorded(rows):
+        def recorded(rows, parent_nbrs):
             tried.append(rows[-1])
-            return original(rows)
+            return original(rows, parent_nbrs)
 
         monkeypatch.setattr(enumeration, "_canonical_child_form", recorded)
         skipped = 0
         for n in range(1, 7):
             for g in generate(n, n - 1):
+                nbrs = [bit_list(row) for row in g.adj]
                 for r in range(g.max_degree(), n + 1):
                     tried.clear()
                     enumeration._child_canons(g.adj, b"", r)
@@ -196,8 +239,45 @@ class TestGenerate:
                             child = tuple(
                                 row | (1 << n) if v in xs else row for v, row in enumerate(g.adj)
                             ) + (sub,)
-                            assert original(child) is None, (graph6.encode(g), r, xs)
+                            assert original(child, nbrs) is None, (graph6.encode(g), r, xs)
         assert skipped > 0
+
+    def test_root_cell_rejection_is_exact(self, monkeypatch):
+        """For every class on n <= 7 vertices and every neighbourhood of a
+        new vertex, the child's ``_canonical_child_form`` equals the full
+        labeling-and-orbit test's result.  A child depends only on its
+        neighbourhood, and every neighbourhood a cap r >= the class's
+        maximum degree allows is allowed at r = n, so this covers every cap
+        the class meets.  Among the children whose new vertex is a
+        candidate, some are rejected with no search: the full test rejects
+        each of those too."""
+        labeled = []
+        original = enumeration.labeling_from_root
+
+        def counted(rows, nbrs, colors, count):
+            labeled.append(rows)
+            return original(rows, nbrs, colors, count)
+
+        monkeypatch.setattr(enumeration, "labeling_from_root", counted)
+        unsearched = 0
+        for n in range(1, 8):
+            forms = set()
+            for g in generate(n, n - 1):
+                nbrs = [bit_list(row) for row in g.adj]
+                for sub in range(1 << n):
+                    child = tuple(
+                        row | (1 << n) if (sub >> v) & 1 else row for v, row in enumerate(g.adj)
+                    ) + (sub,)
+                    labeled.clear()
+                    got = enumeration._canonical_child_form(child, nbrs)
+                    assert got == _labeled_child_form(child), (graph6.encode(g), sub)
+                    if got is not None:
+                        forms.add(got[0])
+                    elif not labeled and n in _candidates(child):
+                        unsearched += 1
+            # every class on n + 1 vertices is kept from some child
+            assert len(forms) == [2, 4, 11, 34, 156, 1044, 12346][n - 1]
+        assert unsearched > 0
 
     def test_carried_generators_generate_the_automorphism_group(self):
         """Each class with n <= 7 carries maps that are automorphisms of its
@@ -243,26 +323,27 @@ class TestGenerate:
 
     def test_labeling_output_digest(self, monkeypatch):
         """sha256 of one repr((rows, form, order, generators)) line per
-        canonical labeling that a cold (8, 4) build makes: 3,703 lines.
-        The value is the package's own output before twin cells were
-        individualized in one step, so any change to a form, an order or a
-        generator list shows here."""
+        canonical labeling that a cold (8, 4) build makes: 3,294 lines.
+        They are the 3,703 lines of the package's output before the
+        root-cell rule (pinned as a1050e31...), restricted to the children
+        still labeled, so any change to a form, an order or a generator
+        list shows here."""
         digest = hashlib.sha256()
         lines = []
-        original = enumeration.canonical_labeling
+        original = enumeration.labeling_from_root
 
-        def hashed(m, rows):
-            out = original(m, rows)
+        def hashed(rows, nbrs, colors, count):
+            out = original(rows, nbrs, colors, count)
             digest.update(f"{(rows, *out)!r}\n".encode())
-            lines.append(m)
+            lines.append(len(rows))
             return out
 
         monkeypatch.setattr(enumeration, "_class_cache", {})
-        monkeypatch.setattr(enumeration, "canonical_labeling", hashed)
+        monkeypatch.setattr(enumeration, "labeling_from_root", hashed)
         enumeration._classes(8, 4)
-        assert len(lines) == 3703
+        assert len(lines) == 3294
         assert digest.hexdigest() == (
-            "a1050e31ff309d7e56c957869b6910cb49fcacba78af7391233f1871d54da371"
+            "eb20b74b2c0ca156578bb8d325a63ff8674adacce7dca3dadaddf858d5248757"
         )
 
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
