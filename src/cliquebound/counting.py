@@ -5,22 +5,37 @@ a graph or on bare adjacency rows restricted to a vertex mask.  Independent
 sets are counted on the graph itself, never on its complement: the graphs
 here have bounded degree, so their complements are dense, and the
 independence polynomial splits over connected components and branches on
-a vertex of maximum degree instead.  ``brute_force_clique_vector`` is an
-independent oracle that scans all 2^n subsets and is kept free of any
-shared logic with the pivoted path.  It is the only user of numpy, which
-it imports when called, so the rest of the package runs without it.
+a vertex of maximum degree instead.
+
+Both per-size counters carry a count vector (c_0, c_1, ...) as one Python
+int, the polynomial evaluated at x = 2^64 (Kronecker substitution):
+coefficient j sits in bits [64 j, 64 j + 64).  Every value the recursions
+build counts the cliques, or independent sets, of one induced subgraph on
+at most 64 vertices (``MAX_VERTICES``), so each coefficient is at most
+C(64, 32) < 2^64 and never carries into the next slot.  Adding two vectors
+is one integer add, multiplying by x one shift, and the product of two
+polynomials one integer multiply; the vector is unpacked once per call.
+
+``brute_force_clique_vector`` is an oracle that shares no logic with the
+pivoted path: it lists every clique as a subset mask, doubling the list
+vertex by vertex.  It is the only user of numpy, which it imports when
+called, so the rest of the package runs without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, List, Tuple
 
 from .errors import CapacityError
 from .graphs import Graph, bits, common_neighbors
 
 BRUTE_FORCE_MAX_VERTICES = 24
+
+# Bits per coefficient of a packed count vector; C(64, 32) < 2^64.
+_SLOT_BITS = 64
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_ONE_PLUS_X = 1 + (1 << _SLOT_BITS)
 
 
 @dataclass(frozen=True)
@@ -55,24 +70,27 @@ class CliqueVector:
         return len(self.counts) - 1
 
 
-def _normalize(counts: List[int]) -> CliqueVector:
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
+def _unpack(packed: int) -> CliqueVector:
+    """The clique vector whose coefficient j sits in slot j of ``packed``."""
+    counts = []
+    while packed:
+        counts.append(packed & _SLOT_MASK)
+        packed >>= _SLOT_BITS
     return CliqueVector(tuple(counts))
 
 
-def _count_into(adj, cand: int, required: int, optional: int, counts: List[int]) -> None:
-    """Add to ``counts[required + j]`` the number of j-cliques inside ``cand``.
+def _clique_poly(adj, cand: int) -> int:
+    """The packed clique polynomial of the subgraph induced on ``cand``.
 
-    Each node either folds the pivot in as an optional member (every clique
-    avoiding all of the pivot's non-neighbors extends into its neighborhood)
-    or commits one non-neighbor as required; the per-size totals fall out of
-    binomials over the optional vertices collected along each path.
+    The cliques avoiding every non-neighbor of the pivot p are those of
+    N(p), with and without p; the rest are counted at their first
+    non-neighbor u of p, as u plus a clique of N(u) inside the candidates
+    left after the earlier ones.  So P(cand) is (1 + x) P(cand & N(p)) plus
+    x P(rest & N(u)) per such u, and every term and partial sum counts
+    cliques of G[cand].
     """
-    if cand == 0:
-        for j in range(optional + 1):
-            counts[required + j] += comb(optional, j)
-        return
+    if cand & (cand - 1) == 0:
+        return _ONE_PLUS_X if cand else 1
     pivot, best = -1, -1
     m = cand
     while m:
@@ -82,27 +100,27 @@ def _count_into(adj, cand: int, required: int, optional: int, counts: List[int])
         d = (cand & adj[u]).bit_count()
         if d > best:
             best, pivot = d, u
-    _count_into(adj, cand & adj[pivot], required, optional + 1, counts)
+    inside = _clique_poly(adj, cand & adj[pivot])
+    total = inside + (inside << _SLOT_BITS)
     rest = cand
     m = cand & ~adj[pivot] & ~(1 << pivot)
     while m:
         low = m & -m
         m ^= low
         rest ^= low
-        _count_into(adj, rest & adj[low.bit_length() - 1], required + 1, optional, counts)
+        total += _clique_poly(adj, rest & adj[low.bit_length() - 1]) << _SLOT_BITS
+    return total
 
 
 def clique_vector(g: Graph) -> CliqueVector:
     """Per-size clique counts by pivoted recursion."""
-    counts = [0] * (g.n + 1)
-    _count_into(g.adj, g.vertex_mask, 0, 0, counts)
-    return _normalize(counts)
+    return _unpack(_clique_poly(g.adj, g.vertex_mask))
 
 
 def _count_total(adj, cand: int) -> int:
     """Number of cliques inside ``cand``, the empty one included.
 
-    ``_count_into``'s pivot split, counting totals only: the cliques
+    ``_clique_poly``'s pivot split, counting totals only: the cliques
     avoiding every non-neighbor of the pivot p are those of N(p), with and
     without p, and the rest are counted at their first non-neighbor of p.
     """
@@ -155,49 +173,47 @@ def cliques_meeting(rows, xs: int) -> int:
     return total
 
 
-def _poly_product(p: List[int], q: List[int]) -> List[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _independence_poly(adj, mask: int, memo) -> int:
+    """The packed independence polynomial of the subgraph induced on
+    ``mask``; ``memo`` maps vertex masks already done to their results.
 
-
-def _independence_poly(adj, mask: int, memo) -> List[int]:
-    """Coefficients of the independence polynomial of the subgraph induced
-    on ``mask``; ``memo`` maps vertex masks already done to their results,
-    which are never mutated.
-
-    A disconnected subgraph is the product of its component and the rest.
-    A connected one branches on a vertex v of maximum degree:
-    I(H) = I(H - v) + x I(H - N[v]).
+    A disconnected subgraph is the product of its component and the rest,
+    one integer multiply.  A connected one branches on a vertex v of
+    maximum degree: I(H) = I(H - v) + x I(H - N[v]).  Every intermediate
+    result is the independence polynomial of an induced subgraph.
     """
     if not mask:
-        return [1]
+        return 1
     done = memo.get(mask)
     if done is not None:
         return done
     component = frontier = mask & -mask
     while frontier:
         reached = 0
-        for u in bits(frontier):
-            reached |= adj[u]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached |= adj[low.bit_length() - 1]
         frontier = reached & mask & ~component
         component |= frontier
     if component != mask:
-        result = _poly_product(
-            _independence_poly(adj, component, memo),
-            _independence_poly(adj, mask ^ component, memo),
-        )
+        rest = _independence_poly(adj, mask ^ component, memo)
+        result = _independence_poly(adj, component, memo) * rest
     elif not mask & (mask - 1):
-        result = [1, 1]
+        result = _ONE_PLUS_X
     else:
-        v = max(bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        v, best = -1, -1
+        m = mask
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            d = (adj[u] & mask).bit_count()
+            if d > best:
+                best, v = d, u
         without = _independence_poly(adj, mask & ~(1 << v), memo)
         beside = _independence_poly(adj, mask & ~adj[v] & ~(1 << v), memo)
-        result = without + [0] * (len(beside) + 1 - len(without))
-        for i, c in enumerate(beside):
-            result[i + 1] += c
+        result = without + (beside << _SLOT_BITS)
     memo[mask] = result
     return result
 
@@ -205,7 +221,7 @@ def _independence_poly(adj, mask: int, memo) -> List[int]:
 def independent_vector(g: Graph) -> CliqueVector:
     """Per-size independent-set counts, from the independence polynomial of
     ``g`` itself.  Results are memoized by vertex mask within the call."""
-    return CliqueVector(tuple(_independence_poly(g.adj, g.vertex_mask, {})))
+    return _unpack(_independence_poly(g.adj, g.vertex_mask, {}))
 
 
 def clique_weight(g: Graph, c: int) -> int:
@@ -277,34 +293,23 @@ def cliques_of_size(g: Graph, t: int) -> Iterator[int]:
 
 
 def brute_force_clique_vector(g: Graph) -> CliqueVector:
-    """Oracle counter: test every one of the 2^n subsets for completeness.
+    """Oracle counter: list every clique as a subset mask, by doubling.
 
-    A subset fails iff some member has a non-neighbor among the others; the
-    test is vectorized over all subsets at once.  Capped at n <= 24.
+    Once the cliques inside {0, ..., v-1} are listed, those inside
+    {0, ..., v} are the same ones plus S + {v} for each listed S that lies
+    inside N(v): a subset is a clique iff it stays one without its top
+    vertex and that vertex sees the rest.  Each clique's size is doubled
+    alongside its mask.  Capped at n <= 24.
     """
     import numpy as np  # only the oracle needs numpy
 
     n = g.n
     if n > BRUTE_FORCE_MAX_VERTICES:
         raise CapacityError(f"brute force capped at n <= {BRUTE_FORCE_MAX_VERTICES}")
-    full = (1 << n) - 1
-    subsets = np.arange(1 << n, dtype=np.uint32)
-    is_clique = np.ones(1 << n, dtype=bool)
+    cliques = np.zeros(1, dtype=np.uint32)
+    sizes = np.zeros(1, dtype=np.uint8)
     for v in range(n):
-        non_neighbors = full & ~(g.adj[v] | (1 << v))
-        contains_v = (subsets >> np.uint32(v)) & np.uint32(1)
-        hits_non_neighbor = (subsets & np.uint32(non_neighbors)) != 0
-        is_clique &= ~((contains_v == 1) & hits_non_neighbor)
-    sizes = _popcounts(subsets[is_clique])
-    counts = np.bincount(sizes, minlength=1)
-    return _normalize([int(c) for c in counts])
-
-
-def _popcounts(values: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    v = values.copy()
-    v = v - ((v >> np.uint32(1)) & np.uint32(0x55555555))
-    v = (v & np.uint32(0x33333333)) + ((v >> np.uint32(2)) & np.uint32(0x33333333))
-    v = (v + (v >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    return ((v * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
+        inside = (cliques & np.uint32(((1 << v) - 1) & ~g.adj[v])) == 0
+        cliques = np.concatenate((cliques, cliques[inside] | np.uint32(1 << v)))
+        sizes = np.concatenate((sizes, sizes[inside] + np.uint8(1)))
+    return CliqueVector(tuple(int(c) for c in np.bincount(sizes)))

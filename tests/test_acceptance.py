@@ -115,7 +115,7 @@ def test_nine_vertex_level_digest():
 
 @pytest.mark.slow
 def test_criterion_03_oracle_equivalence():
-    """Pivoted counter equals the subset-scan oracle on 2^15 labeled n=6
+    """Pivoted counter equals the clique-listing oracle on 2^15 labeled n=6
     graphs and on 1000 seeded random n=20 graphs."""
     t0 = time.monotonic()
     pairs6 = list(combinations(range(6), 2))

@@ -1,5 +1,6 @@
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from cliquebound.counting import (
 from cliquebound.enumeration import generate
 from cliquebound.errors import CapacityError
 from cliquebound.graphs import (
+    MAX_VERTICES,
     complement,
     complete,
     cycle,
@@ -139,6 +141,44 @@ def test_weight_identity(g):
 @given(graphs)
 def test_complement_duality(g):
     assert independent_vector(g) == clique_vector(complement(g))
+
+
+@given(graphs)
+def test_independent_vector_equals_the_oracle_on_the_complement(g):
+    """Against the subset-listing oracle, which packs nothing, so a fault in
+    the packed layout shared by the two counters above cannot cancel out."""
+    assert independent_vector(g) == brute_force_clique_vector(complement(g))
+
+
+def test_independent_vector_equals_the_oracle_on_every_small_class(atlas_classes):
+    """Every class with n <= 7, taken from the networkx atlas, not from the
+    generator; n = 0 and n = 1 are covered by ``TestPackedSlots``."""
+    assert len(atlas_classes) == 1251
+    for g in atlas_classes:
+        assert independent_vector(g) == brute_force_clique_vector(complement(g))
+
+
+class TestPackedSlots:
+    """Each count vector is carried as one integer with 64 bits per size.
+    The largest coefficient that can occur is C(64, 32), in K64's clique
+    vector and in the edgeless graph's independent-set vector; a slot too
+    narrow for it carries into the next size."""
+
+    def test_binomial_row_on_64_vertices(self):
+        row = [comb(MAX_VERTICES, k) for k in range(MAX_VERTICES + 1)]
+        assert list(clique_vector(complete(MAX_VERTICES))) == row
+        assert list(independent_vector(empty(MAX_VERTICES))) == row
+
+    def test_one_slot_above_the_empty_set(self):
+        assert list(independent_vector(complete(MAX_VERTICES))) == [1, MAX_VERTICES]
+        assert list(clique_vector(empty(MAX_VERTICES))) == [1, MAX_VERTICES]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_at_most_one_vertex(self, n):
+        expected = [1] * (n + 1)
+        assert list(clique_vector(empty(n))) == expected
+        assert list(independent_vector(empty(n))) == expected
+        assert list(brute_force_clique_vector(empty(n))) == expected
 
 
 def test_agrees_with_the_complement_route(random_capped_graph):
