@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .counting import CliqueVector, clique_weight, clique_weights
 from .graphs import Graph
@@ -34,9 +34,13 @@ def decompose(n: int, r: int) -> Decomposition:
 
 
 def main_bound(n: int, r: int) -> int:
-    """a(2^(r+1) - 1) + 2^b: the total clique count of aK_{r+1} u K_b."""
-    d = decompose(n, r)
-    return d.a * ((1 << (r + 1)) - 1) + (1 << d.b)
+    """a(2^(r+1) - 1) + 2^b: the total clique count of aK_{r+1} u K_b, with
+    (a, b) = ``decompose(n, r)``.  The sweep asks once per (graph, cap), so
+    this divides directly rather than building a ``Decomposition``."""
+    if n < 0 or r < 0:
+        raise ValueError("main_bound needs nonnegative n and r")
+    a, b = divmod(n, r + 1)
+    return a * ((1 << (r + 1)) - 1) + (1 << b)
 
 
 def strong_inequalities(kvec: CliqueVector, r: int) -> List[ConsistencyRecord]:
@@ -171,35 +175,31 @@ def regular_independent_checks(
     return records
 
 
+@lru_cache(maxsize=None)
+def _bounded_clique_table(n: int, r: int) -> Tuple[Tuple[int, str, int], ...]:
+    """(t, subject, a C(r+1, t)) for t = 1..n, with n = a(r+1).  Memoized:
+    a sweep checks many graphs under few (n, r)."""
+    a = n // (r + 1)
+    return tuple((t, f"n={n},r={r},t={t}", a * comb(r + 1, t)) for t in range(1, n + 1))
+
+
 def bounded_clique_checks(g: Graph, r: int, kvec: CliqueVector) -> List[ConsistencyRecord]:
     """Per-size upper bounds k_t(G) <= a C(r+1, t) plus the total k(G) <=
     main_bound(n, r), for max degree <= r and (r+1) | n; ``kvec`` counts g."""
-    if g.max_degree() > r or g.n % (r + 1) != 0:
-        return [not_applicable("bounded_clique_upper", f"n={g.n},r={r}")]
-    a = g.n // (r + 1)
-    total_rhs = main_bound(g.n, r)
+    n = g.n
+    if g.max_degree() > r or n % (r + 1) != 0:
+        return [not_applicable("bounded_clique_upper", f"n={n},r={r}")]
+    total, total_rhs = kvec.total, main_bound(n, r)
     records = [
         ConsistencyRecord(
-            predicate="bounded_clique_upper",
-            subject=f"n={g.n},r={r},total",
-            lhs=kvec.total,
-            rhs=total_rhs,
-            applicable=True,
-            passed=kvec.total <= total_rhs,
+            "bounded_clique_upper", f"n={n},r={r},total", total, total_rhs, True,
+            total <= total_rhs,
         )
     ]
-    for t in range(1, g.n + 1):
-        rhs = a * comb(r + 1, t)
-        records.append(
-            ConsistencyRecord(
-                predicate="bounded_clique_upper",
-                subject=f"n={g.n},r={r},t={t}",
-                lhs=kvec[t],
-                rhs=rhs,
-                applicable=True,
-                passed=kvec[t] <= rhs,
-            )
-        )
+    counts = kvec.counts + (0,) * (n + 1 - len(kvec.counts))
+    for t, subject, rhs in _bounded_clique_table(n, r):
+        k = counts[t]
+        records.append(ConsistencyRecord("bounded_clique_upper", subject, k, rhs, True, k <= rhs))
     return records
 
 

@@ -397,8 +397,11 @@ class SweepReport:
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
-def _tally(tallies: Dict[str, List[int]], failures: List[dict], g6: str,
+def _tally(tallies: Dict[str, List[int]], failures: List[dict],
            records: Sequence[ConsistencyRecord]) -> None:
+    """Add ``records`` to the per-predicate tallies and append a failure
+    dict for each failed one.  Its graph6 witness is left as None for the
+    caller to fill in, so a graph is encoded only if something fails on it."""
     for rec in records:
         slot = tallies.setdefault(rec.predicate, [0, 0, 0])
         if rec.applicable:
@@ -410,7 +413,7 @@ def _tally(tallies: Dict[str, List[int]], failures: List[dict], g6: str,
                 failures.append(
                     {
                         "predicate": rec.predicate,
-                        "graph6": g6,
+                        "graph6": None,
                         "subject": rec.subject,
                         "lhs": rec.lhs,
                         "rhs": rec.rhs,
@@ -449,8 +452,16 @@ def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     return records
 
 
-def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecord]:
-    """Checks for one graph, with clique vector ``kv``, under one cap r >= max degree."""
+def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[ConsistencyRecord]:
+    """Checks for one graph, with clique vector ``kv`` and maximum degree
+    ``top``, under one cap r >= top.
+
+    A tight clique's members have degree r, so a cap above the maximum
+    degree admits no tight clique: there the tight-clique pass (the per-T
+    and cluster records) is skipped, the discharging check sees no tight
+    clique and is not applicable, and only the predicates that read the
+    clique vector are evaluated.  The records carry no graph6 witness:
+    ``_sweep_chunk`` encodes a graph only if one of its records fails."""
     records: List[ConsistencyRecord] = []
     k_total = kv.total
 
@@ -462,57 +473,60 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecor
     )
     records.extend(rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable)
 
-    tights = tight_structures(g, r)
-    fill_gains = {}
-    # every T of a class fills T u S = X into the same graph: one count per X
-    class_gains = {}
-    for ts in tights:
-        subject = f"r={r},T={ts.T:#x}"
-        records.append(outside_degree_check(g, ts))
-        x = ts.T | ts.S
-        if x not in class_gains:
-            class_gains[x] = fill_gain(g.adj, ts)
-        gain = fill_gains[ts.T] = class_gains[x]
-        k_after = k_total + gain
-        lower = gain_lower_bound(ts)
-        records.append(
-            ConsistencyRecord(
-                "fill_gain_lower_bound",
-                subject,
-                k_total + lower,
-                k_after,
-                True,
-                k_after >= k_total + lower,
-            )
-        )
-        profitable = fill_profitable(ts, lower)
-        if profitable.literal:
-            records.append(
-                ConsistencyRecord("fill_threshold_literal", subject, gain, 1, True, gain > 0)
-            )
-        if profitable.corrected:
-            records.append(
-                ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
-            )
-        if ts.t >= 2 and ts.k2_components:
-            k2_after = k_total + k2_gain(g.adj, ts)
+    fill_gains: Dict[int, int] = {}
+    if r == top:
+        tights = tight_structures(g, r)
+        # every T of a class fills T u S = X into the same graph: one count per X
+        class_gains = {}
+        for ts in tights:
+            subject = f"r={r},T={ts.T:#x}"
+            records.append(outside_degree_check(g, ts))
+            x = ts.T | ts.S
+            if x not in class_gains:
+                class_gains[x] = fill_gain(g.adj, ts)
+            gain = fill_gains[ts.T] = class_gains[x]
+            k_after = k_total + gain
+            lower = gain_lower_bound(ts)
             records.append(
                 ConsistencyRecord(
-                    "k2_move_gain", subject, k2_after, k_total, True, k2_after > k_total
+                    "fill_gain_lower_bound",
+                    subject,
+                    k_total + lower,
+                    k_after,
+                    True,
+                    k_after >= k_total + lower,
                 )
             )
+            profitable = fill_profitable(ts, lower)
+            if profitable.literal:
+                records.append(
+                    ConsistencyRecord("fill_threshold_literal", subject, gain, 1, True, gain > 0)
+                )
+            if profitable.corrected:
+                records.append(
+                    ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
+                )
+            if ts.t >= 2 and ts.k2_components:
+                k2_after = k_total + k2_gain(g.adj, ts)
+                records.append(
+                    ConsistencyRecord(
+                        "k2_move_gain", subject, k2_after, k_total, True, k2_after > k_total
+                    )
+                )
 
-    for cluster in clusters_among(g, r, tights):
-        gain = fill_gains[cluster.T]
-        rec = cluster_loss_check(cluster, gain)
-        if rec.applicable and cluster.t == 1:
-            rec = ConsistencyRecord(
-                "cluster_large_loss_size1", rec.subject, rec.lhs, rec.rhs,
-                True, rec.passed, rec.detail,
-            )
-        records.append(rec)
-        for c in range(2, cluster.t + 1):
-            records.append(associated_low_weight_check(g, cluster, c, gain))
+        for cluster in clusters_among(g, r, tights):
+            gain = fill_gains[cluster.T]
+            rec = cluster_loss_check(cluster, gain)
+            if rec.applicable and cluster.t == 1:
+                rec = ConsistencyRecord(
+                    "cluster_large_loss_size1", rec.subject, rec.lhs, rec.rhs,
+                    True, rec.passed, rec.detail,
+                )
+            records.append(rec)
+            for c in range(2, cluster.t + 1):
+                records.append(associated_low_weight_check(g, cluster, c, gain))
+    else:
+        tights = []  # no vertex has degree r
 
     records.append(discharging_check(g, r, tights, fill_gains))
 
@@ -547,11 +561,16 @@ def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
     tallies: Dict[str, List[int]] = {}
     failures: List[dict] = []
     for g in graphs:
-        g6 = graph6.encode(g)
         kv = clique_vector(g)
-        _tally(tallies, failures, g6, _graph_records(g, kv))
-        for r in range(max(1, g.max_degree()), min(r_max, g.n - 1) + 1):
-            _tally(tallies, failures, g6, _capped_records(g, r, kv))
+        top = g.max_degree()
+        first = len(failures)
+        _tally(tallies, failures, _graph_records(g, kv))
+        for r in range(max(1, top), min(r_max, g.n - 1) + 1):
+            _tally(tallies, failures, _capped_records(g, r, kv, top))
+        if len(failures) > first:
+            g6 = graph6.encode(g)
+            for failure in failures[first:]:
+                failure["graph6"] = g6
     return tallies, failures
 
 

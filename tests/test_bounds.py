@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,17 @@ class TestMainBound:
         for n in range(1, 15):
             for r in range(1, 8):
                 assert main_bound(n, r) == clique_vector(extremal_graph(n, r)).total
+
+    def test_agrees_with_decompose(self):
+        for n in range(0, 40):
+            for r in range(0, 11):
+                d = decompose(n, r)
+                assert main_bound(n, r) == d.a * ((1 << (r + 1)) - 1) + (1 << d.b)
+
+    @pytest.mark.parametrize("n, r", [(-1, 3), (4, -1)])
+    def test_negative_arguments_rejected(self, n, r):
+        with pytest.raises(ValueError):
+            main_bound(n, r)
 
 
 class TestStrongInequalities:
@@ -139,8 +151,19 @@ class TestPerSizeSignposts:
         assert recs and all(rec.passed for rec in recs if rec.applicable)
 
     def test_bounded_clique_per_size(self):
-        recs = bounded_clique_checks(turan(8, 4), 3, clique_vector(turan(8, 4)))
-        assert recs and all(rec.passed for rec in recs if rec.applicable)
+        # T(8, 4) is 6-regular, so the cap 7 is the one with (r+1) | n it meets
+        recs = bounded_clique_checks(turan(8, 4), 7, clique_vector(turan(8, 4)))
+        assert recs and all(rec.applicable and rec.passed for rec in recs)
+
+    def test_bounded_clique_records(self):
+        g = disjoint_union(complete(4), cycle(4))  # max degree 3, and 4 | 8
+        kv = clique_vector(g)
+        recs = bounded_clique_checks(g, 3, kv)
+        assert all(rec.predicate == "bounded_clique_upper" and rec.applicable for rec in recs)
+        assert [(rec.subject, rec.lhs, rec.rhs) for rec in recs] == [
+            ("n=8,r=3,total", kv.total, main_bound(8, 3))
+        ] + [(f"n=8,r=3,t={t}", kv[t], 2 * comb(4, t)) for t in range(1, 9)]
+        assert [rec.passed for rec in recs] == [rec.lhs <= rec.rhs for rec in recs]
 
     def test_divisibility_gate(self):
         recs = bounded_clique_checks(cycle(5), 3, clique_vector(cycle(5)))

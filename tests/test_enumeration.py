@@ -7,6 +7,14 @@ from itertools import combinations
 import pytest
 
 from cliquebound import enumeration, graph6, structure
+from cliquebound.bounds import (
+    bounded_clique_checks,
+    cluster_loss_check,
+    discharging_check,
+    main_bound,
+    strong_chain_bound,
+    strong_inequalities,
+)
 from cliquebound.canon import _join_orbits, _root, canonical_form, canonical_labeling
 from cliquebound.counting import clique_vector
 from cliquebound.enumeration import (
@@ -29,6 +37,7 @@ from cliquebound.graphs import (
     from_edges,
     path,
 )
+from cliquebound.records import ConsistencyRecord
 
 # the package exports the function ``fixed_loss`` under the module's name
 fixed_loss_module = importlib.import_module("cliquebound.fixed_loss")
@@ -434,6 +443,34 @@ class TestVerifyMain:
         assert rep.graph_count == 150
 
 
+def _per_cap_records(g, r, kv):
+    """The predicates the sweep evaluates under cap r, through the public
+    checks and at every cap: one record per tight clique (its outside-degree
+    check) and per cluster (its loss check), so a tight clique that the
+    sweep skipped would show as a record it lacks."""
+    n, total = g.n, kv.total
+    bound = main_bound(n, r)
+    records = [ConsistencyRecord("extremal_bound", f"n={n},r={r}", total, bound, True, total <= bound)]
+    records += [rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable]
+    tights = structure.tight_structures(g, r)
+    records += [structure.outside_degree_check(g, ts) for ts in tights]
+    records += [cluster_loss_check(cl, 0) for cl in structure.clusters(g, r)]
+    records.append(discharging_check(g, r, tights, {}))
+    if r >= 2 and not any(ts.t >= 2 for ts in tights):
+        strong = strong_inequalities(kv, r)
+        records.append(ConsistencyRecord(
+            "strong_from_no_tight", f"n={n},r={r}", sum(rec.lhs for rec in strong),
+            sum(rec.rhs for rec in strong), True, all(rec.passed for rec in strong),
+        ))
+        chain = strong_chain_bound(n, r)
+        lhs = total * chain.denominator
+        records.append(ConsistencyRecord(
+            "chain_bound_no_tight", f"n={n},r={r}", lhs, chain.numerator, True,
+            lhs <= chain.numerator,
+        ))
+    return records
+
+
 class TestConsistencySweep:
     def test_core_predicates_clean_small(self):
         rep = consistency_sweep(6, 5)
@@ -515,6 +552,58 @@ class TestConsistencySweep:
         for failure in rep.failures:
             g = graph6.decode(failure["graph6"])  # must parse
             assert g.n <= 5
+
+    def test_caps_above_max_degree_admit_no_tight_clique(self):
+        """A tight clique's members have degree r, so under a cap above the
+        maximum degree there is none, and the sweep's reduced pass tallies
+        exactly what every per-cap predicate, evaluated directly, gives."""
+        pairs = 0
+        for n in range(1, 8):
+            for g in generate(n, min(6, max(n - 1, 1))):
+                kv = clique_vector(g)
+                top = g.max_degree()
+                for r in range(top + 1, 7):
+                    assert structure.tight_classes(g, r) == []
+                    assert structure.clusters(g, r) == []
+                    assert not discharging_check(g, r, [], {}).applicable
+                    swept = ({}, [])
+                    enumeration._tally(*swept, enumeration._capped_records(g, r, kv, top))
+                    direct = ({}, [])
+                    enumeration._tally(*direct, _per_cap_records(g, r, kv))
+                    assert swept == direct
+                    pairs += 1
+        assert pairs == 2132  # 1,843 of them have r <= n - 1 and are swept
+
+    def test_witnesses_encoded_only_for_failing_graphs(self, monkeypatch):
+        calls = []
+
+        class CountingGraph6:
+            @staticmethod
+            def encode(g):
+                calls.append(g)
+                return graph6.encode(g)
+
+        monkeypatch.setattr(enumeration, "graph6", CountingGraph6)
+        rep = consistency_sweep(7, 6)
+        witnesses = {f["graph6"] for f in rep.failures}
+        assert len(calls) == len(witnesses) == 65
+        for g6 in witnesses:
+            g = graph6.decode(g6)
+            level = generate(g.n, min(6, max(g.n - 1, 1)))
+            assert g.adj in {c.adj for c in level}
+        for failure in rep.failures:
+            g = graph6.decode(failure["graph6"])
+            kv = clique_vector(g)
+            top = g.max_degree()
+            records = enumeration._graph_records(g, kv)
+            for r in range(max(1, top), min(6, g.n - 1) + 1):
+                records += enumeration._capped_records(g, r, kv, top)
+            assert any(
+                rec.failed
+                and (rec.predicate, rec.subject, rec.lhs, rec.rhs)
+                == tuple(failure[key] for key in ("predicate", "subject", "lhs", "rhs"))
+                for rec in records
+            )
 
     def test_report_digest(self):
         """sha256 of ``consistency_sweep(7, 6).to_json()``, the package's own
