@@ -15,10 +15,8 @@ from .counting import (
     brute_force_clique_vector,
     clique_count,
     clique_vector,
-    clique_weight,
     clique_weights,
     cliques_meeting,
-    cliques_of_size,
     independent_vector,
     weight_sums,
 )
@@ -57,7 +55,6 @@ from .structure import (
     associated_cliques,
     clusters,
     derive,
-    is_tight,
     tight_cliques,
     tight_structures,
 )

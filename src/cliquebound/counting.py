@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .errors import CapacityError
-from .graphs import Graph, bits, common_neighbors
+from .graphs import Graph, bits
 
 BRUTE_FORCE_MAX_VERTICES = 24
 
@@ -224,17 +224,6 @@ def independent_vector(g: Graph) -> CliqueVector:
     return _unpack(_independence_poly(g.adj, g.vertex_mask, {}))
 
 
-def clique_weight(g: Graph, c: int) -> int:
-    """Number of common neighbors of the clique ``c``.
-
-    Equals the number of (|c|+1)-cliques containing ``c``; the empty clique
-    has weight n.
-    """
-    if not g.is_clique(c):
-        raise ValueError("weight is defined only for cliques")
-    return common_neighbors(g, c).bit_count()
-
-
 def clique_weights(g: Graph) -> Iterator[Tuple[int, int, int]]:
     """Yield (mask, size, weight) for every clique of ``g``, empty set included.
 
@@ -283,13 +272,6 @@ def weight_sums(g: Graph) -> List[int]:
             if allowed & row:
                 stack.append((allowed & row, size, common & row))
     return sums[: top + 1]
-
-
-def cliques_of_size(g: Graph, t: int) -> Iterator[int]:
-    """All t-cliques as bit masks, in increasing numeric mask order."""
-    if not 0 <= t <= g.n:
-        raise ValueError("clique size out of range")
-    return iter(sorted(mask for mask, size, _ in clique_weights(g) if size == t))
 
 
 def brute_force_clique_vector(g: Graph) -> CliqueVector:

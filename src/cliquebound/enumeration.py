@@ -520,7 +520,7 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[Consis
             if rec.applicable and cluster.t == 1:
                 rec = ConsistencyRecord(
                     "cluster_large_loss_size1", rec.subject, rec.lhs, rec.rhs,
-                    True, rec.passed, rec.detail,
+                    True, rec.passed,
                 )
             records.append(rec)
             for c in range(2, cluster.t + 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, connected_components
+from .graphs import Graph, bits
 from .records import ConsistencyRecord, not_applicable
 
 
@@ -118,8 +118,13 @@ def max_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> Consistenc
 
 
 def has_small_component(r_graph: Graph) -> bool:
-    """True if R has a K_1 or K_2 component."""
-    return any(comp.bit_count() <= 2 for comp in connected_components(r_graph))
+    """True if R has a K_1 or K_2 component, read off the rows: an empty
+    row, or a single neighbor whose own row is just that vertex."""
+    adj = r_graph.adj
+    return any(
+        not row or (not row & (row - 1) and adj[row.bit_length() - 1] == 1 << v)
+        for v, row in enumerate(adj)
+    )
 
 
 def degree_one_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> ConsistencyRecord:

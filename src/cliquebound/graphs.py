@@ -98,9 +98,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def closed_neighborhood(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         for v in range(self.n):
             for u in bits(self.adj[v] & ((1 << v) - 1)):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -24,7 +24,6 @@ class ConsistencyRecord:
     rhs: int
     applicable: bool
     passed: Optional[bool]
-    detail: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.applicable and self.passed is None:
@@ -37,5 +36,5 @@ class ConsistencyRecord:
         return self.applicable and not self.passed
 
 
-def not_applicable(predicate: str, subject: str, **detail) -> ConsistencyRecord:
-    return ConsistencyRecord(predicate, subject, 0, 0, False, None, detail)
+def not_applicable(predicate: str, subject: str) -> ConsistencyRecord:
+    return ConsistencyRecord(predicate, subject, 0, 0, False, None)

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .counting import clique_count, cliques_of_size
+from .counting import clique_count
 from .errors import InternalConsistencyError
 from .fixed_loss import fixed_loss_on_rows
 from .graphs import Graph, bits, common_neighbors, mask_of
@@ -132,18 +133,6 @@ class TightStructure:
         return bool(self.k2_components) or any(self.r_degree(x) == 0 for x in bits(self.S))
 
 
-def is_tight(g: Graph, r: int, c: int) -> bool:
-    """Whether clique ``c`` meets the weight ceiling r+1-|c|.
-
-    The empty clique has weight n, so it is tight exactly when n = r+1.
-    """
-    if g.max_degree() > r:
-        raise ValueError("tightness needs the degree cap to hold")
-    if not g.is_clique(c):
-        raise ValueError("tightness is defined only for cliques")
-    return common_neighbors(g, c).bit_count() == r + 1 - c.bit_count()
-
-
 def tight_classes(g: Graph, r: int) -> List[Tuple[int, int]]:
     """The classes (K, X) with K = {v : deg v = r, N[v] = X} nonempty, in
     order of least member of K.  Each X has r + 1 vertices and contains K.
@@ -198,15 +187,18 @@ def tight_structures(g: Graph, r: int) -> List[TightStructure]:
 
 
 def derive(g: Graph, r: int, tight: int) -> TightStructure:
-    """S and cluster status for one tight clique, checked to be one."""
-    if not is_tight(g, r, tight):
-        raise ValueError("derive requires a tight clique")
-    if not tight:
-        # the empty clique (n = r + 1) is maximal iff no vertex is tight
-        return TightStructure(0, g.vertex_mask, g.adj, not tight_classes(g, r))
-    x = g.closed_neighborhood((tight & -tight).bit_length() - 1)
-    k = mask_of(v for v in bits(x) if g.closed_neighborhood(v) == x)
-    return class_structure(g.adj, k, x, tight, ClassCore(g.adj, x & ~k))
+    """S and cluster status for one tight clique, looked up among the
+    classes: a nonempty T is tight exactly when it lies inside a class's K,
+    and the empty clique, of weight n, exactly when n = r + 1.  Any other
+    set raises ValueError."""
+    classes = tight_classes(g, r)
+    if not tight and g.n == r + 1:
+        # the empty clique is maximal iff no vertex is tight
+        return TightStructure(0, g.vertex_mask, g.adj, not classes)
+    for k, x in classes:
+        if tight and not tight & ~k:
+            return class_structure(g.adj, k, x, tight, ClassCore(g.adj, x & ~k))
+    raise ValueError("derive requires a tight clique")
 
 
 def clusters(g: Graph, r: int) -> List[TightStructure]:
@@ -248,12 +240,16 @@ def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[Tight
 
 
 def associated_cliques(g: Graph, cluster: int, c: int) -> Iterator[int]:
-    """c-cliques meeting the cluster in exactly c-1 vertices."""
+    """c-cliques meeting the cluster in exactly c-1 vertices, in increasing
+    mask order: each (c-1)-subset A of the cluster, a clique, plus each
+    common neighbor of A outside the cluster."""
     if c < 2:
         raise ValueError("association is defined for cliques of size >= 2")
-    for mask in cliques_of_size(g, c):
-        if (mask & cluster).bit_count() == c - 1:
-            yield mask
+    found = []
+    for chosen in combinations(bits(cluster), c - 1):
+        a = mask_of(chosen)
+        found.extend(a | (1 << v) for v in bits(common_neighbors(g, a) & ~cluster))
+    yield from sorted(found)
 
 
 def outside_degree_check(g: Graph, ts: TightStructure) -> ConsistencyRecord:

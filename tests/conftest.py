@@ -78,16 +78,17 @@ def canon_leaves(monkeypatch):
 
 
 @pytest.fixture
-def is_tight_calls(monkeypatch):
-    """The arguments of every ``is_tight`` call made during the test."""
+def derive_calls(monkeypatch):
+    """The arguments of every ``structure.derive`` call made during the
+    test, the one lookup of a single clique's tightness."""
     calls = []
-    original = structure.is_tight
+    original = structure.derive
 
-    def counted(g, r, c):
-        calls.append((g, r, c))
-        return original(g, r, c)
+    def counted(g, r, tight):
+        calls.append((g, r, tight))
+        return original(g, r, tight)
 
-    monkeypatch.setattr(structure, "is_tight", counted)
+    monkeypatch.setattr(structure, "derive", counted)
     return calls
 
 

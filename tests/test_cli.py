@@ -360,6 +360,11 @@ class TestTransform:
         )
         assert code == EXIT_USAGE
 
+    def test_non_clique_move_is_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))  # C_4; 0 and 2 are not adjacent
+        assert main(["transform", "-r", "2", "--move", "0,2"]) == EXIT_USAGE
+        assert "derive requires a tight clique" in capsys.readouterr().err
+
     def test_degree_over_cap_is_usage_error(self, capsys, monkeypatch):
         code, _ = run(
             ["transform", "-r", "2", "--greedy"],

@@ -11,10 +11,8 @@ from cliquebound.counting import (
     brute_force_clique_vector,
     clique_count,
     clique_vector,
-    clique_weight,
     clique_weights,
     cliques_meeting,
-    cliques_of_size,
     independent_vector,
     weight_sums,
 )
@@ -22,6 +20,7 @@ from cliquebound.enumeration import generate
 from cliquebound.errors import CapacityError
 from cliquebound.graphs import (
     MAX_VERTICES,
+    common_neighbors,
     complement,
     complete,
     cycle,
@@ -92,26 +91,23 @@ class TestKnownValues:
 
 class TestWeights:
     def test_empty_clique_weight_is_vertex_count(self):
-        assert clique_weight(cycle(5), 0) == 5
+        assert next(clique_weights(cycle(5))) == (0, 0, 5)
 
     def test_weight_counts_extensions(self):
-        g = complete(4)
-        assert clique_weight(g, mask_of([0, 1])) == 2
+        weights = {mask: weight for mask, _, weight in clique_weights(complete(4))}
+        assert weights[mask_of([0, 1])] == 2
 
     def test_non_clique_rejected(self):
-        with pytest.raises(ValueError):
-            clique_weight(path(3), mask_of([0, 2]))
+        # weights are defined only for cliques: the walk never reaches {0, 2}
+        masks = sorted(mask for mask, _, _ in clique_weights(path(3)))
+        assert masks == [0, 0b001, 0b010, 0b011, 0b100, 0b110]
 
     def test_stream_matches_pointwise_recomputation(self):
         g = disjoint_union(cycle(4), complete(3))
         for mask, size, weight in clique_weights(g):
             assert mask.bit_count() == size
-            assert clique_weight(g, mask) == weight
-
-    def test_cliques_of_size_sorted_by_mask(self):
-        masks = list(cliques_of_size(cycle(4), 2))
-        assert masks == sorted(masks)
-        assert len(masks) == 4
+            assert g.is_clique(mask)
+            assert common_neighbors(g, mask).bit_count() == weight
 
 
 class TestBruteForceOracle:

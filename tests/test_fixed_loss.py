@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquebound.enumeration import generate
 from cliquebound.fixed_loss import (
     FixedLossBreakdown,
     complete_graph_fixed_loss,
@@ -15,6 +16,7 @@ from cliquebound.graphs import (
     Graph,
     bits,
     complete,
+    connected_components,
     cycle,
     disjoint_union,
     empty,
@@ -138,4 +140,23 @@ class TestHasSmallComponent:
         ],
     )
     def test_cases(self, g, expected):
+        assert has_small_component(g) is expected
+
+    def test_row_rule_matches_the_components_on_every_small_class(self):
+        """An empty row is a K_1 component and a lone neighbor whose row is
+        just the vertex closes a K_2 component: the rule equals the
+        component definition on every class with 1 <= n <= 7."""
+        graphs_seen = small = 0
+        for n in range(1, 8):
+            for g in generate(n, n - 1):
+                expected = any(comp.bit_count() <= 2 for comp in connected_components(g))
+                assert has_small_component(g) is expected
+                graphs_seen += 1
+                small += expected
+        assert (graphs_seen, small) == (1252, 243)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs)
+    def test_row_rule_matches_the_components(self, g):
+        expected = any(comp.bit_count() <= 2 for comp in connected_components(g))
         assert has_small_component(g) is expected

@@ -84,6 +84,29 @@ def test_no_internal_import_inside_a_function(module):
     assert local == [], f"{module} imports package modules inside a function"
 
 
+def module_level_imports(tree: ast.Module):
+    """(line, bound name) for every name a module-level import binds,
+    ``from __future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_no_unused_module_level_import(module):
+    """A deletion leaves no import behind: every name a module imports at
+    module level is read somewhere in it.  ``__init__`` imports to
+    re-export, so it is exempt."""
+    tree = parse(module)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [(line, name) for line, name in module_level_imports(tree) if name not in read]
+    assert unused == [], f"{module} imports names it never uses"
+
+
 def test_numpy_stays_off_the_import_path():
     """Only the brute-force oracle needs numpy, and it imports numpy when
     called: the CLI runs a verification without loading it."""

@@ -23,31 +23,21 @@ def test_failed_property():
 
 
 def test_not_applicable_helper():
-    rec = not_applicable("some_bound", "n=3", reason="hypothesis fails")
+    rec = not_applicable("some_bound", "n=3")
     assert rec.predicate == "some_bound"
     assert not rec.applicable
     assert rec.passed is None
 
 
-def test_records_equal_when_only_detail_differs():
-    a = ConsistencyRecord("p", "s", 1, 2, True, True, {"why": 1})
-    b = ConsistencyRecord("p", "s", 1, 2, True, True, {"why": 2})
-    assert a == b
-    assert a != ConsistencyRecord("p", "s", 1, 3, True, True, {"why": 1})
-    assert not_applicable("p", "s", why=1) == not_applicable("p", "s")
-
-
 def test_positional_and_keyword_construction_agree():
-    positional = ConsistencyRecord("p", "s", 3, 4, True, False, {"k": 5})
+    positional = ConsistencyRecord("p", "s", 3, 4, True, False)
     keyword = ConsistencyRecord(
-        predicate="p", subject="s", lhs=3, rhs=4, applicable=True, passed=False, detail={"k": 5}
+        predicate="p", subject="s", lhs=3, rhs=4, applicable=True, passed=False
     )
     assert positional == keyword
     assert (positional.predicate, positional.subject, positional.lhs, positional.rhs) == (
         "p", "s", 3, 4,
     )
-    assert positional.detail == {"k": 5}
-    assert ConsistencyRecord("p", "s", 0, 0, False, None).detail == {}
     assert positional.failed
 
 

@@ -30,7 +30,6 @@ from cliquebound.structure import (
     clusters,
     clusters_among,
     derive,
-    is_tight,
     outside_degree_check,
     tight_classes,
     tight_cliques,
@@ -56,16 +55,17 @@ class TestTightness:
         assert list(tight_cliques(cycle(4), 2)) == [0b0001, 0b0010, 0b0100, 0b1000]
 
     def test_degree_cap_enforced(self):
-        with pytest.raises(ValueError):
-            is_tight(complete(4), 2, 0b1)
+        with pytest.raises(ValueError, match="degree cap"):
+            derive(complete(4), 2, 0b1)
 
     def test_non_clique_rejected(self):
-        with pytest.raises(ValueError):
-            is_tight(path(3), 2, 0b101)
+        with pytest.raises(ValueError, match="derive requires a tight clique"):
+            derive(path(3), 2, 0b101)
 
     def test_empty_clique_tight_iff_full_budget(self):
-        assert is_tight(complete(4), 3, 0)
-        assert not is_tight(complete(4), 4, 0)
+        assert derive(complete(4), 3, 0).S == 0b1111
+        with pytest.raises(ValueError):
+            derive(complete(4), 4, 0)
 
     def test_complete_graph_everything_tight(self):
         g = complete(4)
@@ -98,6 +98,40 @@ class TestDerive:
             derive(cycle(5), 3, 0b00001)  # weight 2 != r+1-1
 
 
+def test_derive_succeeds_exactly_on_the_tight_cliques():
+    """Every vertex set of every class with n <= 6, under every cap
+    max(1, Delta(G)) <= r <= n - 1: derive gives the structure that
+    tight_structures builds, i(R) included, exactly on the cliques of
+    weight r + 1 - |T|, and the empty clique's structure when n = r + 1;
+    it raises ValueError on every other clique and on every non-clique."""
+    cliques = derived = 0
+    for n in range(1, 7):
+        for g in generate(n, n - 1):
+            weights = {mask: (size, weight) for mask, size, weight in clique_weights(g)}
+            for r in range(max(1, g.max_degree()), n):
+                structures = {ts.T: ts for ts in tight_structures(g, r)}
+                found = set()
+                for t_mask in range(1 << n):
+                    if t_mask in weights:
+                        cliques += t_mask != 0
+                        size, weight = weights[t_mask]
+                    if t_mask not in weights or weight != r + 1 - size:
+                        with pytest.raises(ValueError, match="derive requires a tight clique"):
+                            derive(g, r, t_mask)
+                        continue
+                    ts = derive(g, r, t_mask)
+                    assert ts.i_R == clique_count(g.adj, ts.S)
+                    if t_mask:
+                        assert ts == structures[t_mask]
+                        assert ts.i_R == structures[t_mask].i_R
+                        found.add(t_mask)
+                    else:
+                        assert (ts.S, ts.is_cluster) == (g.vertex_mask, not structures)
+                    derived += 1
+                assert found == set(structures)
+    assert (cliques, derived) == (6396, 918)
+
+
 def walk_tight_cliques(g, r):
     """The nonempty tight cliques by definition, by size then mask: a walk
     over every clique of ``g``, keeping each C of weight r + 1 - |C|."""
@@ -114,8 +148,8 @@ def walk_tight_cliques(g, r):
 def reference_facts(g, r):
     """Each tight clique's T, S, R-degree of each member of S, cluster flag
     and K_2 components, built the long way: the tight cliques come from a
-    walk over every clique, maximality tests every one-vertex extension
-    with ``is_tight``, and a K_2 component is an edge of R whose ends have
+    walk over every clique, maximality tests the weight of every one-vertex
+    extension, and a K_2 component is an edge of R whose ends have
     no other R-neighbour."""
     facts = []
     for t_mask in walk_tight_cliques(g, r):
@@ -125,7 +159,11 @@ def reference_facts(g, r):
             sum(1 << j for j, y in enumerate(labels) if y != x and not g.has_edge(x, y))
             for x in labels
         ]
-        maximal = not any(is_tight(g, r, t_mask | (1 << v)) for v in labels)
+        # T + v is a clique for every v in S; it is tight at weight r - |T|
+        maximal = not any(
+            common_neighbors(g, t_mask | (1 << v)).bit_count() == r - t_mask.bit_count()
+            for v in labels
+        )
         k2 = [
             (1 << labels[i]) | (1 << labels[j])
             for i in range(len(labels))
@@ -377,6 +415,27 @@ class TestAssociatedCliques:
     def test_small_c_rejected(self):
         with pytest.raises(ValueError):
             next(associated_cliques(complete(4), 0b0111, 1))
+
+    def test_equal_the_walk_and_filter_definition(self):
+        """For every cluster K of every class with n <= 7, under every cap
+        Delta(G) <= r <= n - 1, and every 2 <= c <= |K|: the associated
+        c-cliques are the c-cliques C of a walk over every clique with
+        |C & K| = c - 1, in increasing mask order."""
+        pairs = 0
+        for n in range(1, 8):
+            for g in generate(n, n - 1):
+                walk = sorted((size, mask) for mask, size, _ in clique_weights(g))
+                for r in range(g.max_degree(), n):
+                    for k, _ in tight_classes(g, r):
+                        for c in range(2, k.bit_count() + 1):
+                            expected = [
+                                mask
+                                for size, mask in walk
+                                if size == c and (mask & k).bit_count() == c - 1
+                            ]
+                            assert list(associated_cliques(g, k, c)) == expected
+                            pairs += 1
+        assert pairs == 387
 
 
 class TestOutsideDegree:

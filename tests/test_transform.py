@@ -316,9 +316,9 @@ class TestHillClimb:
         assert [graph.adj for graph in built] == [step.after.adj for step in trace]
         assert len(trace) == 1
 
-    def test_candidates_need_no_tightness_test(self, is_tight_calls):
+    def test_candidates_need_no_tightness_test(self, derive_calls):
         assert len(hill_climb(staging_graph(), 3)) == 1
-        assert is_tight_calls == []
+        assert derive_calls == []
 
     def test_identity_fills_are_not_scored(self, monkeypatch):
         counted_sets = []
