@@ -6,7 +6,6 @@ multiplied where rational), so no floating point appears anywhere here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -18,25 +17,9 @@ from .records import ConsistencyRecord, not_applicable
 from .structure import TightStructure, associated_cliques
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """n = a(r+1) + b with 0 <= b <= r; unique under that range."""
-
-    a: int
-    b: int
-
-
-def decompose(n: int, r: int) -> Decomposition:
-    if n < 0 or r < 0:
-        raise ValueError("decompose needs nonnegative n and r")
-    a, b = divmod(n, r + 1)
-    return Decomposition(a, b)
-
-
 def main_bound(n: int, r: int) -> int:
-    """a(2^(r+1) - 1) + 2^b: the total clique count of aK_{r+1} u K_b, with
-    (a, b) = ``decompose(n, r)``.  The sweep asks once per (graph, cap), so
-    this divides directly rather than building a ``Decomposition``."""
+    """a(2^(r+1) - 1) + 2^b: the total clique count of aK_{r+1} u K_b, where
+    n = a(r+1) + b with 0 <= b <= r."""
     if n < 0 or r < 0:
         raise ValueError("main_bound needs nonnegative n and r")
     a, b = divmod(n, r + 1)
@@ -75,8 +58,7 @@ def strong_chain_bound(n: int, r: int) -> Fraction:
 def chain_vs_main_compare(n: int, r: int) -> ConsistencyRecord:
     """Chain bound <= main bound, cross-multiplied by (r-1); equality is
     expected exactly at (r, n) = (3, 6)."""
-    d = decompose(n, r)
-    if r < 3 or d.a < 1:
+    if r < 3 or n < r + 1:
         return not_applicable("chain_vs_main", f"n={n},r={r}")
     lhs = (r - 1) + n * ((1 << r) - 2)
     rhs = (r - 1) * main_bound(n, r)

@@ -17,7 +17,7 @@ vertex already tried there.  Each skipped subtree is the image of one
 already searched, with the same leaf strings, so the result is still the
 least graph6 string over all leaves.
 
-``canonical_labeling`` runs the same search and returns, with the form,
+``labeling_from_root`` runs the same search and returns, with the form,
 the vertex order of the least leaf and the automorphisms it recorded, plus
 the transposition of each vertex with its least twin.  Every subtree the
 search skips is mapped onto one it searched by a product of these maps, so
@@ -106,30 +106,10 @@ def _are_twins(adj, u: int, w: int) -> bool:
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string; equal for two graphs iff they are isomorphic."""
-    return canonical_form_raw(g.n, g.adj)
-
-
-def canonical_form_raw(n: int, rows) -> str:
-    """As canonical_form, for a bare adjacency-row sequence that has not
-    been wrapped (and re-validated) as a Graph.  ``canonical_labeling``
-    also gives the vertex order and the automorphism generators."""
-    if n <= 1:
-        return pack(n, 0)
-    nbrs = [bit_list(row) for row in rows]
-    return _search(rows, nbrs, *root_partition(nbrs))[0]
-
-
-def canonical_labeling(n: int, rows) -> Tuple[str, List[int], List[List[int]]]:
-    """The canonical form of the graph with adjacency ``rows``; the vertex
-    order that encodes to it (``order[i]`` is the vertex in position i);
-    and automorphisms, as vertex maps ``gamma`` (v goes to ``gamma[v]``),
-    that generate the automorphism group: the ones the search records at
-    equal leaves, and the transposition of each vertex with its least twin,
-    which covers what twin pruning skips."""
-    if n <= 1:
-        return pack(n, 0), list(range(n)), []
-    nbrs = [bit_list(row) for row in rows]
-    return labeling_from_root(rows, nbrs, *root_partition(nbrs))
+    if g.n <= 1:
+        return pack(g.n, 0)
+    nbrs = [bit_list(row) for row in g.adj]
+    return _search(g.adj, nbrs, *root_partition(nbrs))[0]
 
 
 def root_partition(nbrs) -> Tuple[List[int], int]:
@@ -146,9 +126,14 @@ def root_partition(nbrs) -> Tuple[List[int], int]:
 def labeling_from_root(
     rows, nbrs, colors: List[int], count: int
 ) -> Tuple[str, List[int], List[List[int]]]:
-    """``canonical_labeling`` of the graph on n >= 2 vertices with adjacency
+    """The canonical form of the graph on n >= 2 vertices with adjacency
     ``rows`` and neighbour lists ``nbrs``, searched from its
-    ``root_partition``, ``colors`` with ``count`` cells."""
+    ``root_partition``, ``colors`` with ``count`` cells; the vertex order
+    that encodes to it (``order[i]`` is the vertex in position i); and
+    automorphisms, as vertex maps ``gamma`` (v goes to ``gamma[v]``), that
+    generate the automorphism group: the ones the search records at equal
+    leaves, and the transposition of each vertex with its least twin, which
+    covers what twin pruning skips."""
     form, order, autos = _search(rows, nbrs, colors, count)
     # twins share open rows (non-adjacent) or closed rows (adjacent), and no
     # open row equals a closed one: open or closed row -> least vertex

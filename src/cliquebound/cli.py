@@ -5,8 +5,11 @@ Every invocation emits one self-describing document (JSON by default,
 
 * 0 — success, nothing falsified, no parse errors
 * 1 — a verified bound was violated (this would falsify the underlying claim)
-* 2 — usage error, capacity cap exceeded, or bad arguments
-* 3 — at least one malformed graph6 input line (remaining lines processed)
+* 2 — usage error, capacity cap exceeded, or bad arguments; for
+  ``count --tight``, a well-formed line whose maximum degree exceeds ``-r``
+  (that line carries an ``error``, and the other lines are still counted)
+* 3 — at least one malformed graph6 input line (remaining lines processed);
+  this wins over an over-cap line in the same input
 * 4 — internal fault: two computations of one quantity disagreed, or
   generation produced a class twice (a bug in this package, not a verdict)
 """
@@ -18,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import List, Optional
 
 from . import __version__, graph6
@@ -117,12 +121,12 @@ def _read_graph6_lines(path: Optional[str]) -> List[str]:
 def cmd_count(args) -> int:
     t0 = time.monotonic()
     records = []
-    had_error = False
+    malformed = over_cap = False
     for i, line in enumerate(_read_graph6_lines(args.input), start=1):
         try:
             g = graph6.decode(line)
         except Graph6ParseError as exc:
-            had_error = True
+            malformed = True
             records.append({"line": i, "graph6": line, "error": str(exc)})
             continue
         kvec = clique_vector(g)
@@ -141,7 +145,7 @@ def cmd_count(args) -> int:
         if args.tight:
             if g.max_degree() > args.r:
                 rec["error"] = f"max degree {g.max_degree()} exceeds r={args.r}"
-                had_error = True
+                over_cap = True
             else:
                 tights = tight_structures(g, args.r)
                 rec["tight_cliques"] = [bit_list(ts.T) for ts in tights]
@@ -156,18 +160,14 @@ def cmd_count(args) -> int:
         t0,
     )
     _emit(doc, args)
-    return EXIT_PARSE if had_error else EXIT_OK
+    if malformed:
+        return EXIT_PARSE
+    return EXIT_USAGE if over_cap else EXIT_OK
 
 
 def _verification_jsonable(rep) -> dict:
     return {
-        "n": rep.n,
-        "r": rep.r,
-        "graph_count": rep.graph_count,
-        "max_k": rep.max_k,
-        "bound": rep.bound,
-        "extremal": list(rep.extremal),
-        "equality_matches_characterization": rep.equality_matches_characterization,
+        **asdict(rep),
         "bound_holds": rep.bound_holds,
         "runtime_seconds": round(rep.runtime_seconds, 6),
     }

@@ -18,23 +18,17 @@ from .records import ConsistencyRecord, not_applicable
 
 @dataclass(frozen=True)
 class FixedLossBreakdown:
-    """phi split by whether the independent set meets the degree-one set L.
+    """The fixed loss phi, with what the two bound checks read beside it.
 
-    phi = phi_L + phi_rest; ell = |L|; s = |V(R)|.  weighted_sum is
-    sum |I| * (2^(delta_I) - 1), the strengthened quantity from the
+    ell = |L|, the number of degree-one vertices; s = |V(R)|.  weighted_sum
+    is sum |I| * (2^(delta_I) - 1), the strengthened quantity from the
     complete-graph bound's proof.
     """
 
     phi: int
-    phi_L: int
-    phi_rest: int
     ell: int
     s: int
     weighted_sum: int
-
-    def __post_init__(self):
-        if self.phi != self.phi_L + self.phi_rest:
-            raise ValueError("fixed-loss split does not add up")
 
 
 def fixed_loss(r_graph: Graph) -> FixedLossBreakdown:
@@ -55,43 +49,30 @@ def fixed_loss_on_rows(rows, mask: int) -> FixedLossBreakdown:
 
     The independent sets of R are the cliques of that subgraph, and the
     R-degree of x is |mask| - 1 - |N(x) & mask|, so R is never built: the
-    cliques are enumerated on ``rows``, carrying the least R-degree and
-    whether the set meets the degree-one set L.
+    cliques are enumerated on ``rows``, carrying the least R-degree.
     """
     s = mask.bit_count()
     degree = [0] * len(rows)
-    degree_one = 0
+    ell = 0
     for x in bits(mask):
         degree[x] = s - 1 - (rows[x] & mask).bit_count()
-        if degree[x] == 1:
-            degree_one |= 1 << x
-    phi_l = phi_rest = weighted = 0
-    # (candidates, size, least R-degree, meets L) of each clique to extend
-    stack = [(mask, 0, s, 0)]
+        ell += degree[x] == 1
+    phi = weighted = 0
+    # (candidates, size, least R-degree) of each clique to extend
+    stack = [(mask, 0, s)]
     while stack:
-        allowed, size, least, meets = stack.pop()
+        allowed, size, least = stack.pop()
         while allowed:
             low = allowed & -allowed
             v = low.bit_length() - 1
             allowed ^= low
             d = min(least, degree[v])
-            hit = meets | (low & degree_one)
             term = (1 << d) - 1
+            phi += term
             weighted += (size + 1) * term
-            if hit:
-                phi_l += term
-            else:
-                phi_rest += term
             if allowed & rows[v]:
-                stack.append((allowed & rows[v], size + 1, d, hit))
-    return FixedLossBreakdown(
-        phi=phi_l + phi_rest,
-        phi_L=phi_l,
-        phi_rest=phi_rest,
-        ell=degree_one.bit_count(),
-        s=s,
-        weighted_sum=weighted,
-    )
+                stack.append((allowed & rows[v], size + 1, d))
+    return FixedLossBreakdown(phi=phi, ell=ell, s=s, weighted_sum=weighted)
 
 
 def complete_graph_fixed_loss(s: int) -> int:

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquebound.bounds import (
-    Decomposition,
     bounded_clique_checks,
     chain_vs_main_compare,
-    decompose,
     discharging_check,
     galvin_bound,
     kahn_zhao_check,
@@ -41,33 +39,15 @@ graphs = st.integers(1, 7).flatmap(
 )
 
 
-class TestDecompose:
-    def test_roundtrip(self):
-        for n in range(0, 40):
-            for r in range(1, 11):
-                d = decompose(n, r)
-                assert d.a * (r + 1) + d.b == n
-                assert 0 <= d.b <= r
-
-    def test_example(self):
-        assert decompose(10, 3) == Decomposition(a=2, b=2)
-
-
 class TestMainBound:
     @pytest.mark.parametrize("n, r, expected", [(10, 3, 34), (6, 3, 19), (4, 4, 16), (4, 2, 9)])
     def test_values(self, n, r, expected):
         assert main_bound(n, r) == expected
 
     def test_matches_extremal_graph(self):
-        for n in range(1, 15):
-            for r in range(1, 8):
+        for n in range(0, 15):
+            for r in range(0, 8):
                 assert main_bound(n, r) == clique_vector(extremal_graph(n, r)).total
-
-    def test_agrees_with_decompose(self):
-        for n in range(0, 40):
-            for r in range(0, 11):
-                d = decompose(n, r)
-                assert main_bound(n, r) == d.a * ((1 << (r + 1)) - 1) + (1 << d.b)
 
     @pytest.mark.parametrize("n, r", [(-1, 3), (4, -1)])
     def test_negative_arguments_rejected(self, n, r):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquebound import canon, graph6
-from cliquebound.canon import canonical_form, canonical_labeling
+from cliquebound.canon import canonical_form, labeling_from_root, root_partition
 from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
+    bit_list,
     bits,
     complete,
     complete_bipartite,
@@ -283,7 +284,8 @@ def vertex_orbits(n, maps):
 
 def test_automorphism_generators_generate_the_automorphism_group(atlas_classes):
     """On every class with 2 <= n <= 7, as the atlas labels it and under a
-    seeded relabeling: each generator ``canonical_labeling`` returns is an
+    seeded relabeling: each generator that ``labeling_from_root`` returns
+    (started from ``root_partition``, the route generation takes) is an
     automorphism, the group they generate has the vertex orbits of the
     whole group, which networkx lists by matching the graph with itself,
     and the order encodes to the form."""
@@ -293,7 +295,8 @@ def test_automorphism_generators_generate_the_automorphism_group(atlas_classes):
     for g in atlas_classes:
         n = g.n
         for h in (g, relabeled(g, rng)):
-            form, order, gens = canonical_labeling(n, h.adj)
+            nbrs = [bit_list(row) for row in h.adj]
+            form, order, gens = labeling_from_root(h.adj, nbrs, *root_partition(nbrs))
             assert form == canonical_form(g)
             assert graph6.encode(h.relabel([order.index(v) for v in range(n)])) == form
             for gamma in gens:

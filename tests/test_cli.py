@@ -151,6 +151,33 @@ class TestCount:
         assert (k2["line"], k2["k"], e3["line"], e3["k"]) == (1, 4, 3, 4)
         assert bad["line"] == 2 and "invalid graph6 character" in bad["error"]
 
+    def test_tight_line_over_the_cap_is_usage_error(self, capsys, monkeypatch):
+        """A well-formed line whose maximum degree exceeds -r exits 2, as
+        transform does, not 3: it carries its own error, and the other
+        lines are still counted."""
+        code, out = run(
+            ["count", "--tight", "-r", "1"],
+            graph6.encode(complete(3)) + "\n" + graph6.encode(complete(2)) + "\n",
+            capsys,
+            monkeypatch,
+        )
+        assert code == EXIT_USAGE
+        k3, k2 = json.loads(out)["results"]["graphs"]
+        assert k3["error"] == "max degree 2 exceeds r=1" and k3["k"] == 8
+        assert "error" not in k2 and k2["clusters"] == [[0, 1]]
+
+    def test_malformed_line_wins_over_a_line_over_the_cap(self, capsys, monkeypatch):
+        code, out = run(
+            ["count", "--tight", "-r", "1"],
+            graph6.encode(complete(3)) + "\n@@@bad\n",
+            capsys,
+            monkeypatch,
+        )
+        assert code == EXIT_PARSE
+        k3, bad = json.loads(out)["results"]["graphs"]
+        assert k3["error"] == "max degree 2 exceeds r=1"
+        assert bad["line"] == 2 and "n" not in bad
+
     def test_tight_without_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(graph6.encode(cycle(4)) + "\n"))
         with pytest.raises(SystemExit) as exc_info:

@@ -15,7 +15,13 @@ from cliquebound.bounds import (
     strong_chain_bound,
     strong_inequalities,
 )
-from cliquebound.canon import _join_orbits, _root, canonical_form, canonical_labeling
+from cliquebound.canon import (
+    _join_orbits,
+    _root,
+    canonical_form,
+    labeling_from_root,
+    root_partition,
+)
 from cliquebound.counting import clique_vector
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
@@ -83,7 +89,8 @@ def _labeled_child_form(rows):
     candidates = _candidates(rows)
     if u not in candidates:
         return None
-    form, order, gens = canonical_labeling(n, rows)
+    nbrs = [bit_list(row) for row in rows]
+    form, order, gens = labeling_from_root(rows, nbrs, *root_partition(nbrs))
     first = next(w for w in order if w in candidates)
     orbit = list(range(n))
     for gamma in gens:

@@ -36,16 +36,18 @@ graphs = st.integers(0, 7).flatmap(
 )
 
 
-def fixed_loss_by_subset_scan(g: Graph) -> int:
+def fixed_loss_by_subset_scan(g: Graph) -> FixedLossBreakdown:
     """Independent reimplementation: scan all nonempty subsets directly."""
-    total = 0
+    phi = weighted = 0
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
             if any(g.has_edge(u, v) for u, v in combinations(combo, 2)):
                 continue
-            delta = min(g.degree(v) for v in combo)
-            total += (1 << delta) - 1
-    return total
+            term = (1 << min(g.degree(v) for v in combo)) - 1
+            phi += term
+            weighted += size * term
+    ell = sum(1 for v in range(g.n) if g.degree(v) == 1)
+    return FixedLossBreakdown(phi=phi, ell=ell, s=g.n, weighted_sum=weighted)
 
 
 class TestFixedLoss:
@@ -69,13 +71,22 @@ class TestFixedLoss:
     @settings(max_examples=150, deadline=None)
     @given(graphs)
     def test_matches_subset_scan(self, g):
-        assert fixed_loss(g).phi == fixed_loss_by_subset_scan(g)
+        assert fixed_loss(g) == fixed_loss_by_subset_scan(g)
+
+    def test_matches_subset_scan_on_every_small_class(self):
+        """phi, weighted_sum, ell and s equal the subset scan's on every
+        class with n <= 7, each taken as R."""
+        seen = 0
+        for n in range(0, 8):
+            for g in generate(n, max(n - 1, 0)):
+                assert fixed_loss(g) == fixed_loss_by_subset_scan(g), g
+                seen += 1
+        assert seen == 1253
 
     @given(graphs)
     def test_breakdown_is_consistent(self, g):
         b = fixed_loss(g)
         assert isinstance(b, FixedLossBreakdown)
-        assert b.phi == b.phi_L + b.phi_rest
         assert b.ell == sum(1 for v in range(g.n) if g.degree(v) == 1)
 
 

@@ -11,10 +11,11 @@ import pytest
 
 PACKAGE = "cliquebound"
 SOURCE = Path(__file__).resolve().parent.parent / "src" / PACKAGE
+PERFBENCH = SOURCE.parent.parent / "perfbench"
 
 # Lowest first.  A module may import from its own layer or any layer below.
-# ``__init__`` re-exports the library and sits just under the CLI, which
-# reads ``__version__`` from it.
+# ``__init__`` holds only ``__version__``, which the CLI reads, so it sits
+# just under the CLI.
 LAYERS = [
     ("errors", "records"),
     ("graphs",),
@@ -96,15 +97,62 @@ def module_level_imports(tree: ast.Module):
                 yield node.lineno, alias.asname or alias.name.split(".")[0]
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+@pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_level_import(module):
     """A deletion leaves no import behind: every name a module imports at
-    module level is read somewhere in it.  ``__init__`` imports to
-    re-export, so it is exempt."""
+    module level is read somewhere in it."""
     tree = parse(module)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [(line, name) for line, name in module_level_imports(tree) if name not in read]
     assert unused == [], f"{module} imports names it never uses"
+
+
+# Public definitions that nothing in the package or the benchmark reads, each
+# kept on purpose.
+UNREAD_BY_DESIGN = {
+    # ROADMAP item 3 decides whether the sweep checks them or they go
+    "bounds.chain_vs_main_compare",
+    "bounds.galvin_bound",
+    # constructors and oracles for the tests
+    "graphs.complete_bipartite",
+    "graphs.turan",
+    "graphs.induced",
+    "graphs.connected_components",
+}
+
+
+def loaded_names(tree: ast.AST, skip=None):
+    """Every name an expression in ``tree`` reads, bare or as an attribute,
+    outside the subtree ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_public_definition_is_read():
+    """A public module-level function or class is read by some code in the
+    package or in ``perfbench``, outside its own definition, unless it is
+    listed in ``UNREAD_BY_DESIGN``.  An import alone does not count."""
+    trees = {module: parse(module) for module in MODULES}
+    trees.update(
+        (f"perfbench/{path.name}", ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PERFBENCH.glob("*.py"))
+    )
+    unread = []
+    for module in MODULES:
+        for node in trees[module].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not any(node.name in loaded_names(tree, node) for tree in trees.values()):
+                unread.append(f"{module}.{node.name}")
+    assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
 
 
 def test_numpy_stays_off_the_import_path():
