@@ -175,30 +175,23 @@ def _verification_jsonable(rep) -> dict:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    falsified = False
     results: dict = {}
     if args.sweep:
         n_max, r_max = args.sweep
-        verifications = []
+        reports = []
         for n in range(1, n_max + 1):
-            # widest cap first, so every narrower cap filters the cached classes
-            for r in range(max(min(r_max, n - 1), 1), 0, -1):
-                rep = verify_main(n, r, workers=args.workers)
-                verifications.append(_verification_jsonable(rep))
-                falsified |= not rep.bound_holds
-        verifications.sort(key=lambda v: (v["n"], v["r"]))
-        sweep = consistency_sweep(
-            n_max, r_max, workers=args.workers, checkpoint=args.checkpoint
-        )
-        falsified |= sweep.tallies.get("extremal_bound", [0, 0, 0])[2] > 0
-        results["verifications"] = verifications
+            caps = range(1, max(min(r_max, n - 1), 1) + 1)
+            reports += verify_main(n, caps, workers=args.workers)
+        sweep = consistency_sweep(n_max, r_max, workers=args.workers, checkpoint=args.checkpoint)
+        falsified = sweep.tallies.get("extremal_bound", [0, 0, 0])[2] > 0
         results["consistency"] = sweep.to_jsonable()
         parameters = {"sweep": True, "n_max": n_max, "r_max": r_max}
     else:
-        rep = verify_main(args.n, args.r, workers=args.workers)
-        falsified = not rep.bound_holds
-        results["verifications"] = [_verification_jsonable(rep)]
+        reports = verify_main(args.n, [args.r], workers=args.workers)
+        falsified = False
         parameters = {"sweep": False, "n": args.n, "r": args.r}
+    results["verifications"] = [_verification_jsonable(rep) for rep in reports]
+    falsified |= not all(rep.bound_holds for rep in reports)
     parameters["workers"] = args.workers
     _emit(_document("verify", parameters, results, t0), args)
     return EXIT_FALSIFIED if falsified else EXIT_OK
@@ -248,10 +241,14 @@ def cmd_transform(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.regular is not None:
-        stream = generate_regular(args.n, args.regular, workers=args.workers)
-    else:
+    if args.regular is None:
         stream = generate(args.n, args.r, workers=args.workers)
+    elif args.r < 0:
+        raise ValueError("n and r must be nonnegative")
+    elif args.regular > args.r:
+        stream = iter(())  # a D-regular graph has maximum degree D > R
+    else:
+        stream = generate_regular(args.n, args.regular, workers=args.workers)
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
         for g in stream:
@@ -272,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=range(1, (os.cpu_count() or 1) + 1),
                         help="worker processes, 1 up to the CPU count")
     parser.add_argument("--format", choices=["json", "table"], default="json")
-    parser.add_argument("--checkpoint", help="sweep checkpoint file")
+    parser.add_argument("--checkpoint", help="checkpoint file of verify --sweep")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -316,6 +313,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("verify needs n and r, or --sweep N_MAX R_MAX")
     if args.subcommand == "count" and args.tight and args.r is None:
         parser.error("--tight requires -r")
+    if args.checkpoint is not None and not (args.subcommand == "verify" and args.sweep):
+        parser.error("--checkpoint applies only to verify --sweep")
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -15,6 +15,7 @@ at most 64 vertices (``MAX_VERTICES``), so each coefficient is at most
 C(64, 32) < 2^64 and never carries into the next slot.  Adding two vectors
 is one integer add, multiplying by x one shift, and the product of two
 polynomials one integer multiply; the vector is unpacked once per call.
+The same clique recursion, evaluated at x = 1, counts the cliques in total.
 
 ``brute_force_clique_vector`` is an oracle that shares no logic with the
 pivoted path: it lists every clique as a subset mask, doubling the list
@@ -79,8 +80,9 @@ def _unpack(packed: int) -> CliqueVector:
     return CliqueVector(tuple(counts))
 
 
-def _clique_poly(adj, cand: int) -> int:
-    """The packed clique polynomial of the subgraph induced on ``cand``.
+def _clique_poly(adj, cand: int, slot: int) -> int:
+    """The clique polynomial of G[cand] at x = 2^slot: packed per size for
+    ``slot = _SLOT_BITS``, the number of cliques for ``slot = 0``.
 
     The cliques avoiding every non-neighbor of the pivot p are those of
     N(p), with and without p; the rest are counted at their first
@@ -90,7 +92,7 @@ def _clique_poly(adj, cand: int) -> int:
     cliques of G[cand].
     """
     if cand & (cand - 1) == 0:
-        return _ONE_PLUS_X if cand else 1
+        return (1 << slot) + 1 if cand else 1
     pivot, best = -1, -1
     m = cand
     while m:
@@ -100,58 +102,28 @@ def _clique_poly(adj, cand: int) -> int:
         d = (cand & adj[u]).bit_count()
         if d > best:
             best, pivot = d, u
-    inside = _clique_poly(adj, cand & adj[pivot])
-    total = inside + (inside << _SLOT_BITS)
+    inside = _clique_poly(adj, cand & adj[pivot], slot)
+    total = inside + (inside << slot)
     rest = cand
     m = cand & ~adj[pivot] & ~(1 << pivot)
     while m:
         low = m & -m
         m ^= low
         rest ^= low
-        total += _clique_poly(adj, rest & adj[low.bit_length() - 1]) << _SLOT_BITS
+        total += _clique_poly(adj, rest & adj[low.bit_length() - 1], slot) << slot
     return total
 
 
 def clique_vector(g: Graph) -> CliqueVector:
     """Per-size clique counts by pivoted recursion."""
-    return _unpack(_clique_poly(g.adj, g.vertex_mask))
-
-
-def _count_total(adj, cand: int) -> int:
-    """Number of cliques inside ``cand``, the empty one included.
-
-    ``_clique_poly``'s pivot split, counting totals only: the cliques
-    avoiding every non-neighbor of the pivot p are those of N(p), with and
-    without p, and the rest are counted at their first non-neighbor of p.
-    """
-    if cand == 0:
-        return 1
-    pivot, best = -1, -1
-    m = cand
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        d = (cand & adj[u]).bit_count()
-        if d > best:
-            best, pivot = d, u
-    row = adj[pivot]
-    total = 2 * _count_total(adj, cand & row)
-    rest = cand
-    m = cand & ~row & ~(1 << pivot)
-    while m:
-        low = m & -m
-        m ^= low
-        rest ^= low
-        total += _count_total(adj, rest & adj[low.bit_length() - 1])
-    return total
+    return _unpack(_clique_poly(g.adj, g.vertex_mask, _SLOT_BITS))
 
 
 def clique_count(rows, mask: int) -> int:
     """Number of cliques of the subgraph induced on ``mask``, the empty one
-    included, for bare adjacency rows.  Bits of ``rows`` outside ``mask`` are
-    ignored."""
-    return _count_total(rows, mask)
+    included, for bare adjacency rows: the clique polynomial at x = 1.  Bits
+    of ``rows`` outside ``mask`` are ignored."""
+    return _clique_poly(rows, mask, 0)
 
 
 def cliques_meeting(rows, xs: int) -> int:

@@ -59,7 +59,7 @@ from .canon import canonical_form, labeling_from_root, root_partition
 from .counting import CliqueVector, clique_count, clique_vector, independent_vector, weight_sums
 from .errors import CapacityError, InternalConsistencyError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
-from .graphs import Graph, bit_list, complete, cycle, disjoint_union, extremal_graph
+from .graphs import Graph, bit_list, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
 from .structure import clusters_among, outside_degree_check, tight_structures
 from .transform import fill_gain, fill_profitable, gain_lower_bound, k2_gain
@@ -295,7 +295,10 @@ def generate_regular(n: int, d: int, workers: int = 1) -> Iterator[Graph]:
     """Exactly-d-regular graphs up to isomorphism.
 
     An odd n*d admits no d-regular graph; the stream is simply empty then.
+    A negative n or d raises ValueError, whatever the parity.
     """
+    if n < 0 or d < 0:
+        raise ValueError("n and d must be nonnegative")
     if (n * d) % 2 == 1:
         return iter(())
     return iter(
@@ -327,47 +330,46 @@ def expected_extremal_forms(n: int, r: int) -> Set[str]:
     """Canonical forms of the graphs characterized as equality cases."""
     a, b = divmod(n, r + 1)
     forms = {canonical_form(extremal_graph(n, r))}
-    if r == 2 and a >= 1:
-        if b == 1:
-            g = cycle(4)
-            for _ in range(a - 1):
-                g = disjoint_union(complete(3), g)
-            forms.add(canonical_form(g))
-        elif b == 2:
-            g = cycle(5)
-            for _ in range(a - 1):
-                g = disjoint_union(complete(3), g)
-            forms.add(canonical_form(g))
+    if r == 2 and a >= 1 and b in (1, 2):
+        # (a - 1)K_3 u C_{3+b}: C4 or C5 in place of K_b and one triangle
+        forms.add(canonical_form(disjoint_union(extremal_graph(n - 3 - b, 2), cycle(3 + b))))
     return forms
 
 
-def verify_main(n: int, r: int, workers: int = 1) -> VerificationReport:
-    """Sweep all isomorphism classes with max degree <= r and compare the
-    observed clique-count maximum (and its achievers) to the predicted bound
-    and equality characterization."""
+def verify_main(n: int, caps: Sequence[int], workers: int = 1) -> List[VerificationReport]:
+    """One report per degree cap r in ``caps``, in that order: the observed
+    clique-count maximum over the classes with max degree <= r (and its
+    achievers), against the predicted bound and equality characterization.
+
+    The widest cap's level is walked once and each class counted once.  A
+    class of maximum degree d counts under every cap r >= d, so the classes
+    are tallied per d; the widest cap admits them all, so d is read only if
+    a narrower cap is asked for.  Maximizers are kept as Graphs and encoded
+    once, at the end, and every report carries the time of the whole pass.
+    """
     t0 = time.monotonic()
-    cls = _classes(n, r, workers)
-    bound = main_bound(n, r)
-    max_k = 0
-    extremal: List[str] = []
-    for g in cls:
+    split = min(caps) < max(caps)
+    # per maximum degree d (all at 0 unless split): classes, max k, maximizers
+    size, best, winners = [0] * (n + 1), [0] * (n + 1), [[] for _ in range(n + 1)]
+    for g in _classes(n, max(caps), workers):
         k = clique_count(g.adj, g.vertex_mask)
-        if k > max_k:
-            max_k = k
-            extremal = [graph6.encode(g)]
-        elif k == max_k:
-            extremal.append(graph6.encode(g))
-    matches = max_k == bound and set(extremal) == expected_extremal_forms(n, r)
-    return VerificationReport(
-        n=n,
-        r=r,
-        graph_count=len(cls),
-        max_k=max_k,
-        bound=bound,
-        extremal=tuple(sorted(extremal)),
-        equality_matches_characterization=matches,
-        runtime_seconds=time.monotonic() - t0,
-    )
+        d = g.max_degree() if split else 0
+        size[d] += 1
+        if k > best[d]:
+            best[d], winners[d] = k, [g]
+        elif k == best[d]:
+            winners[d].append(g)
+    forms = [[graph6.encode(g) for g in group] for group in winners]
+    found = []
+    for r in caps:
+        admitted = range(min(r, n) + 1)
+        max_k = max(best[d] for d in admitted)
+        extremal = tuple(sorted(f for d in admitted if best[d] == max_k for f in forms[d]))
+        bound = main_bound(n, r)
+        matches = max_k == bound and set(extremal) == expected_extremal_forms(n, r)
+        found.append((r, sum(size[d] for d in admitted), max_k, bound, extremal, matches))
+    runtime = time.monotonic() - t0
+    return [VerificationReport(n, *fields, runtime_seconds=runtime) for fields in found]
 
 
 # ---------------------------------------------------------------------------

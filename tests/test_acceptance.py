@@ -76,11 +76,9 @@ def test_criterion_02_exhaustive_maximum():
     """Exhaustive maximum and equality characterization for n <= 9, all r."""
     t0 = time.monotonic()
     for n in range(1, 10):
-        # descending r lets every smaller cap filter from the cached classes
-        for r in range(max(n - 1, 1), 0, -1):
-            rep = verify_main(n, r)
-            assert rep.max_k == rep.bound, (n, r, rep.max_k, rep.bound)
-            assert rep.equality_matches_characterization, (n, r, rep.extremal)
+        for rep in verify_main(n, range(1, max(n - 1, 1) + 1)):
+            assert rep.max_k == rep.bound, (n, rep.r, rep.max_k, rep.bound)
+            assert rep.equality_matches_characterization, (n, rep.r, rep.extremal)
     assert len(_classes(9, 8)) == 274668  # OEIS A000088
     # the r=2 exceptional families carry the predicted totals
     for a in range(1, 4):

@@ -6,7 +6,7 @@ import os
 import jsonschema
 import pytest
 
-from cliquebound import cli, graph6, structure
+from cliquebound import cli, enumeration, graph6, structure
 from cliquebound.cli import (
     EXIT_FALSIFIED,
     EXIT_INTERNAL,
@@ -220,17 +220,28 @@ class TestVerify:
         assert doc["results"]["consistency"]["tallies"]["extremal_bound"][2] == 0
         assert len(doc["results"]["verifications"]) > 1
 
-    def test_sweep_builds_each_level_once(self, capsys, cold_labelings):
+    def test_sweep_builds_each_level_once(self, capsys, monkeypatch, cold_labelings):
         """Asking for the caps in ascending order rebuilt every (n, r) from
         scratch: 14,167 labelings against the 3,651 of one cold (7, 6), or
         2,097 with one neighbourhood per orbit, 1,507 (parents included)
         with the orbit test in place of rival deletions, 1,299 once each
         parent's generators came from the labeling that made it, or 1,253
         once a child whose new vertex is not in the least root cell of the
-        candidates is rejected with no search."""
+        candidates is rejected with no search.  ``verify_main`` counts each
+        of the 1,252 classes once, for all its caps: one call per cap made
+        3,089 counts."""
+        counts = []
+        original = enumeration.clique_count
+
+        def counted(rows, mask):
+            counts.append(mask)
+            return original(rows, mask)
+
+        monkeypatch.setattr(enumeration, "clique_count", counted)
         code, out = run(["verify", "--sweep", "7", "6"], capsys=capsys)
         assert code == EXIT_OK
         assert len(cold_labelings) == 1253
+        assert len(counts) == 1252
         pairs = [(v["n"], v["r"]) for v in json.loads(out)["results"]["verifications"]]
         assert pairs == sorted(pairs)
         assert len(pairs) == len(set(pairs)) == 22
@@ -251,19 +262,27 @@ class TestVerify:
             ["verify", "--sweep", "-2", "3"],
             ["verify", "--sweep", "3", "-1"],
             ["verify", "--sweep", "10", "2"],
+            ["--checkpoint", "ckpt", "verify", "5", "2"],
+            ["--checkpoint", "ckpt", "count", "-"],
+            ["--checkpoint", "ckpt", "transform", "-r", "2", "--greedy"],
+            ["--checkpoint", "ckpt", "gen", "4", "2"],
         ],
-        ids=["pair-and-sweep", "zero-cap", "negative-n", "negative-cap", "n-past-sweep-cap"],
+        ids=["pair-and-sweep", "zero-cap", "negative-n", "negative-cap", "n-past-sweep-cap",
+             "checkpoint-verify-pair", "checkpoint-count", "checkpoint-transform",
+             "checkpoint-gen"],
     )
-    def test_bad_arguments_fail_before_any_work(self, capsys, monkeypatch, argv):
+    def test_bad_arguments_fail_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
         def no_work(*args, **kwargs):
-            raise AssertionError("verified before rejecting the arguments")
+            raise AssertionError("worked before rejecting the arguments")
 
-        monkeypatch.setattr(cli, "verify_main", no_work)
-        monkeypatch.setattr(cli, "consistency_sweep", no_work)
+        monkeypatch.chdir(tmp_path)
+        for name in ("verify_main", "consistency_sweep", "_read_graph6_lines", "generate"):
+            monkeypatch.setattr(cli, name, no_work)
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize(
         "line",
@@ -426,6 +445,20 @@ class TestGen:
         for line in lines:
             g = graph6.decode(line)
             assert all(g.degree(v) == 2 for v in range(6))
+
+    def test_regular_above_the_cap_is_empty(self, capsys):
+        code, out = run(["gen", "6", "1", "--regular", "2"], capsys=capsys)
+        assert code == EXIT_OK
+        assert out == ""
+
+    def test_regular_with_negative_cap_is_usage_error(self, capsys):
+        assert main(["gen", "4", "-1", "--regular", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", [4, 5], ids=["even-product", "odd-product"])
+    def test_negative_regular_degree_is_usage_error(self, capsys, n):
+        assert main(["gen", str(n), "4", "--regular", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_zero_cap(self, capsys):
         code, out = run(["gen", "3", "0"], capsys=capsys)

@@ -420,16 +420,21 @@ class TestGenerateRegular:
     def test_zero_regular(self):
         assert list(generate_regular(3, 0)) == [empty(3)]
 
+    @pytest.mark.parametrize("n, d", [(5, -1), (4, -2), (-1, 1)])
+    def test_negative_argument_raises_whatever_the_parity(self, n, d):
+        with pytest.raises(ValueError):
+            generate_regular(n, d)
+
 
 class TestVerifyMain:
     def test_6_3(self):
-        rep = verify_main(6, 3)
+        (rep,) = verify_main(6, [3])
         assert rep.max_k == rep.bound == 19
         assert rep.extremal == (canonical_form(disjoint_union(complete(4), complete(2))),)
         assert rep.equality_matches_characterization
 
     def test_4_2_has_both_equality_graphs(self):
-        rep = verify_main(4, 2)
+        (rep,) = verify_main(4, [2])
         assert rep.max_k == 9
         assert set(rep.extremal) == {
             canonical_form(disjoint_union(complete(3), empty(1))),
@@ -438,16 +443,44 @@ class TestVerifyMain:
         assert rep.equality_matches_characterization
 
     def test_5_2(self):
-        rep = verify_main(5, 2)
+        (rep,) = verify_main(5, [2])
         assert rep.max_k == 11
         assert set(rep.extremal) == expected_extremal_forms(5, 2)
         assert canonical_form(cycle(5)) in rep.extremal
 
     def test_report_invariants(self):
-        rep = verify_main(7, 3)
+        (rep,) = verify_main(7, [3])
         assert rep.bound_holds
         assert rep.extremal
         assert rep.graph_count == 150
+
+    def test_one_pass_matches_one_call_per_cap(self, monkeypatch):
+        """Ascending caps on a cold table build every level rather than
+        filter it from a wider one, so the one-pass reports are checked
+        against counts over independently built class lists."""
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        for n in range(1, 8):
+            per_cap = [verify_main(n, [r])[0] for r in range(n)]
+            assert verify_main(n, range(n)) == per_cap
+            assert [rep.r for rep in per_cap] == list(range(n))
+
+    def test_caps_are_reported_in_the_order_asked(self):
+        reps = verify_main(6, [3, 1, 5, 3])
+        assert [rep.r for rep in reps] == [3, 1, 5, 3]
+        assert reps[0] == reps[3] == verify_main(6, [3])[0]
+        assert len({rep.runtime_seconds for rep in reps}) == 1
+
+    def test_maximizers_encoded_once(self, monkeypatch):
+        calls = []
+        original = graph6.encode
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graph6, "encode", counted)
+        (rep,) = verify_main(7, [3])
+        assert len(calls) == len(rep.extremal) == 1
 
 
 def _per_cap_records(g, r, kv):
