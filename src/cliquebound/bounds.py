@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Tuple
 
-from .counting import CliqueVector, clique_weights
+from .counting import CliqueVector, clique_weights, weight_sums
 from .graphs import Graph, common_neighbors
 from .records import ConsistencyRecord, not_applicable
 from .structure import TightStructure, associated_cliques
@@ -26,23 +26,41 @@ def main_bound(n: int, r: int) -> int:
     return a * ((1 << (r + 1)) - 1) + (1 << b)
 
 
-def strong_inequalities(kvec: CliqueVector, r: int) -> List[ConsistencyRecord]:
-    """t * k_t <= (r - t + 1) * k_{t-1} for every t >= 3, one record each."""
-    records = []
+def extremal_bound_check(n: int, r: int, k_total: int) -> ConsistencyRecord:
+    """k(G) <= main_bound(n, r) for a graph on n vertices with maximum
+    degree at most r and clique count ``k_total``."""
+    bound = main_bound(n, r)
+    return ConsistencyRecord(
+        "extremal_bound", f"n={n},r={r}", k_total, bound, True, k_total <= bound
+    )
+
+
+def double_counting_check(g: Graph, kvec: CliqueVector) -> ConsistencyRecord:
+    """t * k_t equals the weight sum over (t-1)-cliques, for every t >= 1:
+    ``kvec`` counts g, and a second clique walk, ``weight_sums``, gives the
+    weights.  The sides are those of the first size that disagrees, else 0."""
+    sums = weight_sums(g)
+    for t in range(1, kvec.max_size + 2):
+        left = t * kvec[t]
+        right = sums[t - 1] if t - 1 < len(sums) else 0
+        if left != right:
+            return ConsistencyRecord("double_counting", f"n={g.n}", left, right, True, False)
+    return ConsistencyRecord("double_counting", f"n={g.n}", 0, 0, True, True)
+
+
+def strong_inequalities(kvec: CliqueVector, n: int, r: int) -> ConsistencyRecord:
+    """t * k_t <= (r - t + 1) * k_{t-1} for every t >= 3, as one record for
+    a graph on n vertices counted by ``kvec``: the sides summed over t,
+    passing iff every one of the inequalities holds."""
+    lhs = rhs = 0
+    passed = True
     for t in range(3, kvec.max_size + 1):
-        lhs = t * kvec[t]
-        rhs = (r - t + 1) * kvec[t - 1]
-        records.append(
-            ConsistencyRecord(
-                predicate="strong_inequality",
-                subject=f"t={t}",
-                lhs=lhs,
-                rhs=rhs,
-                applicable=True,
-                passed=lhs <= rhs,
-            )
-        )
-    return records
+        left = t * kvec[t]
+        right = (r - t + 1) * kvec[t - 1]
+        lhs += left
+        rhs += right
+        passed = passed and left <= right
+    return ConsistencyRecord("strong_from_no_tight", f"n={n},r={r}", lhs, rhs, True, passed)
 
 
 @lru_cache(maxsize=None)
@@ -55,20 +73,28 @@ def strong_chain_bound(n: int, r: int) -> Fraction:
     return 1 + Fraction(n, r - 1) * ((1 << r) - 2)
 
 
+def chain_bound_check(n: int, r: int, k_total: int) -> ConsistencyRecord:
+    """k(G) <= strong_chain_bound(n, r), cross-multiplied by the chain
+    bound's denominator, for a graph on n vertices with clique count
+    ``k_total``."""
+    chain = strong_chain_bound(n, r)
+    lhs = k_total * chain.denominator
+    return ConsistencyRecord(
+        "chain_bound_no_tight", f"n={n},r={r}", lhs, chain.numerator, True,
+        lhs <= chain.numerator,
+    )
+
+
 def chain_vs_main_compare(n: int, r: int) -> ConsistencyRecord:
-    """Chain bound <= main bound, cross-multiplied by (r-1); equality is
-    expected exactly at (r, n) = (3, 6)."""
+    """Chain bound <= main bound, cross-multiplied by the chain bound's
+    denominator; equality is expected exactly at (r, n) = (3, 6)."""
     if r < 3 or n < r + 1:
         return not_applicable("chain_vs_main", f"n={n},r={r}")
-    lhs = (r - 1) + n * ((1 << r) - 2)
-    rhs = (r - 1) * main_bound(n, r)
+    chain = strong_chain_bound(n, r)
+    lhs, rhs = chain.numerator, chain.denominator * main_bound(n, r)
     return ConsistencyRecord(
-        predicate="chain_vs_main",
-        subject=f"n={n},r={r}",
-        lhs=lhs,
-        rhs=rhs,
-        applicable=True,
-        passed=lhs < rhs or (lhs == rhs and (r, n) == (3, 6)),
+        "chain_vs_main", f"n={n},r={r}", lhs, rhs, True,
+        lhs < rhs or (lhs == rhs and (r, n) == (3, 6)),
     )
 
 
@@ -213,14 +239,15 @@ def cluster_loss_check(cluster: TightStructure, fill_gain: int) -> ConsistencyRe
     """When filling a cluster does not increase the clique count (``fill_gain``,
     the measured change, is at most 0), its deficiency graph must carry large
     fixed loss: phi(R) >= 2^r + s 2^t, and 2^t < s (the log statement in
-    integer form)."""
+    integer form).  A cluster of size 1 is tallied under its own id,
+    ``cluster_large_loss_size1``."""
     if not cluster.is_cluster or fill_gain > 0:
         return not_applicable("cluster_large_loss", f"T={cluster.T:#x}")
     phi = cluster.phi
     t, s = cluster.t, cluster.s
     rhs = (1 << cluster.r) + s * (1 << t)
     return ConsistencyRecord(
-        predicate="cluster_large_loss",
+        predicate="cluster_large_loss_size1" if t == 1 else "cluster_large_loss",
         subject=f"T={cluster.T:#x},t={t},s={s}",
         lhs=phi,
         rhs=rhs,

@@ -214,6 +214,8 @@ def cmd_transform(args) -> int:
     lines = _read_graph6_lines(args.input)
     if not lines:
         raise ValueError("transform needs one graph6 input line")
+    if len(lines) > 1:
+        raise ValueError(f"transform takes one graph6 input line, got {len(lines)}")
     try:
         g = graph6.decode(lines[0])
     except Graph6ParseError as exc:
@@ -313,6 +315,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("verify needs n and r, or --sweep N_MAX R_MAX")
     if args.subcommand == "count" and args.tight and args.r is None:
         parser.error("--tight requires -r")
+    if args.subcommand == "count" and args.r is not None and not args.tight:
+        parser.error("-r applies only to count --tight")
     if args.checkpoint is not None and not (args.subcommand == "verify" and args.sweep):
         parser.error("--checkpoint applies only to verify --sweep")
     try:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .errors import CapacityError
-from .graphs import Graph, bits
+from .graphs import Graph, bit_list
 
 BRUTE_FORCE_MAX_VERTICES = 24
 
@@ -139,7 +139,7 @@ def cliques_meeting(rows, xs: int) -> int:
     """
     total = 0
     earlier = 0
-    for x in bits(xs):
+    for x in bit_list(xs):
         total += clique_count(rows, rows[x] & ~earlier)
         earlier |= 1 << x
     return total

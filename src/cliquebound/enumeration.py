@@ -45,24 +45,26 @@ from . import graph6
 from .bounds import (
     associated_low_weight_check,
     bounded_clique_checks,
+    chain_bound_check,
     cluster_loss_check,
     discharging_check,
+    double_counting_check,
+    extremal_bound_check,
     kahn_zhao_check,
     main_bound,
     min_ind_check,
     regular_independent_checks,
-    strong_chain_bound,
     strong_inequalities,
     zykov_check,
 )
 from .canon import canonical_form, labeling_from_root, root_partition
-from .counting import CliqueVector, clique_count, clique_vector, independent_vector, weight_sums
+from .counting import CliqueVector, clique_count, clique_vector, independent_vector
 from .errors import CapacityError, InternalConsistencyError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bit_list, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
 from .structure import clusters_among, outside_degree_check, tight_structures
-from .transform import fill_gain, fill_profitable, gain_lower_bound, k2_gain
+from .transform import fill_checks, fill_gain, k2_move_check
 
 GENERATION_MAX_VERTICES = 12
 SWEEP_MAX_VERTICES = 9
@@ -423,23 +425,9 @@ def _tally(tallies: Dict[str, List[int]], failures: List[dict],
                 )
 
 
-def _double_counting_record(g: Graph, kv: CliqueVector) -> ConsistencyRecord:
-    """t * k_t equals the weight sum over (t-1)-cliques, for every t >= 1."""
-    sums = weight_sums(g)
-    lhs = rhs = 0
-    ok = True
-    for t in range(1, kv.max_size + 2):
-        left = t * kv[t]
-        right = sums[t - 1] if t - 1 < len(sums) else 0
-        if left != right:
-            ok, lhs, rhs = False, left, right
-            break
-    return ConsistencyRecord("double_counting", f"n={g.n}", lhs, rhs, True, ok)
-
-
 def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     """Degree-cap-independent checks for one graph with clique vector ``kv``."""
-    records = [_double_counting_record(g, kv), zykov_check(g, kv)]
+    records = [double_counting_check(g, kv), zykov_check(g, kv)]
     breakdown = fixed_loss(g)
     records.append(max_bound_check(g, breakdown))
     records.append(degree_one_bound_check(g, breakdown))
@@ -449,14 +437,15 @@ def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
         ivec = independent_vector(g)
         records.append(kahn_zhao_check(g, d, ivec))
         records.append(min_ind_check(g, d, ivec))
-        recs = regular_independent_checks(g, d, ivec)
-        records.extend(r for r in recs if r.applicable)
+        records.extend(r for r in regular_independent_checks(g, d, ivec) if r.applicable)
     return records
 
 
 def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[ConsistencyRecord]:
     """Checks for one graph, with clique vector ``kv`` and maximum degree
-    ``top``, under one cap r >= top.
+    ``top``, under one cap r >= top.  Each record comes from a predicate
+    of ``bounds``, ``transform`` or ``structure``; this only picks which
+    of them run.
 
     A tight clique's members have degree r, so a cap above the maximum
     degree admits no tight clique: there the tight-clique pass (the per-T
@@ -464,15 +453,8 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[Consis
     clique and is not applicable, and only the predicates that read the
     clique vector are evaluated.  The records carry no graph6 witness:
     ``_sweep_chunk`` encodes a graph only if one of its records fails."""
-    records: List[ConsistencyRecord] = []
     k_total = kv.total
-
-    bound = main_bound(g.n, r)
-    records.append(
-        ConsistencyRecord(
-            "extremal_bound", f"n={g.n},r={r}", k_total, bound, True, k_total <= bound
-        )
-    )
+    records = [extremal_bound_check(g.n, r, k_total)]
     records.extend(rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable)
 
     fill_gains: Dict[int, int] = {}
@@ -481,50 +463,18 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[Consis
         # every T of a class fills T u S = X into the same graph: one count per X
         class_gains = {}
         for ts in tights:
-            subject = f"r={r},T={ts.T:#x}"
             records.append(outside_degree_check(g, ts))
             x = ts.T | ts.S
             if x not in class_gains:
                 class_gains[x] = fill_gain(g.adj, ts)
             gain = fill_gains[ts.T] = class_gains[x]
-            k_after = k_total + gain
-            lower = gain_lower_bound(ts)
-            records.append(
-                ConsistencyRecord(
-                    "fill_gain_lower_bound",
-                    subject,
-                    k_total + lower,
-                    k_after,
-                    True,
-                    k_after >= k_total + lower,
-                )
-            )
-            profitable = fill_profitable(ts, lower)
-            if profitable.literal:
-                records.append(
-                    ConsistencyRecord("fill_threshold_literal", subject, gain, 1, True, gain > 0)
-                )
-            if profitable.corrected:
-                records.append(
-                    ConsistencyRecord("fill_threshold_corrected", subject, gain, 1, True, gain > 0)
-                )
+            records.extend(fill_checks(ts, k_total, gain))
             if ts.t >= 2 and ts.k2_components:
-                k2_after = k_total + k2_gain(g.adj, ts)
-                records.append(
-                    ConsistencyRecord(
-                        "k2_move_gain", subject, k2_after, k_total, True, k2_after > k_total
-                    )
-                )
+                records.append(k2_move_check(g.adj, ts, k_total))
 
         for cluster in clusters_among(g, r, tights):
             gain = fill_gains[cluster.T]
-            rec = cluster_loss_check(cluster, gain)
-            if rec.applicable and cluster.t == 1:
-                rec = ConsistencyRecord(
-                    "cluster_large_loss_size1", rec.subject, rec.lhs, rec.rhs,
-                    True, rec.passed,
-                )
-            records.append(rec)
+            records.append(cluster_loss_check(cluster, gain))
             for c in range(2, cluster.t + 1):
                 records.append(associated_low_weight_check(g, cluster, c, gain))
     else:
@@ -533,28 +483,8 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[Consis
     records.append(discharging_check(g, r, tights, fill_gains))
 
     if r >= 2 and not any(ts.t >= 2 for ts in tights):
-        strong = strong_inequalities(kv, r)
-        records.append(
-            ConsistencyRecord(
-                "strong_from_no_tight",
-                f"n={g.n},r={r}",
-                sum(rec.lhs for rec in strong),
-                sum(rec.rhs for rec in strong),
-                True,
-                all(rec.passed for rec in strong),
-            )
-        )
-        chain = strong_chain_bound(g.n, r)
-        records.append(
-            ConsistencyRecord(
-                "chain_bound_no_tight",
-                f"n={g.n},r={r}",
-                k_total * chain.denominator,
-                chain.numerator,
-                True,
-                k_total * chain.denominator <= chain.numerator,
-            )
-        )
+        records.append(strong_inequalities(kv, g.n, r))
+        records.append(chain_bound_check(g.n, r, k_total))
     return records
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits
+from .graphs import Graph, bit_list
 from .records import ConsistencyRecord, not_applicable
 
 
@@ -54,7 +54,7 @@ def fixed_loss_on_rows(rows, mask: int) -> FixedLossBreakdown:
     s = mask.bit_count()
     degree = [0] * len(rows)
     ell = 0
-    for x in bits(mask):
+    for x in bit_list(mask):
         degree[x] = s - 1 - (rows[x] & mask).bit_count()
         ell += degree[x] == 1
     phi = weighted = 0

@@ -15,17 +15,9 @@ from .errors import CapacityError
 MAX_VERTICES = 64
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def bit_list(mask: int) -> List[int]:
-    """The set bit positions of ``mask`` in increasing order, as a list;
-    built in one loop, without resuming a generator per bit."""
+    """The set bit positions of ``mask`` in increasing order, as a list
+    built in one loop."""
     out = []
     while mask:
         low = mask & -mask
@@ -100,7 +92,7 @@ class Graph:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         for v in range(self.n):
-            for u in bits(self.adj[v] & ((1 << v) - 1)):
+            for u in bit_list(self.adj[v] & ((1 << v) - 1)):
                 yield (u, v)
 
     def is_clique(self, vs: int) -> bool:
@@ -122,7 +114,7 @@ class Graph:
         adj = [0] * n
         for v in range(n):
             row = 0
-            for u in bits(self.adj[v]):
+            for u in bit_list(self.adj[v]):
                 row |= 1 << perm[u]
             adj[perm[v]] = row
         return Graph(n, tuple(adj))
@@ -231,7 +223,7 @@ def induced(g: Graph, vs: int) -> Tuple[Graph, List[int]]:
     adj = []
     for v in labels:
         row = 0
-        for u in bits(g.adj[v] & vs):
+        for u in bit_list(g.adj[v] & vs):
             row |= 1 << index[u]
         adj.append(row)
     return Graph(len(labels), tuple(adj)), labels
@@ -249,7 +241,7 @@ def connected_components(g: Graph) -> List[int]:
         while frontier:
             comp |= frontier
             nxt = 0
-            for u in bits(frontier):
+            for u in bit_list(frontier):
                 nxt |= g.adj[u]
             frontier = nxt & ~comp
         components.append(comp)
@@ -265,6 +257,6 @@ def common_neighbors(g: Graph, vs: int) -> int:
     hold at t = 1.
     """
     result = g.vertex_mask
-    for v in bits(vs):
+    for v in bit_list(vs):
         result &= g.adj[v]
     return result

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .counting import clique_count
 from .errors import InternalConsistencyError
 from .fixed_loss import fixed_loss_on_rows
-from .graphs import Graph, bits, common_neighbors, mask_of
+from .graphs import Graph, bit_list, common_neighbors, mask_of
 from .records import ConsistencyRecord
 
 
@@ -130,7 +130,7 @@ class TightStructure:
     def has_small_component(self) -> bool:
         """Whether R has a K_1 component (an x in S adjacent to all of
         S - x) or a K_2 component."""
-        return bool(self.k2_components) or any(self.r_degree(x) == 0 for x in bits(self.S))
+        return bool(self.k2_components) or any(self.r_degree(x) == 0 for x in bit_list(self.S))
 
 
 def tight_classes(g: Graph, r: int) -> List[Tuple[int, int]]:
@@ -225,7 +225,7 @@ def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[Tight
             not g.is_clique(ts.T)
             or common != ts.S
             or ts.s != r + 1 - ts.t
-            or any((common & g.adj[v]).bit_count() == r - ts.t for v in bits(common))
+            or any((common & g.adj[v]).bit_count() == r - ts.t for v in bit_list(common))
         ):
             raise InternalConsistencyError(
                 f"cluster T={ts.T:#x} is not a maximal tight clique under r={r}"
@@ -246,9 +246,9 @@ def associated_cliques(g: Graph, cluster: int, c: int) -> Iterator[int]:
     if c < 2:
         raise ValueError("association is defined for cliques of size >= 2")
     found = []
-    for chosen in combinations(bits(cluster), c - 1):
+    for chosen in combinations(bit_list(cluster), c - 1):
         a = mask_of(chosen)
-        found.extend(a | (1 << v) for v in bits(common_neighbors(g, a) & ~cluster))
+        found.extend(a | (1 << v) for v in bit_list(common_neighbors(g, a) & ~cluster))
     yield from sorted(found)
 
 

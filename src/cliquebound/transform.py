@@ -13,7 +13,8 @@ from typing import List
 
 from .counting import clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
-from .graphs import Graph, bits
+from .graphs import Graph, bit_list
+from .records import ConsistencyRecord
 from .structure import ClassCore, TightStructure, class_structure, tight_classes
 
 # the hill climber's cap on moves taken
@@ -34,20 +35,6 @@ class RewriteReport:
         return self.k_after - self.k_before
 
 
-@dataclass(frozen=True)
-class Profitability:
-    """Both readings of the strict-gain threshold for the fill rewrite.
-
-    ``literal`` uses denominator 2^s - i(R) + s + 1 as printed; ``corrected``
-    uses 2^s - i(R), which is exactly the condition that the proven gain
-    lower bound is positive.  The two disagree on real inputs (C_4 with a
-    singleton tight clique is a witness), so both are exposed.
-    """
-
-    literal: bool
-    corrected: bool
-
-
 def _check_cap(rows, ts: TightStructure, move: str) -> None:
     """Raise unless every row of the rewritten graph keeps the degree cap."""
     if max(row.bit_count() for row in rows) > ts.r:
@@ -60,12 +47,12 @@ def _fill_rows(adj, ts: TightStructure) -> List[int]:
     a structure whose S is not the common neighborhood of T fails them."""
     inside = ts.T | ts.S
     rows = list(adj)
-    for x in bits(ts.S):
-        for y in bits(adj[x] & ~inside):
+    for x in bit_list(ts.S):
+        for y in bit_list(adj[x] & ~inside):
             rows[y] &= ~(1 << x)
         rows[x] = inside & ~(1 << x)
     if inside.bit_count() != ts.r + 1 or any(
-        rows[v] != inside & ~(1 << v) for v in bits(inside)
+        rows[v] != inside & ~(1 << v) for v in bit_list(inside)
     ):
         raise InternalConsistencyError(
             f"fill at T={ts.T:#x} leaves T u S no K_{ts.r + 1} component"
@@ -89,7 +76,7 @@ def fill_gain(adj, ts: TightStructure) -> int:
     that is already a K_{r+1} component is the identity fill and gains 0
     without counting."""
     inside = ts.T | ts.S
-    if all(adj[x] == inside & ~(1 << x) for x in bits(ts.S)):
+    if all(adj[x] == inside & ~(1 << x) for x in bit_list(ts.S)):
         return 0
     return (1 << (ts.r + 1)) - (1 << ts.t) - cliques_meeting(adj, ts.S)
 
@@ -116,8 +103,8 @@ def _k2_rows(adj, ts: TightStructure) -> List[int]:
     pair = _k2_pair(ts)
     inside = ts.T | ts.S
     rows = list(adj)
-    for x in bits(pair):
-        for y in bits(adj[x] & ~inside):
+    for x in bit_list(pair):
+        for y in bit_list(adj[x] & ~inside):
             rows[y] &= ~(1 << x)
         rows[x] = (adj[x] & inside) | (pair & ~(1 << x))
     _check_cap(rows, ts, "k2")
@@ -147,13 +134,41 @@ def gain_lower_bound(ts: TightStructure) -> int:
     return (1 << (ts.r + 1)) - (1 << ts.t) * ts.i_R - ts.phi
 
 
-def fill_profitable(ts: TightStructure, lower: int) -> Profitability:
-    """Both strict-gain thresholds, cross-multiplied by 2^t: as
-    2^t 2^s = 2^(r+1), corrected is ``lower > 0`` and literal adds
-    2^t (s + 1) to it.  ``lower`` is ``gain_lower_bound(ts)``."""
+def fill_checks(ts: TightStructure, k_total: int, gain: int) -> List[ConsistencyRecord]:
+    """The fill's measured ``gain`` on a graph with k_total cliques against
+    the proven lower bound, plus a record for each reading of the strict-gain
+    threshold that predicts a gain, which must then be positive.
+
+    ``fill_threshold_literal`` uses the denominator 2^s - i(R) + s + 1 as
+    printed (a non-positive one raises ValueError); ``fill_threshold_corrected``
+    uses 2^s - i(R), which is exactly the condition that the proven lower
+    bound is positive.  The two disagree on real inputs (C_4 with a singleton
+    tight clique is a witness), so both are checked.  Cross-multiplied by
+    2^t, as 2^t 2^s = 2^(r+1), corrected is ``lower > 0`` and literal adds
+    2^t (s + 1) to it."""
     if (1 << ts.s) - ts.i_R + ts.s + 1 <= 0:
         raise ValueError("literal threshold needs a positive denominator")
-    return Profitability(literal=lower + (1 << ts.t) * (ts.s + 1) > 0, corrected=lower > 0)
+    subject = f"r={ts.r},T={ts.T:#x}"
+    lower = gain_lower_bound(ts)
+    records = [ConsistencyRecord(
+        "fill_gain_lower_bound", subject, k_total + lower, k_total + gain, True, gain >= lower
+    )]
+    for predicate, predicts_gain in (
+        ("fill_threshold_literal", lower + (1 << ts.t) * (ts.s + 1) > 0),
+        ("fill_threshold_corrected", lower > 0),
+    ):
+        if predicts_gain:
+            records.append(ConsistencyRecord(predicate, subject, gain, 1, True, gain > 0))
+    return records
+
+
+def k2_move_check(adj, ts: TightStructure, k_total: int) -> ConsistencyRecord:
+    """The K2 move of ``ts``, on adjacency rows of a graph with k_total
+    cliques, strictly increases the clique count."""
+    k_after = k_total + k2_gain(adj, ts)
+    return ConsistencyRecord(
+        "k2_move_gain", f"r={ts.r},T={ts.T:#x}", k_after, k_total, True, k_after > k_total
+    )
 
 
 def hill_climb(g: Graph, r: int) -> List[RewriteReport]:

@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from cliquebound.bounds import (
     bounded_clique_checks,
+    chain_bound_check,
     chain_vs_main_compare,
+    cluster_loss_check,
     discharging_check,
+    double_counting_check,
+    extremal_bound_check,
     galvin_bound,
     kahn_zhao_check,
     main_bound,
@@ -17,8 +21,8 @@ from cliquebound.bounds import (
     strong_inequalities,
     zykov_check,
 )
-from cliquebound.counting import clique_vector, independent_vector
-from cliquebound.structure import derive, tight_cliques
+from cliquebound.counting import CliqueVector, clique_vector, independent_vector
+from cliquebound.structure import clusters as clusters_of, derive, tight_cliques
 from cliquebound.transform import apply_fill
 from cliquebound.graphs import (
     complete,
@@ -56,15 +60,88 @@ class TestMainBound:
 
 
 class TestStrongInequalities:
+    @staticmethod
+    def per_size(kv, r):
+        """(t k_t, (r - t + 1) k_{t-1}) for t = 3..max size, from the counts."""
+        k = kv.counts
+        return [(t * k[t], (r - t + 1) * k[t - 1]) for t in range(3, len(k))]
+
+    def checked(self, g, r):
+        """The record for g under r, after checking its sides and outcome
+        against the per-size inequalities."""
+        kv = clique_vector(g)
+        sides = self.per_size(kv, r)
+        rec = strong_inequalities(kv, g.n, r)
+        assert (rec.predicate, rec.subject) == ("strong_from_no_tight", f"n={g.n},r={r}")
+        assert rec.lhs == sum(left for left, _ in sides)
+        assert rec.rhs == sum(right for _, right in sides)
+        assert rec.applicable
+        assert rec.passed == all(left <= right for left, right in sides)
+        return rec
+
     def test_hold_without_large_tight_cliques(self):
         # C_7 at r=2 has no tight cliques of size >= 2
-        recs = strong_inequalities(clique_vector(cycle(7)), 2)
-        assert all(rec.passed for rec in recs)
+        assert self.checked(cycle(7), 2).passed
 
     def test_detects_violation(self):
         # K_5 under the (false) cap r = 3 breaks t k_t <= (r-t+1) k_{t-1}
-        recs = strong_inequalities(clique_vector(complete(5)), 3)
-        assert any(not rec.passed for rec in recs)
+        assert not self.checked(complete(5), 3).passed
+
+    def test_one_failing_size_fails_the_record(self):
+        # the summed sides tie, 25 = 25, but t = 3 fails: 21 > 18
+        kv = CliqueVector((1, 8, 9, 7, 1))
+        assert self.per_size(kv, 4) == [(21, 18), (4, 7)]
+        rec = strong_inequalities(kv, 8, 4)
+        assert (rec.lhs, rec.rhs, rec.passed) == (25, 25, False)
+
+
+class TestSweepChecks:
+    def test_extremal_bound(self):
+        # 2K_4 under r = 3 has 2 (2^4 - 1) + 1 = 31 cliques
+        rec = extremal_bound_check(8, 3, 31)
+        assert (rec.predicate, rec.subject, rec.lhs, rec.rhs, rec.passed) == (
+            "extremal_bound", "n=8,r=3", 31, 31, True,
+        )
+        assert not extremal_bound_check(8, 3, 32).passed
+
+    def test_chain_bound_cross_multiplied(self):
+        # 1 + 7 (2^3 - 2) / 2 = 22, and 1 + 5 (2^4 - 2) / 3 = 73/3
+        rec = chain_bound_check(7, 3, 22)
+        assert (rec.predicate, rec.subject, rec.lhs, rec.rhs, rec.passed) == (
+            "chain_bound_no_tight", "n=7,r=3", 22, 22, True,
+        )
+        rec = chain_bound_check(5, 4, 25)
+        assert (rec.lhs, rec.rhs, rec.passed) == (75, 73, False)
+
+    @pytest.mark.parametrize("g", [cycle(5), complete(4), turan(7, 3)], ids=["C5", "K4", "T73"])
+    def test_double_counting_holds_on_its_own_vector(self, g):
+        rec = double_counting_check(g, clique_vector(g))
+        assert (rec.predicate, rec.subject, rec.lhs, rec.rhs) == ("double_counting", f"n={g.n}", 0, 0)
+        assert rec.applicable and rec.passed
+
+    def test_double_counting_fails_on_another_graphs_vector(self):
+        # K_4's vector (1, 4, 6, 4, 1) against C_4, whose vertices have
+        # weight 2: 1 * k_1 = 4 holds, and 2 * k_2 = 12 != 4 * 2 = 8
+        rec = double_counting_check(cycle(4), clique_vector(complete(4)))
+        assert rec.applicable and not rec.passed
+        assert (rec.lhs, rec.rhs) == (12, 8)
+
+    def test_cluster_of_size_one_has_its_own_id(self):
+        # C_4 under r = 2: each vertex is a cluster with s = 2 and phi(R) = 2
+        clusters = clusters_of(cycle(4), 2)
+        assert [cl.t for cl in clusters] == [1, 1, 1, 1]
+        rec = cluster_loss_check(clusters[0], 0)
+        assert (rec.predicate, rec.lhs, rec.rhs) == ("cluster_large_loss_size1", 2, 4 + 2 * 2)
+        assert rec.applicable and not rec.passed
+        # a gaining fill makes the check inapplicable, under the shared id
+        assert cluster_loss_check(clusters[0], 1).predicate == "cluster_large_loss"
+
+    def test_larger_cluster_keeps_the_shared_id(self):
+        (cluster,) = clusters_of(complete(2), 1)
+        assert cluster.t == 2
+        rec = cluster_loss_check(cluster, 0)
+        assert (rec.predicate, rec.lhs, rec.rhs) == ("cluster_large_loss", 0, 2 + 0)
+        assert rec.applicable and not rec.passed
 
 
 class TestChainBound:

@@ -11,7 +11,6 @@ from cliquebound.enumeration import generate
 from cliquebound.graphs import (
     Graph,
     bit_list,
-    bits,
     complete,
     complete_bipartite,
     cycle,
@@ -53,7 +52,7 @@ def reference_canonical_form(g: Graph) -> str:
     n, adj = g.n, list(g.adj)
     if n <= 1:
         return graph6.encode(g)
-    nbrs = [list(bits(row)) for row in adj]
+    nbrs = [bit_list(row) for row in adj]
 
     def refine(colors):
         return reference_refine(nbrs, colors)

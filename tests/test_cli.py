@@ -266,10 +266,11 @@ class TestVerify:
             ["--checkpoint", "ckpt", "count", "-"],
             ["--checkpoint", "ckpt", "transform", "-r", "2", "--greedy"],
             ["--checkpoint", "ckpt", "gen", "4", "2"],
+            ["count", "-r", "3"],
         ],
         ids=["pair-and-sweep", "zero-cap", "negative-n", "negative-cap", "n-past-sweep-cap",
              "checkpoint-verify-pair", "checkpoint-count", "checkpoint-transform",
-             "checkpoint-gen"],
+             "checkpoint-gen", "count-cap-without-tight"],
     )
     def test_bad_arguments_fail_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
         def no_work(*args, **kwargs):
@@ -423,6 +424,17 @@ class TestTransform:
     def test_no_input_line_is_usage_error(self, capsys, monkeypatch):
         code, _ = run(["transform", "-r", "2", "--greedy"], "", capsys, monkeypatch)
         assert code == EXIT_USAGE
+
+    def test_two_input_lines_are_a_usage_error(self, capsys, monkeypatch):
+        def no_rewrite(*args, **kwargs):
+            raise AssertionError("rewrote a graph before rejecting the input")
+
+        monkeypatch.setattr(cli, "hill_climb", no_rewrite)
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n\nCF\n"))
+        assert main(["transform", "-r", "2", "--greedy"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: transform takes one graph6 input line, got 2\n"
 
     def test_move_vertex_out_of_range_is_usage_error(self, capsys, monkeypatch):
         for move in ("99", "-1", "0,3"):

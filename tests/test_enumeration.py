@@ -9,10 +9,10 @@ import pytest
 from cliquebound import enumeration, graph6, structure
 from cliquebound.bounds import (
     bounded_clique_checks,
+    chain_bound_check,
     cluster_loss_check,
     discharging_check,
-    main_bound,
-    strong_chain_bound,
+    extremal_bound_check,
     strong_inequalities,
 )
 from cliquebound.canon import (
@@ -35,7 +35,6 @@ from cliquebound.errors import CapacityError, InternalConsistencyError
 from cliquebound.graphs import (
     Graph,
     bit_list,
-    bits,
     complete,
     cycle,
     disjoint_union,
@@ -43,7 +42,6 @@ from cliquebound.graphs import (
     from_edges,
     path,
 )
-from cliquebound.records import ConsistencyRecord
 
 # the package exports the function ``fixed_loss`` under the module's name
 fixed_loss_module = importlib.import_module("cliquebound.fixed_loss")
@@ -73,7 +71,7 @@ def _candidates(rows):
     deg = [row.bit_count() for row in rows]
     top = max(deg)
     invariant = {
-        v: sorted(map(deg.__getitem__, bits(row))) for v, row in enumerate(rows) if deg[v] == top
+        v: sorted(map(deg.__getitem__, bit_list(row))) for v, row in enumerate(rows) if deg[v] == top
     }
     best = max(invariant.values())
     return {v for v, neighbours in invariant.items() if neighbours == best}
@@ -98,7 +96,7 @@ def _labeled_child_form(rows):
     if _root(orbit, first) != _root(orbit, u):
         return None
     position = {v: i for i, v in enumerate(order)}
-    relabeled = tuple(sum(1 << position[w] for w in bits(rows[v])) for v in order)
+    relabeled = tuple(sum(1 << position[w] for w in bit_list(rows[v])) for v in order)
     return form, relabeled, bytes(position[gamma[v]] for gamma in gens for v in order)
 
 
@@ -220,7 +218,7 @@ class TestGenerate:
                     passed.add(u)
             assert passed and passed == orbits[min(passed)], graph6.encode(g)
             invariant = [
-                (g.degree(v), sorted(g.degree(x) for x in bits(g.adj[v]))) for v in range(n)
+                (g.degree(v), sorted(g.degree(x) for x in bit_list(g.adj[v]))) for v in range(n)
             ]
             assert invariant[min(passed)] == max(invariant)
 
@@ -487,27 +485,18 @@ def _per_cap_records(g, r, kv):
     """The predicates the sweep evaluates under cap r, through the public
     checks and at every cap: one record per tight clique (its outside-degree
     check) and per cluster (its loss check), so a tight clique that the
-    sweep skipped would show as a record it lacks."""
+    sweep skipped would show as a record it lacks.  Every record comes from
+    a predicate; none is built here."""
     n, total = g.n, kv.total
-    bound = main_bound(n, r)
-    records = [ConsistencyRecord("extremal_bound", f"n={n},r={r}", total, bound, True, total <= bound)]
+    records = [extremal_bound_check(n, r, total)]
     records += [rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable]
     tights = structure.tight_structures(g, r)
     records += [structure.outside_degree_check(g, ts) for ts in tights]
     records += [cluster_loss_check(cl, 0) for cl in structure.clusters(g, r)]
     records.append(discharging_check(g, r, tights, {}))
     if r >= 2 and not any(ts.t >= 2 for ts in tights):
-        strong = strong_inequalities(kv, r)
-        records.append(ConsistencyRecord(
-            "strong_from_no_tight", f"n={n},r={r}", sum(rec.lhs for rec in strong),
-            sum(rec.rhs for rec in strong), True, all(rec.passed for rec in strong),
-        ))
-        chain = strong_chain_bound(n, r)
-        lhs = total * chain.denominator
-        records.append(ConsistencyRecord(
-            "chain_bound_no_tight", f"n={n},r={r}", lhs, chain.numerator, True,
-            lhs <= chain.numerator,
-        ))
+        records.append(strong_inequalities(kv, n, r))
+        records.append(chain_bound_check(n, r, total))
     return records
 
 

@@ -14,7 +14,6 @@ from cliquebound.fixed_loss import (
 )
 from cliquebound.graphs import (
     Graph,
-    bits,
     complete,
     connected_components,
     cycle,

@@ -155,6 +155,23 @@ def test_every_public_definition_is_read():
     assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
 
 
+# The constructors of a sweep record, ``records.ConsistencyRecord`` and its
+# shorthand ``records.not_applicable``.
+RECORD_BUILDERS = {"ConsistencyRecord", "not_applicable"}
+
+
+def test_the_sweep_builds_no_record():
+    """Every sweep record comes from a predicate outside ``enumeration``:
+    the sweep only picks which predicates run and tallies what they return."""
+    calls = [
+        node.lineno
+        for node in ast.walk(parse("enumeration"))
+        if isinstance(node, ast.Call)
+        and RECORD_BUILDERS & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
+    assert calls == [], "enumeration builds records itself"
+
+
 def test_numpy_stays_off_the_import_path():
     """Only the brute-force oracle needs numpy, and it imports numpy when
     called: the CLI runs a verification without loading it."""

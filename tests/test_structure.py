@@ -11,7 +11,7 @@ from cliquebound.errors import InternalConsistencyError
 from cliquebound.fixed_loss import fixed_loss_on_rows, has_small_component
 from cliquebound.graphs import (
     Graph,
-    bits,
+    bit_list,
     complement,
     complete,
     common_neighbors,
@@ -90,7 +90,7 @@ class TestDerive:
     def test_r_degrees_in_original_labels(self):
         g = cycle(5)
         ts = derive(g, 2, 0b00001)
-        assert list(bits(ts.S)) == [1, 4]
+        assert bit_list(ts.S) == [1, 4]
         assert [ts.r_degree(x) for x in (1, 4)] == [1, 1]
 
     def test_requires_tight_input(self):
@@ -180,7 +180,7 @@ def structure_facts(structures):
         (
             ts.T,
             ts.S,
-            tuple((x, ts.r_degree(x)) for x in bits(ts.S)),
+            tuple((x, ts.r_degree(x)) for x in bit_list(ts.S)),
             ts.is_cluster,
             ts.k2_components,
         )
@@ -227,11 +227,11 @@ def explicit_r_facts(g, ts):
     independent = [
         sub
         for sub in range(1 << r_graph.n)
-        if all(not r_graph.adj[v] & sub for v in bits(sub))
+        if all(not r_graph.adj[v] & sub for v in bit_list(sub))
     ]
-    phi = sum((1 << min(r_graph.degree(v) for v in bits(sub))) - 1 for sub in independent if sub)
+    phi = sum((1 << min(r_graph.degree(v) for v in bit_list(sub))) - 1 for sub in independent if sub)
     k2 = tuple(
-        sum(1 << labels[i] for i in bits(comp))
+        sum(1 << labels[i] for i in bit_list(comp))
         for comp in connected_components(r_graph)
         if comp.bit_count() == 2
     )
@@ -249,7 +249,7 @@ def test_deficiency_data_matches_an_explicit_r():
         for g in generate(n, n - 1):
             for r in range(max(1, g.max_degree()), n):
                 for ts in tight_structures(g, r):
-                    degrees = tuple((x, ts.r_degree(x)) for x in bits(ts.S))
+                    degrees = tuple((x, ts.r_degree(x)) for x in bit_list(ts.S))
                     got = (ts.i_R, ts.phi, ts.k2_components, degrees, ts.has_small_component)
                     assert got == explicit_r_facts(g, ts)
                     structures += 1

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from cliquebound.enumeration import consistency_sweep, generate
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import (
     Graph,
-    bits,
+    bit_list,
     common_neighbors,
     complete,
     cycle,
@@ -24,14 +25,14 @@ from cliquebound.graphs import (
 )
 from cliquebound.structure import TightStructure, derive, tight_cliques, tight_structures
 from cliquebound.transform import (
-    Profitability,
     apply_fill,
     apply_k2_move,
+    fill_checks,
     fill_gain,
-    fill_profitable,
     gain_lower_bound,
     hill_climb,
     k2_gain,
+    k2_move_check,
 )
 
 
@@ -68,7 +69,7 @@ def reference_climb(g, r, max_steps=64):
         }
         for tight in tights:
             s = common_neighbors(current, tight)
-            maximal = not any(tight | (1 << v) in tights for v in bits(s))
+            maximal = not any(tight | (1 << v) in tights for v in bit_list(s))
             ts = TightStructure(tight, s, current.adj, maximal)
             reports = [apply_fill(current, ts, k)]
             if ts.t >= 2 and ts.k2_components:
@@ -147,6 +148,12 @@ class TestK2Move:
         assert report.k_before == 16
         assert report.k_after == 18
         assert report.gain_lower_bound == 2
+
+    def test_check_record(self):
+        g = staging_graph()
+        rec = k2_move_check(g.adj, derive(g, 3, mask_of([0, 1])), 16)
+        assert (rec.predicate, rec.subject, rec.lhs, rec.rhs) == ("k2_move_gain", "r=3,T=0x3", 18, 16)
+        assert rec.applicable and rec.passed
 
     def test_requires_pair(self):
         with pytest.raises(ValueError):
@@ -270,17 +277,37 @@ class TestGainLowerBound:
         assert gain_lower_bound(derive(g, 3, mask_of([0, 1]))) == 16 - 4 * 3 - 2
 
 
-class TestProfitability:
+class TestFillChecks:
     def test_cycle4_separates_the_two_readings(self):
-        ts = derive(cycle(4), 2, 0b0001)
-        p = fill_profitable(ts, gain_lower_bound(ts))
-        assert p == Profitability(literal=True, corrected=False)
+        # C_4 with a singleton tight clique: the fill gives K_3 u K_1, with
+        # 9 cliques like C_4, so the gain is 0; the literal reading predicts
+        # a gain and the corrected one does not
+        g = cycle(4)
+        ts = derive(g, 2, 0b0001)
+        assert clique_vector(g).total == apply_fill(g, ts, 9).k_after == 9
+        records = fill_checks(ts, 9, 0)
+        assert [(rec.predicate, rec.lhs, rec.rhs, rec.passed) for rec in records] == [
+            ("fill_gain_lower_bound", 9, 9, True),
+            ("fill_threshold_literal", 0, 1, False),
+        ]
+        assert {rec.subject for rec in records} == {"r=2,T=0x1"}
 
     def test_corrected_implies_positive_proven_gain(self):
         g = staging_graph()
+        k = clique_vector(g).total
         for t_mask in tight_cliques(g, 3):
             ts = derive(g, 3, t_mask)
-            assert fill_profitable(ts, gain_lower_bound(ts)).corrected == (gain_lower_bound(ts) > 0)
+            gain = apply_fill(g, ts, k).gain
+            predicates = [rec.predicate for rec in fill_checks(ts, k, gain)]
+            proven = (1 << 4) - (1 << ts.t) * ts.i_R - ts.phi
+            assert ("fill_threshold_corrected" in predicates) == (proven > 0)
+
+    def test_non_positive_literal_denominator_rejected(self):
+        # i(R) <= 2^s holds for a real deficiency graph; a structure
+        # claiming i(R) = 2^s + s + 1 leaves the printed denominator at 0
+        fake = SimpleNamespace(r=2, T=1, t=1, s=1, i_R=4, phi=0)
+        with pytest.raises(ValueError, match="positive denominator"):
+            fill_checks(fake, 9, 0)
 
 
 class TestHillClimb:
