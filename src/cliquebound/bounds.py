@@ -120,18 +120,10 @@ def kahn_zhao_check(g: Graph, d: int, ivec: CliqueVector) -> ConsistencyRecord:
     )
 
 
-def min_ind_check(
-    g: Graph, d: int, ivec: CliqueVector, allow_max_degree: bool = False
-) -> ConsistencyRecord:
-    """i(G)^(d+1) >= (d+2)^n, where ``ivec`` counts the independent sets of g.
-    Stated for d-regular graphs; with ``allow_max_degree`` the weaker
-    hypothesis max degree <= d is accepted (the proof only uses the upper
-    degree bound)."""
-    if allow_max_degree:
-        applicable = g.max_degree() <= d
-    else:
-        applicable = _is_regular(g, d)
-    if not applicable:
+def min_ind_check(g: Graph, d: int, ivec: CliqueVector) -> ConsistencyRecord:
+    """i(G)^(d+1) >= (d+2)^n for d-regular G, where ``ivec`` counts the
+    independent sets of g."""
+    if not _is_regular(g, d):
         return not_applicable("min_independent_lower", f"n={g.n},d={d}")
     i_total = ivec.total
     lhs = i_total ** (d + 1)
@@ -288,13 +280,14 @@ def associated_low_weight_check(
 
 
 def discharging_check(
-    g: Graph, r: int, tights: List[TightStructure], fill_gains: Dict[int, int]
+    g: Graph, r: int, clusters: List[TightStructure], fill_gains: Dict[int, int]
 ) -> ConsistencyRecord:
     """Reweighting check behind the final case of the main result.
 
-    ``tights`` holds every tight clique of ``g`` under ``r``, derived, and
+    ``clusters`` holds every cluster of ``g`` under ``r``, derived, and
     ``fill_gains`` maps each one's mask to the measured clique-count change
-    of its fill rewrite.
+    of its fill rewrite.  A clique is tight exactly when it is a nonempty
+    subset of a cluster.
 
     Tight cliques lose 1; cliques associated with one cluster (of size >= 2)
     gain one half; 2-cliques associated with two clusters gain 1.  Weights
@@ -306,18 +299,17 @@ def discharging_check(
       (ii) every doubled new weight is at most 2(r - size).
     """
     subject = f"n={g.n},r={r}"
-    all_clusters = [ts for ts in tights if ts.is_cluster]
     if (
         g.max_degree() > r
-        # under the cap a K_{r+1} has weight 0 = r+1-(r+1): a tight clique of size r+1
-        or any(ts.t == r + 1 for ts in tights)
-        or not any(ts.t >= 2 for ts in tights)
-        or any(cl.k2_components or fill_gains[cl.T] > 0 for cl in all_clusters)
+        # under the cap a K_{r+1} has weight 0 = r+1-(r+1): a tight clique of
+        # size r+1, which is a cluster
+        or any(cl.t == r + 1 for cl in clusters)
+        or not any(cl.t >= 2 for cl in clusters)
+        or any(cl.k2_components or fill_gains[cl.T] > 0 for cl in clusters)
     ):
         return not_applicable("discharging", subject)
 
-    tight_set = {ts.T for ts in tights}
-    big_clusters = [cl.T for cl in all_clusters if cl.t >= 2]
+    big_clusters = [cl.T for cl in clusters if cl.t >= 2]
     old_sums = {}
     new_sums = {}
     ceiling_ok = True
@@ -325,10 +317,10 @@ def discharging_check(
     for mask, size, weight in clique_weights(g):
         if size < 2:
             continue
-        associations = sum(
-            1 for t_mask in big_clusters if (mask & t_mask).bit_count() == size - 1
-        )
-        doubled_new = 2 * weight - (2 if mask in tight_set else 0) + associations
+        # the clique is tight if it lies in a cluster, associated if it
+        # meets one in all but one vertex
+        shared = [(mask & t_mask).bit_count() for t_mask in big_clusters]
+        doubled_new = 2 * weight - 2 * shared.count(size) + shared.count(size - 1)
         old_sums[size] = old_sums.get(size, 0) + 2 * weight
         new_sums[size] = new_sums.get(size, 0) + doubled_new
         if doubled_new > 2 * (r - size):

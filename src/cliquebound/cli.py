@@ -153,13 +153,10 @@ def cmd_count(args) -> int:
                     bit_list(cl.T) for cl in clusters_among(g, args.r, tights)
                 ]
         records.append(rec)
-    doc = _document(
-        "count",
-        {"input": args.input or "-", "tight": args.tight, "r": args.r},
-        {"graphs": records},
-        t0,
-    )
-    _emit(doc, args)
+    parameters = {"input": args.input or "-", "tight": args.tight}
+    if args.tight:
+        parameters["r"] = args.r
+    _emit(_document("count", parameters, {"graphs": records}, t0), args)
     if malformed:
         return EXIT_PARSE
     return EXIT_USAGE if over_cap else EXIT_OK

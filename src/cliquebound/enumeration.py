@@ -63,7 +63,7 @@ from .errors import CapacityError, InternalConsistencyError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bit_list, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
-from .structure import clusters_among, outside_degree_check, tight_structures
+from .structure import class_structure, clusters_among, outside_degree_check, tight_classes
 from .transform import fill_checks, fill_gain, k2_move_check
 
 GENERATION_MAX_VERTICES = 12
@@ -447,42 +447,46 @@ def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[Consis
     of ``bounds``, ``transform`` or ``structure``; this only picks which
     of them run.
 
+    The tight cliques are read class by class (K, X): each nonempty T in K
+    gets its per-T records, and the cluster T = K its own.  Every T fills X
+    into the same graph, so a class counts one fill gain, on its cluster,
+    and none when K = X, the identity fill of a K_{r+1} component.
+
     A tight clique's members have degree r, so a cap above the maximum
-    degree admits no tight clique: there the tight-clique pass (the per-T
-    and cluster records) is skipped, the discharging check sees no tight
-    clique and is not applicable, and only the predicates that read the
-    clique vector are evaluated.  The records carry no graph6 witness:
+    degree admits no class: there the discharging check sees no cluster
+    and is not applicable, and only the predicates that read the clique
+    vector are evaluated.  The records carry no graph6 witness:
     ``_sweep_chunk`` encodes a graph only if one of its records fails."""
     k_total = kv.total
     records = [extremal_bound_check(g.n, r, k_total)]
     records.extend(rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable)
 
+    clusters = []
     fill_gains: Dict[int, int] = {}
     if r == top:
-        tights = tight_structures(g, r)
-        # every T of a class fills T u S = X into the same graph: one count per X
-        class_gains = {}
-        for ts in tights:
-            records.append(outside_degree_check(g, ts))
-            x = ts.T | ts.S
-            if x not in class_gains:
-                class_gains[x] = fill_gain(g.adj, ts)
-            gain = fill_gains[ts.T] = class_gains[x]
-            records.extend(fill_checks(ts, k_total, gain))
-            if ts.t >= 2 and ts.k2_components:
-                records.append(k2_move_check(g.adj, ts, k_total))
+        adj = g.adj
+        for k, x, core in tight_classes(g, r):
+            cluster = class_structure(adj, k, x, k, core)
+            clusters.append(cluster)
+            gain = fill_gains[k] = 0 if k == x else fill_gain(adj, cluster)
+            t = k
+            while t:
+                ts = cluster if t == k else class_structure(adj, k, x, t, core)
+                records.append(outside_degree_check(g, ts))
+                records.extend(fill_checks(ts, k_total, gain))
+                if ts.t >= 2 and ts.k2_components:
+                    records.append(k2_move_check(adj, ts, k_total))
+                t = (t - 1) & k
 
-        for cluster in clusters_among(g, r, tights):
+        for cluster in clusters_among(g, r, clusters):
             gain = fill_gains[cluster.T]
             records.append(cluster_loss_check(cluster, gain))
             for c in range(2, cluster.t + 1):
                 records.append(associated_low_weight_check(g, cluster, c, gain))
-    else:
-        tights = []  # no vertex has degree r
 
-    records.append(discharging_check(g, r, tights, fill_gains))
+    records.append(discharging_check(g, r, clusters, fill_gains))
 
-    if r >= 2 and not any(ts.t >= 2 for ts in tights):
+    if r >= 2 and not any(cl.t >= 2 for cl in clusters):
         records.append(strong_inequalities(kv, g.n, r))
         records.append(chain_bound_check(g.n, r, k_total))
     return records

@@ -133,11 +133,13 @@ class TightStructure:
         return bool(self.k2_components) or any(self.r_degree(x) == 0 for x in bit_list(self.S))
 
 
-def tight_classes(g: Graph, r: int) -> List[Tuple[int, int]]:
+def tight_classes(g: Graph, r: int) -> List[Tuple[int, int, ClassCore]]:
     """The classes (K, X) with K = {v : deg v = r, N[v] = X} nonempty, in
-    order of least member of K.  Each X has r + 1 vertices and contains K.
-    The tight cliques are exactly the nonempty subsets of the classes'
-    K's, and the clusters are the K's themselves."""
+    order of least member of K, each with its core X - K.  Each X has
+    r + 1 vertices and contains K.  The tight cliques are exactly the
+    nonempty subsets of the classes' K's, and the clusters are the K's
+    themselves; a tight clique of size r + 1 is X itself, and so a
+    cluster.  K = X exactly when X is a K_{r+1} component of G."""
     if g.max_degree() > r:
         raise ValueError("tightness needs the degree cap to hold")
     classes: Dict[int, int] = {}
@@ -145,22 +147,21 @@ def tight_classes(g: Graph, r: int) -> List[Tuple[int, int]]:
         if row.bit_count() == r:
             x = row | (1 << v)
             classes[x] = classes.get(x, 0) | (1 << v)
-    return [(k, x) for x, k in classes.items()]
+    return [(k, x, ClassCore(g.adj, x & ~k)) for x, k in classes.items()]
 
 
 def class_structure(adj, k: int, x: int, t: int, core: ClassCore) -> TightStructure:
     """The tight structure of a nonempty T within the class (K, X): its
     common neighborhood is X - T, and T is a cluster iff T = K.  ``core``
-    is the class's ``ClassCore(adj, x & ~k)``, shared by its structures."""
+    is the class's core from ``tight_classes``, shared by its structures."""
     return TightStructure(t, x & ~t, adj, t == k, k, core)
 
 
 def _by_size(g: Graph, r: int) -> List[Tuple[int, int, int, int, ClassCore]]:
     """(|T|, T, K, X, core) for every nonempty tight clique T in class
-    (K, X), sorted by size then mask; each class has one core."""
+    (K, X), sorted by size then mask."""
     found = []
-    for k, x in tight_classes(g, r):
-        core = ClassCore(g.adj, x & ~k)
+    for k, x, core in tight_classes(g, r):
         t = k
         while t:
             found.append((t.bit_count(), t, k, x, core))
@@ -195,23 +196,26 @@ def derive(g: Graph, r: int, tight: int) -> TightStructure:
     if not tight and g.n == r + 1:
         # the empty clique is maximal iff no vertex is tight
         return TightStructure(0, g.vertex_mask, g.adj, not classes)
-    for k, x in classes:
+    for k, x, core in classes:
         if tight and not tight & ~k:
-            return class_structure(g.adj, k, x, tight, ClassCore(g.adj, x & ~k))
+            return class_structure(g.adj, k, x, tight, core)
     raise ValueError("derive requires a tight clique")
 
 
 def clusters(g: Graph, r: int) -> List[TightStructure]:
-    """All maximal tight cliques, each checked against the definition."""
-    return clusters_among(g, r, tight_structures(g, r))
+    """All maximal tight cliques, one per class, each checked against the
+    definition."""
+    found = [class_structure(g.adj, k, x, k, core) for k, x, core in tight_classes(g, r)]
+    return clusters_among(g, r, found)
 
 
 def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[TightStructure]:
-    """The maximal members of ``tights``, which holds every tight clique of
-    ``g`` under ``r``, derived, by mask.
+    """The members of ``tights`` flagged as clusters, by mask.  ``tights``
+    holds every cluster of ``g`` under ``r``, derived, and may hold the
+    other tight cliques too.
 
-    Each is checked against the definition on G's rows: T is a clique,
-    S = N(T) with |S| = r + 1 - |T|, and no v in S has
+    Each cluster is checked against the definition on G's rows: T is a
+    clique, S = N(T) with |S| = r + 1 - |T|, and no v in S has
     |N(T + v)| = r - |T|.  As a
     singleton {v} is tight exactly when deg v = r, the clusters must also
     cover the degree-r vertices.  A mismatch raises rather than silently

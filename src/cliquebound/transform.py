@@ -15,7 +15,7 @@ from .counting import clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
 from .graphs import Graph, bit_list
 from .records import ConsistencyRecord
-from .structure import ClassCore, TightStructure, class_structure, tight_classes
+from .structure import TightStructure, class_structure, tight_classes
 
 # the hill climber's cap on moves taken
 MAX_STEPS = 64
@@ -72,12 +72,12 @@ def _report(g: Graph, rows, move: str, ts: TightStructure, k_before: int) -> Rew
 def fill_gain(adj, ts: TightStructure) -> int:
     """k(G') - k(G) for the fill of ``ts``, on adjacency rows: the fill
     changes edges only at S and leaves T u S a K_{r+1} component, whose
-    2^(r+1) - 2^t subsets meeting S are then the cliques meeting S.  A T u S
-    that is already a K_{r+1} component is the identity fill and gains 0
-    without counting."""
-    inside = ts.T | ts.S
-    if all(adj[x] == inside & ~(1 << x) for x in bit_list(ts.S)):
-        return 0
+    2^(r+1) - 2^t subsets meeting S are then the cliques meeting S.
+
+    Every T of a class (K, X) has T u S = X, so every T of the class fills X
+    into the same graph, with the same gain.  K = X exactly when X is
+    already a K_{r+1} component: that fill is the identity and gains 0, and
+    callers skip it rather than count it here."""
     return (1 << (ts.r + 1)) - (1 << ts.t) - cliques_meeting(adj, ts.S)
 
 
@@ -205,10 +205,9 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
         adj = current.adj
         # (move class, -gain, T, structure): K2 moves sort before fills
         scored = []
-        for k, x in tight_classes(current, r):
+        for k, x, core in tight_classes(current, r):
             if k == x:
                 continue
-            core = ClassCore(adj, x & ~k)
             low = k & -k
             rest = k ^ low
             if rest:

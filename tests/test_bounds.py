@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -22,9 +23,10 @@ from cliquebound.bounds import (
     zykov_check,
 )
 from cliquebound.counting import CliqueVector, clique_vector, independent_vector
-from cliquebound.structure import clusters as clusters_of, derive, tight_cliques
+from cliquebound.structure import clusters as clusters_of
 from cliquebound.transform import apply_fill
 from cliquebound.graphs import (
+    common_neighbors,
     complete,
     complete_bipartite,
     cycle,
@@ -32,6 +34,7 @@ from cliquebound.graphs import (
     empty,
     extremal_graph,
     from_edges,
+    mask_of,
     turan,
 )
 
@@ -197,7 +200,7 @@ class TestMinIndependent:
 
     def test_max_degree_variant(self):
         g = cycle(5)
-        rec = min_ind_check(g, 2, independent_vector(g), allow_max_degree=True)
+        rec = min_ind_check(g, 2, independent_vector(g))
         assert rec.applicable and rec.passed
 
 
@@ -206,6 +209,13 @@ class TestPerSizeSignposts:
         g = disjoint_union(complete(3), complete(3))
         recs = regular_independent_checks(g, 2, independent_vector(g))
         assert recs and all(rec.passed for rec in recs if rec.applicable)
+
+    def test_regular_total_below_the_bound_fails(self):
+        # 2K_3 is 2-regular with a = 2: a total of (d+2)^a - 1 = 15 is one short
+        g = disjoint_union(complete(3), complete(3))
+        recs = regular_independent_checks(g, 2, CliqueVector((1, 6, 8)))
+        (total,) = [rec for rec in recs if rec.subject.endswith(",total")]
+        assert (total.lhs, total.rhs, total.passed) == (15, 16, False)
 
     def test_bounded_clique_per_size(self):
         # T(8, 4) is 6-regular, so the cap 7 is the one with (r+1) | n it meets
@@ -259,10 +269,10 @@ class TestGalvin:
 
 
 def _discharging(g, r):
-    tights = [derive(g, r, t) for t in tight_cliques(g, r)]
+    clusters = clusters_of(g, r)
     k = clique_vector(g).total
-    gains = {ts.T: apply_fill(g, ts, k).gain for ts in tights}
-    return discharging_check(g, r, tights, gains)
+    gains = {cl.T: apply_fill(g, cl, k).gain for cl in clusters}
+    return discharging_check(g, r, clusters, gains)
 
 
 class TestDischarging:
@@ -275,3 +285,49 @@ class TestDischarging:
     def test_cap_violation_not_applicable(self):
         # no tight clique can be derived over the cap
         assert not discharging_check(complete(5), 3, [], {}).applicable
+
+    def test_reweighting_fails_at_the_ceiling(self):
+        """One cluster {0, 1}, S = {2, 3, 4} with R the path 2-3-4, and no
+        K_5: applicable once the cluster is said not to gain.  The clique
+        {0, 2}, of weight 2 and associated with the cluster, goes over the
+        ceiling 2(r - 2)."""
+        g = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
+        (cl,) = clusters_of(g, 4)
+        assert (cl.T, cl.S, cl.k2_components) == (0b11, 0b11100, ())
+        over, sums_ok = _reweighted(g, 4, cl.T)
+        rec = discharging_check(g, 4, [cl], {cl.T: 0})
+        assert rec.applicable and not rec.passed and sums_ok
+        assert (rec.lhs, rec.rhs) in over
+        assert (rec.lhs, rec.rhs) == (5, 4)
+
+    def test_reweighting_passes_when_the_tight_clique_pays(self):
+        """K_2 on {0, 1} joined to a C_5 on 2..6, under r = 6: R is a C_5
+        too, so every associated clique has low weight, and the cluster
+        {0, 1}, of weight 5, meets the ceiling 2(r - 2) only after losing 1."""
+        edges = [(v, w) for v in (0, 1) for w in range(v + 1, 7)]
+        g = from_edges(7, edges + [(w, 2 + (w - 1) % 5) for w in range(2, 7)])
+        (cl,) = clusters_of(g, 6)
+        assert (cl.T, cl.k2_components) == (0b11, ())
+        assert _reweighted(g, 6, cl.T) == (set(), True)
+        rec = discharging_check(g, 6, [cl], {cl.T: 0})
+        assert rec.applicable and rec.passed and (rec.lhs, rec.rhs) == (0, 0)
+
+
+def _reweighted(g, r, cluster):
+    """The discharging of one cluster recomputed from every vertex subset:
+    the (doubled new weight, doubled ceiling) pairs over the ceiling, and
+    whether no per-size doubled weight sum drops."""
+    old_sums, new_sums, over = {}, {}, set()
+    for size in range(2, g.n + 1):
+        for c in combinations(range(g.n), size):
+            mask = mask_of(c)
+            if not g.is_clique(mask):
+                continue
+            weight = common_neighbors(g, mask).bit_count()
+            shared = (mask & cluster).bit_count()
+            new = 2 * weight - 2 * (shared == size) + (shared == size - 1)
+            old_sums[size] = old_sums.get(size, 0) + 2 * weight
+            new_sums[size] = new_sums.get(size, 0) + new
+            if new > 2 * (r - size):
+                over.add((new, 2 * (r - size)))
+    return over, all(old_sums[t] <= new_sums[t] for t in old_sums)

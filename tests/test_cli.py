@@ -71,6 +71,20 @@ class TestCount:
         assert rec["clique_vector"] == [1, 5, 5]
         assert rec["i"] == 11
 
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            pytest.param(["count"], {"input": "-", "tight": False}, id="plain"),
+            pytest.param(
+                ["count", "--tight", "-r", "2"], {"input": "-", "tight": True, "r": 2}, id="tight"
+            ),
+        ],
+    )
+    def test_cap_is_echoed_only_with_tight(self, capsys, monkeypatch, argv, parameters):
+        code, out = run(argv, graph6.encode(cycle(5)) + "\n", capsys, monkeypatch)
+        assert code == EXIT_OK
+        assert json.loads(out)["parameters"] == parameters
+
     def test_perfect_matching_on_64_vertices(self, capsys, monkeypatch):
         matching = from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)])
         code, out = run(["count"], graph6.encode(matching) + "\n", capsys, monkeypatch)

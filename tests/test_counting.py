@@ -62,6 +62,10 @@ class TestCliqueVector:
         with pytest.raises(ValueError):
             CliqueVector((2, 1))
 
+    def test_rejects_a_trailing_zero(self):
+        with pytest.raises(ValueError):
+            CliqueVector((1, 0))
+
 
 class TestKnownValues:
     def test_complete_graph_is_binomial_row(self):

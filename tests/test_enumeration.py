@@ -492,8 +492,9 @@ def _per_cap_records(g, r, kv):
     records += [rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable]
     tights = structure.tight_structures(g, r)
     records += [structure.outside_degree_check(g, ts) for ts in tights]
-    records += [cluster_loss_check(cl, 0) for cl in structure.clusters(g, r)]
-    records.append(discharging_check(g, r, tights, {}))
+    clusters = structure.clusters(g, r)
+    records += [cluster_loss_check(cl, 0) for cl in clusters]
+    records.append(discharging_check(g, r, clusters, {}))
     if r >= 2 and not any(ts.t >= 2 for ts in tights):
         records.append(strong_inequalities(kv, n, r))
         records.append(chain_bound_check(n, r, total))

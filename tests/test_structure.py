@@ -365,7 +365,7 @@ def test_class_core_gives_i_R_and_phi_of_every_tight_clique():
                     alone = derive(g, r, ts.T)  # a core of its own
                     assert alone == ts and (alone.i_R, alone.phi) == (ts.i_R, ts.phi)
                     structures += 1
-                assert sorted(cores) == sorted(k for k, _ in tight_classes(g, r))
+                assert sorted(cores) == sorted(k for k, _, _ in tight_classes(g, r))
                 classes += len(cores)
     assert (classes, structures) == (2082, 3392)
 
@@ -426,7 +426,7 @@ class TestAssociatedCliques:
             for g in generate(n, n - 1):
                 walk = sorted((size, mask) for mask, size, _ in clique_weights(g))
                 for r in range(g.max_degree(), n):
-                    for k, _ in tight_classes(g, r):
+                    for k, _, _ in tight_classes(g, r):
                         for c in range(2, k.bit_count() + 1):
                             expected = [
                                 mask
