@@ -297,6 +297,9 @@ def discharging_check(
     deficiency component.  Checks, for clique sizes >= 2:
       (i)  per size, the doubled weight sum does not drop, and
       (ii) every doubled new weight is at most 2(r - size).
+    A clique over the ceiling is reported by the one furthest over it (the
+    later one in ``clique_weights`` order on ties): its doubled new weight
+    and ceiling as lhs and rhs, and its mask in the subject.
     """
     subject = f"n={g.n},r={r}"
     if (
@@ -312,8 +315,10 @@ def discharging_check(
     big_clusters = [cl.T for cl in clusters if cl.t >= 2]
     old_sums = {}
     new_sums = {}
-    ceiling_ok = True
-    worst = (0, 0)
+    # the clique furthest over the ceiling, the later one on ties: (mask,
+    # doubled new weight, doubled ceiling)
+    worst = None
+    excess = 1
     for mask, size, weight in clique_weights(g):
         if size < 2:
             continue
@@ -323,15 +328,14 @@ def discharging_check(
         doubled_new = 2 * weight - 2 * shared.count(size) + shared.count(size - 1)
         old_sums[size] = old_sums.get(size, 0) + 2 * weight
         new_sums[size] = new_sums.get(size, 0) + doubled_new
-        if doubled_new > 2 * (r - size):
-            ceiling_ok = False
-            worst = (doubled_new, 2 * (r - size))
+        ceiling = 2 * (r - size)
+        if doubled_new - ceiling >= excess:
+            excess = doubled_new - ceiling
+            worst = (mask, doubled_new, ceiling)
     sums_ok = all(old_sums[t] <= new_sums[t] for t in old_sums)
+    if worst is None:
+        return ConsistencyRecord("discharging", subject, 0, 0, True, sums_ok)
+    mask, doubled_new, ceiling = worst
     return ConsistencyRecord(
-        predicate="discharging",
-        subject=subject,
-        lhs=worst[0],
-        rhs=worst[1],
-        applicable=True,
-        passed=sums_ok and ceiling_ok,
+        "discharging", f"{subject},clique={mask:#x}", doubled_new, ceiling, True, False
     )

@@ -31,13 +31,19 @@ Refinement starts from the degree ranks, so every cell holds vertices of
 one degree, and it ranks vertices by an integer key that sorts like
 (colour, sorted neighbour colours); see ``_refine``.  It returns the number
 of cells with the colours, so no node counts them again, and a leaf's
-order is the inverse of its discrete colouring.  The root of the search,
-``root_partition``, is the degree ranks refined once; a caller that needs
-it for its own test (the generator's deletion test) computes it and starts
-the search from it with ``labeling_from_root``.  Refinement and
-individualization only ever split a cell into cells that keep its place
-among the others, so every leaf order lists the vertices by increasing
-root colour.
+order is the inverse of its discrete colouring.  A round that splits no
+cell cannot change a rank, so refinement returns the colours that round
+was given.  Below the root, a node puts one vertex u of an equitable
+colouring alone, and the first round can then only split each cell into
+its neighbours of u (first) and the rest: ``_individualize`` makes that
+split directly and refines further only when it is not discrete.  The
+root of the search, ``root_partition``, is the degree ranks refined once;
+a caller that needs it for its own test (the generator's deletion test)
+computes it and starts the search from it with ``labeling_from_root``.
+Refinement and individualization only ever split a cell into cells that
+keep its place among the others, so every leaf order lists the vertices
+by increasing root colour.  A search empties its own closure cell when it
+ends, so a labeling leaves nothing for the cycle collector.
 
 Leaves are compared by ``graph6.ordered_key``, the integer of their graph6
 bits.  For one vertex count every leaf has the same number of bits, so the
@@ -84,20 +90,48 @@ def _refine(nbrs, colors: List[int], weight) -> Tuple[List[int], int]:
     the integer colour * n**n minus the sum of weight[colour of u] over the
     neighbours u sorts exactly like (colour, sorted neighbour colours), and
     the ranks are the same: no vertex has n neighbours of one colour, so the
-    base-n digits of the sum never carry.
+    base-n digits of the sum never carry.  A round that splits no cell
+    ranks every cell at its own colour, so it returns the colours it was
+    given.
     """
     n = len(nbrs)
     top = weight[0] * n
     ncolors = max(colors) + 1
     while True:
-        w = [weight[c] for c in colors]
-        keys = [top * c - sum(map(w.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
-        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colors = [ranking[key] for key in keys]
-        count = len(ranking)
-        if count == ncolors or count == n:
+        get = list(map(weight.__getitem__, colors)).__getitem__
+        keys = [top * c - sum(map(get, nb)) for c, nb in zip(colors, nbrs)]
+        distinct = sorted(set(keys))
+        count = len(distinct)
+        if count == ncolors:
+            return colors, count
+        colors = list(map(dict(zip(distinct, range(count))).__getitem__, keys))
+        if count == n:
             return colors, count
         ncolors = count
+
+
+def _individualize(nbrs, colors: List[int], u: int, weight) -> Tuple[List[int], int]:
+    """The equitable refinement of the equitable colouring ``colors`` once
+    u is put alone just before the rest of its cell, and its number of
+    cells.
+
+    All vertices of one cell have equally many neighbours in each cell, so
+    once u is alone a round can only tell the neighbours of u in a cell
+    (first) from the rest.  That split is made here directly, and
+    ``_refine`` runs on it unless it is discrete.
+    """
+    # the key of a vertex of cell c is 3c + 1 for a neighbour of u, 3c + 2
+    # for the rest, and 3c for u itself
+    keys = [3 * c + 2 for c in colors]
+    for v in nbrs[u]:
+        keys[v] -= 1
+    keys[u] = 3 * colors[u]
+    distinct = sorted(set(keys))
+    count = len(distinct)
+    colors = list(map(dict(zip(distinct, range(count))).__getitem__, keys))
+    if count == len(colors):
+        return colors, count
+    return _refine(nbrs, colors, weight)
 
 
 def _are_twins(adj, u: int, w: int) -> bool:
@@ -225,17 +259,19 @@ def _search(rows, nbrs, colors: List[int], count: int) -> Tuple[str, List[int], 
                     if any(_root(orbit, w) == root for w in tried):
                         continue
             tried.append(u)
-            # u alone just before the rest of its cell, as dense ranks
-            child = [c + (c >= target) for c in colors]
-            child[u] = target
             path.append(u)
-            resume = search(*_refine(nbrs, child, weight))
+            resume = search(*_individualize(nbrs, colors, u, weight))
             path.pop()
             if resume < depth:
                 return resume
         return depth
 
-    search(colors, count)
+    try:
+        search(colors, count)
+    finally:
+        # ``search`` holds itself through its closure cell: emptying the
+        # cell frees the closure with the frame, not in the cycle collector
+        del search
     return pack(n, best[0]), best[1], autos
 
 

@@ -122,9 +122,11 @@ def _child_canons(
         if (top < size <= r or (size == top and not sub & crowded)) and sub not in seen:
             if images:
                 _mark_orbit(sub, images, seen)
+            # tuple() of a list takes an exact-size tuple that the last child
+            # freed; of a generator it shrinks a larger one, and the freed
+            # tuples pile up on the free list
             child = tuple(
-                row | new_bit if (sub >> v) & 1 else row
-                for v, row in enumerate(parent_rows)
+                [row | new_bit if (sub >> v) & 1 else row for v, row in enumerate(parent_rows)]
             ) + (sub,)
             kept = _canonical_child_form(child, nbrs)
             if kept is not None:
@@ -251,9 +253,12 @@ def _expand_level(parents: Level, r: int, workers: int) -> Level:
         )
     generators = [packed for _, _, packed in children]
     # each child becomes its Graph in place, so its form is freed as the
-    # Graph is built and a level's forms and Graphs are never all held at once
+    # Graph is built and a level's forms and Graphs are never all held at
+    # once; the rows relabel a validated parent's plus one mirrored new row,
+    # so they are not checked again
+    trusted = Graph._trusted
     for i, (_, rows, _) in enumerate(children):
-        children[i] = Graph(len(rows), rows)
+        children[i] = trusted(rows)
     return Level(children, generators)
 
 

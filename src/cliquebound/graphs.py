@@ -69,6 +69,18 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
                 row ^= low
 
+    @classmethod
+    def _trusted(cls, adj: Tuple[int, ...]) -> "Graph":
+        """The graph on the rows ``adj`` with none of the checks above, for
+        rows known to be valid: a relabeling of a validated graph's rows
+        plus one new vertex mirrored into the rows it joins."""
+        # set the fields as the dataclass __init__ does: reading __dict__
+        # would give each instance a dict of its own
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", adj)
+        return g
+
     # -- basic queries -------------------------------------------------
 
     @property

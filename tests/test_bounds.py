@@ -22,7 +22,8 @@ from cliquebound.bounds import (
     strong_inequalities,
     zykov_check,
 )
-from cliquebound.counting import CliqueVector, clique_vector, independent_vector
+from cliquebound.counting import CliqueVector, clique_vector, clique_weights, independent_vector
+from cliquebound.graph6 import decode
 from cliquebound.structure import clusters as clusters_of
 from cliquebound.transform import apply_fill
 from cliquebound.graphs import (
@@ -312,22 +313,49 @@ class TestDischarging:
         rec = discharging_check(g, 6, [cl], {cl.T: 0})
         assert rec.applicable and rec.passed and (rec.lhs, rec.rhs) == (0, 0)
 
+    def test_reweighting_reports_the_clique_furthest_over_the_ceiling(self):
+        """Two clusters of size 2 under r = 6, said not to gain: cliques go
+        over the ceiling by 1 and by 2, and the last one in walk order by 1.
+        The record shows a clique over by 2, the later one on ties, and
+        names it in its subject."""
+        g = decode("HEXix{~")
+        clusters = clusters_of(g, 6)
+        assert sorted(cl.t for cl in clusters) == [1, 2, 2]
+        rec = discharging_check(g, 6, clusters, {cl.T: 0 for cl in clusters})
+        over, _ = _discharged(g, 6, [cl.T for cl in clusters if cl.t >= 2])
+        walk = [mask for mask, _, _ in clique_weights(g) if mask in over]
+        excess = {mask: new - ceiling for mask, (new, ceiling) in over.items()}
+        assert set(excess.values()) == {1, 2} and excess[walk[-1]] == 1
+        furthest = [mask for mask in walk if excess[mask] == 2][-1]
+        assert rec.applicable and not rec.passed
+        assert (rec.lhs, rec.rhs) == over[furthest]
+        assert rec.subject == f"n=9,r=6,clique={furthest:#x}"
 
-def _reweighted(g, r, cluster):
-    """The discharging of one cluster recomputed from every vertex subset:
-    the (doubled new weight, doubled ceiling) pairs over the ceiling, and
-    whether no per-size doubled weight sum drops."""
-    old_sums, new_sums, over = {}, {}, set()
+
+def _discharged(g, r, clusters):
+    """The discharging of the clusters with masks ``clusters`` recomputed
+    from every vertex subset: each clique over its ceiling, as mask ->
+    (doubled new weight, doubled ceiling), and whether no per-size doubled
+    weight sum drops."""
+    old_sums, new_sums, over = {}, {}, {}
     for size in range(2, g.n + 1):
         for c in combinations(range(g.n), size):
             mask = mask_of(c)
             if not g.is_clique(mask):
                 continue
             weight = common_neighbors(g, mask).bit_count()
-            shared = (mask & cluster).bit_count()
-            new = 2 * weight - 2 * (shared == size) + (shared == size - 1)
+            shared = [(mask & cluster).bit_count() for cluster in clusters]
+            new = 2 * weight - 2 * shared.count(size) + shared.count(size - 1)
             old_sums[size] = old_sums.get(size, 0) + 2 * weight
             new_sums[size] = new_sums.get(size, 0) + new
             if new > 2 * (r - size):
-                over.add((new, 2 * (r - size)))
+                over[mask] = (new, 2 * (r - size))
     return over, all(old_sums[t] <= new_sums[t] for t in old_sums)
+
+
+def _reweighted(g, r, cluster):
+    """The discharging of one cluster: the (doubled new weight, doubled
+    ceiling) pairs over the ceiling, and whether no per-size doubled weight
+    sum drops."""
+    over, sums_ok = _discharged(g, r, [cluster])
+    return set(over.values()), sums_ok

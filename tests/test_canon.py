@@ -189,6 +189,33 @@ def test_integer_keyed_refinement_matches_tuple_keys(monkeypatch):
     assert checked.count(8) > 12346  # the search refines below the root too
 
 
+def test_individualization_matches_tuple_keyed_refinement(monkeypatch, atlas_classes):
+    """At every search node of every class with 2 <= n <= 7, as the atlas
+    labels it and relabeled: the colouring that ``_individualize`` gives (a
+    split by adjacency to the new singleton, refined further unless it is
+    discrete) is the reference refinement of the colouring with that vertex
+    alone just before the rest of its cell."""
+    checked = []
+    original = canon._individualize
+
+    def compared(nbrs, colors, u, weight):
+        refined, count = original(nbrs, colors, u, weight)
+        child = [c + (c >= colors[u]) for c in colors]
+        child[u] = colors[u]
+        assert refined == reference_refine(nbrs, child)
+        assert count == len(set(refined))
+        checked.append(count == len(nbrs))
+        return refined, count
+
+    monkeypatch.setattr(canon, "_individualize", compared)
+    rng = random.Random(2014)
+    for g in atlas_classes:
+        canonical_form(g)
+        canonical_form(relabeled(g, rng))
+    # nodes whose split is discrete, and nodes refined past it, are reached
+    assert set(checked) == {False, True}
+
+
 @pytest.mark.parametrize(
     "g, refinements",
     [
@@ -314,3 +341,77 @@ def test_distinguishes_regular_nonisomorphic_pairs():
     assert canonical_form(cycle(6)) != canonical_form(
         disjoint_union(cycle(3), cycle(3))
     )
+
+
+def rook_4x4() -> Graph:
+    """K4 x K4: the cells of a 4 x 4 board, adjacent in a row or a column."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return from_edges(16, [
+        (a, b) for a, b in combinations(range(16), 2)
+        if (cells[a][0] == cells[b][0]) != (cells[a][1] == cells[b][1])
+    ])
+
+
+def shrikhande() -> Graph:
+    """Z4 x Z4 with the differences +-(0, 1), +-(1, 0) and +-(1, 1)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return from_edges(16, [
+        (a, b) for a, b in combinations(range(16), 2)
+        if ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps
+    ])
+
+
+def triangular_8_switched(switch) -> Graph:
+    """T(8), the line graph of K8, Seidel-switched on the set of its
+    vertices that are the edges ``switch`` of K8: adjacency between that
+    set and the rest is complemented.  No edges gives T(8) itself."""
+    pairs = list(combinations(range(8), 2))
+    inside = {pairs.index(tuple(sorted(e))) for e in switch}
+    return from_edges(28, [
+        (a, b) for a, b in combinations(range(28), 2)
+        if (len(set(pairs[a]) & set(pairs[b])) == 1) != ((a in inside) != (b in inside))
+    ])
+
+
+def srg_parameters(g: Graph):
+    """(n, k, lambda, mu) if g is strongly regular, else None."""
+    degrees = {g.degree(v) for v in range(g.n)}
+    common = {True: set(), False: set()}  # adjacent or not -> common neighbours
+    for u, v in combinations(range(g.n), 2):
+        common[g.has_edge(u, v)].add((g.adj[u] & g.adj[v]).bit_count())
+    if len(degrees) != 1 or any(len(values) != 1 for values in common.values()):
+        return None
+    return g.n, degrees.pop(), *(common[adjacent].pop() for adjacent in (True, False))
+
+
+@pytest.mark.parametrize(
+    "parameters, graphs",
+    [
+        ((16, 6, 2, 2), [rook_4x4, shrikhande]),
+        (
+            (28, 12, 6, 4),
+            [
+                lambda: triangular_8_switched([]),
+                lambda: triangular_8_switched([(0, 1), (2, 3), (4, 5), (6, 7)]),
+                lambda: triangular_8_switched([(i, (i + 1) % 8) for i in range(8)]),
+                lambda: triangular_8_switched(
+                    [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+                ),
+            ],
+        ),
+    ],
+    ids=["rook-Shrikhande", "T8-Chang"],
+)
+def test_strongly_regular_graphs_of_one_parameter_set(parameters, graphs):
+    """Strongly regular graphs with equal parameters: refinement cannot
+    split their one degree cell, so only the search tells them apart.
+    Each gets its own form, and the same one under 200 seeded relabelings
+    (the Chang graph switched on C8 got a different form on 23 of 200 when
+    the search joined orbits of automorphisms that do not fix its path)."""
+    built = [build() for build in graphs]
+    assert {srg_parameters(g) for g in built} == {parameters}
+    forms = [canonical_form(g) for g in built]
+    assert len(set(forms)) == len(forms)
+    rng = random.Random(parameters[0])
+    for g, form in zip(built, forms):
+        assert {canonical_form(relabeled(g, rng)) for _ in range(200)} == {form}

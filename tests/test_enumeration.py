@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import sys
@@ -360,6 +361,29 @@ class TestGenerate:
             "eb20b74b2c0ca156578bb8d325a63ff8674adacce7dca3dadaddf858d5248757"
         )
 
+    def test_generation_leaves_no_cyclic_garbage(self, monkeypatch):
+        """A cold (7, 6) build with the cycle collector off leaves it fewer
+        than 100 objects to free: 29,438 while each labeling's search
+        closure held itself through its own cell."""
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            enumeration._classes(7, 6)
+            assert gc.collect() < 100
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("n, r", [(8, 4), (8, 7)])
+    def test_kept_classes_pass_graph_validation(self, monkeypatch, n, r):
+        """Kept classes are built without ``Graph`` validation: each must
+        still pass it, and be equal to the validated graph on its rows."""
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        for g in generate(n, r):
+            assert Graph(g.n, g.adj) == g
+
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
         enumeration._classes(7, 6)
         built = len(cold_labelings)
@@ -383,20 +407,28 @@ class TestGenerate:
                 assert sum(1 for _ in generate(n, r)) == atlas[n, r], (n, r)
 
     @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
-    def test_eight_vertex_classes_are_pairwise_non_isomorphic(self):
-        """No two of the 12,346 classes on 8 vertices are isomorphic, checked
-        by networkx alone: bucket by Weisfeiler-Lehman hash, then test every
-        pair within a bucket."""
+    @pytest.mark.parametrize(
+        "n, r, classes", [(8, 7, 12346), pytest.param(9, 8, 274668, marks=pytest.mark.slow)]
+    )
+    def test_classes_are_pairwise_non_isomorphic(self, n, r, classes):
+        """No two of the classes on n vertices are isomorphic, checked by
+        networkx alone: bucket by Weisfeiler-Lehman hash, then test every
+        pair within a bucket.  At n = 9 this reads the level that criterion
+        2 builds, and keeps only the graphs of this package in the buckets."""
         nx = pytest.importorskip("networkx")
-        buckets = defaultdict(list)
-        for g in generate(8, 7):
+
+        def networkx_graph(g):
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edges())
-            buckets[nx.weisfeiler_lehman_graph_hash(h)].append(h)
-        assert sum(len(bucket) for bucket in buckets.values()) == 12346
+            return h
+
+        buckets = defaultdict(list)
+        for g in generate(n, r):
+            buckets[nx.weisfeiler_lehman_graph_hash(networkx_graph(g))].append(g)
+        assert sum(len(bucket) for bucket in buckets.values()) == classes
         for bucket in buckets.values():
-            for a, b in combinations(bucket, 2):
+            for a, b in combinations(map(networkx_graph, bucket), 2):
                 assert not nx.is_isomorphic(a, b)
 
 
