@@ -67,7 +67,8 @@ def strong_inequalities(kvec: CliqueVector, n: int, r: int) -> ConsistencyRecord
 def strong_chain_bound(n: int, r: int) -> Fraction:
     """1 + n(2^r - 2)/(r - 1): the clique ceiling implied by the strong
     inequalities together with the trivial k_0, k_1, k_2 bounds.  Memoized:
-    a sweep asks for it once per (graph, cap) but meets few (n, r)."""
+    a sweep asks for it once per distinct (cap, clique vector) of each of
+    its chunks, and those meet few (n, r)."""
     if r < 2:
         raise ValueError("the chain bound needs r >= 2")
     return 1 + Fraction(n, r - 1) * ((1 << r) - 2)
@@ -180,11 +181,11 @@ def _bounded_clique_table(n: int, r: int) -> Tuple[Tuple[int, str, int], ...]:
     return tuple((t, f"n={n},r={r},t={t}", a * comb(r + 1, t)) for t in range(1, n + 1))
 
 
-def bounded_clique_checks(g: Graph, r: int, kvec: CliqueVector) -> List[ConsistencyRecord]:
+def bounded_clique_checks(n: int, r: int, kvec: CliqueVector) -> List[ConsistencyRecord]:
     """Per-size upper bounds k_t(G) <= a C(r+1, t) plus the total k(G) <=
-    main_bound(n, r), for max degree <= r and (r+1) | n; ``kvec`` counts g."""
-    n = g.n
-    if g.max_degree() > r or n % (r + 1) != 0:
+    main_bound(n, r), for a graph G on n vertices with maximum degree at
+    most r, counted by ``kvec``; applicable when (r+1) | n."""
+    if n % (r + 1) != 0:
         return [not_applicable("bounded_clique_upper", f"n={n},r={r}")]
     total, total_rhs = kvec.total, main_bound(n, r)
     records = [
@@ -280,14 +281,17 @@ def associated_low_weight_check(
 
 
 def discharging_check(
-    g: Graph, r: int, clusters: List[TightStructure], fill_gains: Dict[int, int]
+    n: int, r: int, clusters: List[TightStructure], fill_gains: Dict[int, int]
 ) -> ConsistencyRecord:
-    """Reweighting check behind the final case of the main result.
+    """Reweighting check behind the final case of the main result, for a
+    graph G on n vertices with maximum degree at most r.
 
-    ``clusters`` holds every cluster of ``g`` under ``r``, derived, and
+    ``clusters`` holds every cluster of G under ``r``, derived, and
     ``fill_gains`` maps each one's mask to the measured clique-count change
     of its fill rewrite.  A clique is tight exactly when it is a nonempty
-    subset of a cluster.
+    subset of a cluster.  The cliques of G are walked on the rows that the
+    clusters carry, so no Graph is passed: with no cluster the record
+    reads only n and r.
 
     Tight cliques lose 1; cliques associated with one cluster (of size >= 2)
     gain one half; 2-cliques associated with two clusters gain 1.  Weights
@@ -301,12 +305,11 @@ def discharging_check(
     later one in ``clique_weights`` order on ties): its doubled new weight
     and ceiling as lhs and rhs, and its mask in the subject.
     """
-    subject = f"n={g.n},r={r}"
+    subject = f"n={n},r={r}"
     if (
-        g.max_degree() > r
         # under the cap a K_{r+1} has weight 0 = r+1-(r+1): a tight clique of
         # size r+1, which is a cluster
-        or any(cl.t == r + 1 for cl in clusters)
+        any(cl.t == r + 1 for cl in clusters)
         or not any(cl.t >= 2 for cl in clusters)
         or any(cl.k2_components or fill_gains[cl.T] > 0 for cl in clusters)
     ):
@@ -319,7 +322,7 @@ def discharging_check(
     # doubled new weight, doubled ceiling)
     worst = None
     excess = 1
-    for mask, size, weight in clique_weights(g):
+    for mask, size, weight in clique_weights(Graph(n, clusters[0].adj)):
         if size < 2:
             continue
         # the clique is tight if it lies in a cluster, associated if it

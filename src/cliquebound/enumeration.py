@@ -446,68 +446,113 @@ def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     return records
 
 
-def _capped_records(g: Graph, r: int, kv: CliqueVector, top: int) -> List[ConsistencyRecord]:
-    """Checks for one graph, with clique vector ``kv`` and maximum degree
-    ``top``, under one cap r >= top.  Each record comes from a predicate
-    of ``bounds``, ``transform`` or ``structure``; this only picks which
-    of them run.
+def _vector_records(n: int, r: int, kv: CliqueVector, above: bool) -> List[ConsistencyRecord]:
+    """The checks under cap r that read only n, r and the clique vector
+    ``kv`` of a graph on n vertices: the main bound and the per-size
+    bounds.  A tight clique's members have degree r, so a cap above the
+    maximum degree (``above``) admits no tight clique, and there the
+    closing checks see no cluster and join these: every record of such a
+    (graph, cap) pair is a function of (r, kv, above).  No graph is passed,
+    so ``_sweep_chunk`` evaluates these once per distinct key."""
+    records = [extremal_bound_check(n, r, kv.total)]
+    records.extend(rec for rec in bounded_clique_checks(n, r, kv) if rec.applicable)
+    if above:
+        records.extend(_closing_records(n, r, kv, [], {}))
+    return records
+
+
+def _closing_records(
+    n: int, r: int, kv: CliqueVector, clusters: list, fill_gains: Dict[int, int]
+) -> List[ConsistencyRecord]:
+    """The discharging check on the clusters of a graph on n vertices under
+    cap r, and, when no cluster has two or more vertices, the strong
+    inequalities and the chain bound on its clique vector ``kv``."""
+    records = [discharging_check(n, r, clusters, fill_gains)]
+    if r >= 2 and not any(cl.t >= 2 for cl in clusters):
+        records.append(strong_inequalities(kv, n, r))
+        records.append(chain_bound_check(n, r, kv.total))
+    return records
+
+
+def _tight_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecord]:
+    """The checks on the tight cliques of g under its maximum degree r, with
+    the closing checks on its clusters.  Each record comes from a predicate
+    of ``bounds``, ``transform`` or ``structure``; this only picks which of
+    them run.
 
     The tight cliques are read class by class (K, X): each nonempty T in K
     gets its per-T records, and the cluster T = K its own.  Every T fills X
     into the same graph, so a class counts one fill gain, on its cluster,
-    and none when K = X, the identity fill of a K_{r+1} component.
-
-    A tight clique's members have degree r, so a cap above the maximum
-    degree admits no class: there the discharging check sees no cluster
-    and is not applicable, and only the predicates that read the clique
-    vector are evaluated.  The records carry no graph6 witness:
-    ``_sweep_chunk`` encodes a graph only if one of its records fails."""
+    and none when K = X, the identity fill of a K_{r+1} component."""
     k_total = kv.total
-    records = [extremal_bound_check(g.n, r, k_total)]
-    records.extend(rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable)
-
+    adj = g.adj
+    records = []
     clusters = []
     fill_gains: Dict[int, int] = {}
-    if r == top:
-        adj = g.adj
-        for k, x, core in tight_classes(g, r):
-            cluster = class_structure(adj, k, x, k, core)
-            clusters.append(cluster)
-            gain = fill_gains[k] = 0 if k == x else fill_gain(adj, cluster)
-            t = k
-            while t:
-                ts = cluster if t == k else class_structure(adj, k, x, t, core)
-                records.append(outside_degree_check(g, ts))
-                records.extend(fill_checks(ts, k_total, gain))
-                if ts.t >= 2 and ts.k2_components:
-                    records.append(k2_move_check(adj, ts, k_total))
-                t = (t - 1) & k
+    for k, x, core in tight_classes(g, r):
+        cluster = class_structure(adj, k, x, k, core)
+        clusters.append(cluster)
+        gain = fill_gains[k] = 0 if k == x else fill_gain(adj, cluster)
+        t = k
+        while t:
+            ts = cluster if t == k else class_structure(adj, k, x, t, core)
+            records.append(outside_degree_check(g, ts))
+            records.extend(fill_checks(ts, k_total, gain))
+            if ts.t >= 2 and ts.k2_components:
+                records.append(k2_move_check(adj, ts, k_total))
+            t = (t - 1) & k
 
-        for cluster in clusters_among(g, r, clusters):
-            gain = fill_gains[cluster.T]
-            records.append(cluster_loss_check(cluster, gain))
-            for c in range(2, cluster.t + 1):
-                records.append(associated_low_weight_check(g, cluster, c, gain))
+    for cluster in clusters_among(g, r, clusters):
+        gain = fill_gains[cluster.T]
+        records.append(cluster_loss_check(cluster, gain))
+        for c in range(2, cluster.t + 1):
+            records.append(associated_low_weight_check(g, cluster, c, gain))
 
-    records.append(discharging_check(g, r, clusters, fill_gains))
-
-    if r >= 2 and not any(cl.t >= 2 for cl in clusters):
-        records.append(strong_inequalities(kv, g.n, r))
-        records.append(chain_bound_check(g.n, r, k_total))
+    records.extend(_closing_records(g.n, r, kv, clusters, fill_gains))
     return records
 
 
 def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
+    """The tallies and failure dicts of ``graphs``, each under every cap
+    from its maximum degree up to ``r_max``.
+
+    Each graph gets its cap-independent records and, under its maximum
+    degree, its tight-clique records.  The records of ``_vector_records``
+    are built once per distinct key (r, k-vector, r above the maximum
+    degree) of the chunk; n is the k-vector's k_1.  Their tallies and
+    failure dicts are kept for the chunk and added for every later pair
+    with that key, the failure dicts copied so that each graph gets its own
+    witness.  A graph's graph6 witness is encoded only if one of its
+    records fails."""
     graphs, r_max = args
     tallies: Dict[str, List[int]] = {}
     failures: List[dict] = []
+    # (r, k-vector, above) -> the (predicate, applicable, passed, failed)
+    # tallies and the failure dicts of _vector_records
+    memo: Dict[tuple, Tuple[Tuple[tuple, ...], Tuple[dict, ...]]] = {}
     for g in graphs:
         kv = clique_vector(g)
         top = g.max_degree()
         first = len(failures)
         _tally(tallies, failures, _graph_records(g, kv))
         for r in range(max(1, top), min(r_max, g.n - 1) + 1):
-            _tally(tallies, failures, _capped_records(g, r, kv, top))
+            key = (r, kv.counts, r > top)
+            part = memo.get(key)
+            if part is None:
+                once: Dict[str, List[int]] = {}
+                failed: List[dict] = []
+                _tally(once, failed, _vector_records(g.n, r, kv, r > top))
+                part = memo[key] = (
+                    tuple((pred, *slot) for pred, slot in once.items()), tuple(failed)
+                )
+            for pred, a, p, f in part[0]:
+                slot = tallies.setdefault(pred, [0, 0, 0])
+                slot[0] += a
+                slot[1] += p
+                slot[2] += f
+            failures.extend(map(dict, part[1]))
+            if r == top:
+                _tally(tallies, failures, _tight_records(g, r, kv))
         if len(failures) > first:
             g6 = graph6.encode(g)
             for failure in failures[first:]:

@@ -26,6 +26,7 @@ from cliquebound.bounds import (
     zykov_check,
 )
 from cliquebound.canon import canonical_form
+from cliquebound.cli import FAILING_BY_DESIGN
 from cliquebound.counting import (
     brute_force_clique_vector,
     clique_vector,
@@ -112,6 +113,22 @@ def test_nine_vertex_level_digest():
 
 
 @pytest.mark.slow
+def test_nine_vertex_sweep_digest():
+    """sha256 of ``consistency_sweep(9, 8).to_json()``, reading the (9, 8)
+    classes criterion 2 built: every predicate on all 288,266 classes with
+    n <= 9.  The value is the package's own output before the sweep
+    evaluated its clique-vector checks once per distinct (cap, k-vector),
+    so any change to a tally, a failure record or its witness shows here.
+    Only the families that fail by design fail, so ``verify --sweep 9 8``
+    exits 0."""
+    report = consistency_sweep(9, 8)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "59e54121a7e6178520a929d0244a8e612516d3488a297f1c8e79a828f93ab78e"
+    )
+    assert {pred for pred, (_, _, failed) in report.tallies.items() if failed} == FAILING_BY_DESIGN
+
+
+@pytest.mark.slow
 def test_criterion_03_oracle_equivalence():
     """Pivoted counter equals the clique-listing oracle on 2^15 labeled n=6
     graphs and on 1000 seeded random n=20 graphs."""
@@ -193,7 +210,7 @@ def test_criterion_07_signposts():
             if n % (r + 1):
                 continue
             for g in _classes(n, r):
-                for rec in bounded_clique_checks(g, r, clique_vector(g)):
+                for rec in bounded_clique_checks(n, r, clique_vector(g)):
                     assert not rec.applicable or rec.passed, (graph6.encode(g), r)
     # independent-set power bounds on all regular graphs
     for n in range(1, 10):
@@ -245,6 +262,8 @@ def test_criterion_09_consistency_report(sweep_n8):
         assert predicate in sweep_n8.tallies
     for failure in sweep_n8.failures:
         assert graph6.decode(failure["graph6"]).n <= 8
+    # only the families that fail by design fail: verify --sweep 8 7 exits 0
+    assert {pred for pred, (_, _, f) in sweep_n8.tallies.items() if f} == FAILING_BY_DESIGN
     # determinism: byte-identical across runs and worker counts
     text = sweep_n8.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (

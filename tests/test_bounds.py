@@ -220,13 +220,13 @@ class TestPerSizeSignposts:
 
     def test_bounded_clique_per_size(self):
         # T(8, 4) is 6-regular, so the cap 7 is the one with (r+1) | n it meets
-        recs = bounded_clique_checks(turan(8, 4), 7, clique_vector(turan(8, 4)))
+        recs = bounded_clique_checks(8, 7, clique_vector(turan(8, 4)))
         assert recs and all(rec.applicable and rec.passed for rec in recs)
 
     def test_bounded_clique_records(self):
         g = disjoint_union(complete(4), cycle(4))  # max degree 3, and 4 | 8
         kv = clique_vector(g)
-        recs = bounded_clique_checks(g, 3, kv)
+        recs = bounded_clique_checks(g.n, 3, kv)
         assert all(rec.predicate == "bounded_clique_upper" and rec.applicable for rec in recs)
         assert [(rec.subject, rec.lhs, rec.rhs) for rec in recs] == [
             ("n=8,r=3,total", kv.total, main_bound(8, 3))
@@ -234,7 +234,7 @@ class TestPerSizeSignposts:
         assert [rec.passed for rec in recs] == [rec.lhs <= rec.rhs for rec in recs]
 
     def test_divisibility_gate(self):
-        recs = bounded_clique_checks(cycle(5), 3, clique_vector(cycle(5)))
+        recs = bounded_clique_checks(5, 3, clique_vector(cycle(5)))
         assert all(not rec.applicable for rec in recs)
 
 
@@ -273,7 +273,7 @@ def _discharging(g, r):
     clusters = clusters_of(g, r)
     k = clique_vector(g).total
     gains = {cl.T: apply_fill(g, cl, k).gain for cl in clusters}
-    return discharging_check(g, r, clusters, gains)
+    return discharging_check(g.n, r, clusters, gains)
 
 
 class TestDischarging:
@@ -285,7 +285,7 @@ class TestDischarging:
 
     def test_cap_violation_not_applicable(self):
         # no tight clique can be derived over the cap
-        assert not discharging_check(complete(5), 3, [], {}).applicable
+        assert not discharging_check(5, 3, [], {}).applicable
 
     def test_reweighting_fails_at_the_ceiling(self):
         """One cluster {0, 1}, S = {2, 3, 4} with R the path 2-3-4, and no
@@ -296,7 +296,7 @@ class TestDischarging:
         (cl,) = clusters_of(g, 4)
         assert (cl.T, cl.S, cl.k2_components) == (0b11, 0b11100, ())
         over, sums_ok = _reweighted(g, 4, cl.T)
-        rec = discharging_check(g, 4, [cl], {cl.T: 0})
+        rec = discharging_check(g.n, 4, [cl], {cl.T: 0})
         assert rec.applicable and not rec.passed and sums_ok
         assert (rec.lhs, rec.rhs) in over
         assert (rec.lhs, rec.rhs) == (5, 4)
@@ -310,7 +310,7 @@ class TestDischarging:
         (cl,) = clusters_of(g, 6)
         assert (cl.T, cl.k2_components) == (0b11, ())
         assert _reweighted(g, 6, cl.T) == (set(), True)
-        rec = discharging_check(g, 6, [cl], {cl.T: 0})
+        rec = discharging_check(g.n, 6, [cl], {cl.T: 0})
         assert rec.applicable and rec.passed and (rec.lhs, rec.rhs) == (0, 0)
 
     def test_reweighting_reports_the_clique_furthest_over_the_ceiling(self):
@@ -321,7 +321,7 @@ class TestDischarging:
         g = decode("HEXix{~")
         clusters = clusters_of(g, 6)
         assert sorted(cl.t for cl in clusters) == [1, 2, 2]
-        rec = discharging_check(g, 6, clusters, {cl.T: 0 for cl in clusters})
+        rec = discharging_check(g.n, 6, clusters, {cl.T: 0 for cl in clusters})
         over, _ = _discharged(g, 6, [cl.T for cl in clusters if cl.t >= 2])
         walk = [mask for mask, _, _ in clique_weights(g) if mask in over]
         excess = {mask: new - ceiling for mask, (new, ceiling) in over.items()}

@@ -17,6 +17,7 @@ from cliquebound.cli import (
 )
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import complete, cycle, disjoint_union, from_edges
+from cliquebound.records import ConsistencyRecord
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -233,6 +234,37 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["results"]["consistency"]["tallies"]["extremal_bound"][2] == 0
         assert len(doc["results"]["verifications"]) > 1
+
+    def test_sweep_exits_1_on_a_failure_not_by_design(self, capsys, monkeypatch):
+        """A sweep failure outside ``FAILING_BY_DESIGN`` falsifies.  The
+        per-size bound, made to fail under the widest cap of each n, gives
+        exit 1 and one failure record per graph, each with that graph as its
+        witness, though the sweep evaluates it once per distinct (cap,
+        k-vector, above the maximum degree) and not once per graph."""
+        calls = []
+
+        def failing(n, r, kvec):
+            if r < min(4, n - 1):
+                return []
+            calls.append((n, r))
+            return [ConsistencyRecord("bounded_clique_upper", f"n={n},r={r}", 1, 0, True, False)]
+
+        monkeypatch.setattr(enumeration, "bounded_clique_checks", failing)
+        code, out = run(["verify", "--sweep", "6", "4"], capsys=capsys)
+        assert code == EXIT_FALSIFIED
+        assert "bounded_clique_upper" not in cli.FAILING_BY_DESIGN
+        failures = json.loads(out)["results"]["consistency"]["failures"]
+        witnesses = [f["graph6"] for f in failures if f["predicate"] == "bounded_clique_upper"]
+        graphs = [g for n in range(2, 7) for g in enumeration.generate(n, min(4, n - 1))]
+        assert sorted(witnesses) == sorted(graph6.encode(g) for g in graphs)
+        assert len(calls) < len(graphs) == 173
+
+    def test_sweep_failing_by_design_exits_0(self, capsys):
+        code, out = run(["verify", "--sweep", "4", "3"], capsys=capsys)
+        tallies = json.loads(out)["results"]["consistency"]["tallies"]
+        failing = {pred for pred, (_, _, failed) in tallies.items() if failed}
+        assert failing and failing <= cli.FAILING_BY_DESIGN
+        assert code == EXIT_OK
 
     def test_sweep_builds_each_level_once(self, capsys, monkeypatch, cold_labelings):
         """Asking for the caps in ascending order rebuilt every (n, r) from

@@ -9,6 +9,7 @@ import pytest
 
 from cliquebound import enumeration, graph6, structure
 from cliquebound.bounds import (
+    associated_low_weight_check,
     bounded_clique_checks,
     chain_bound_check,
     cluster_loss_check,
@@ -43,6 +44,7 @@ from cliquebound.graphs import (
     from_edges,
     path,
 )
+from cliquebound.transform import apply_fill, fill_checks, k2_move_check
 
 # the package exports the function ``fixed_loss`` under the module's name
 fixed_loss_module = importlib.import_module("cliquebound.fixed_loss")
@@ -514,23 +516,36 @@ class TestVerifyMain:
 
 
 def _per_cap_records(g, r, kv):
-    """The predicates the sweep evaluates under cap r, through the public
-    checks and at every cap: one record per tight clique (its outside-degree
-    check) and per cluster (its loss check), so a tight clique that the
-    sweep skipped would show as a record it lacks.  Every record comes from
-    a predicate; none is built here."""
+    """Every record the sweep tallies for g under cap r, through the public
+    checks alone: each tight clique is found on its own and gets its own
+    fill gain, measured by counting the filled graph in full, and nothing
+    is reused from another pair.  So a tight clique that the sweep skipped,
+    a fill gain it shared wrongly, or a record it reused for the wrong pair
+    would show.
+    Every record comes from a predicate; none is built here."""
     n, total = g.n, kv.total
     records = [extremal_bound_check(n, r, total)]
-    records += [rec for rec in bounded_clique_checks(g, r, kv) if rec.applicable]
+    records += [rec for rec in bounded_clique_checks(n, r, kv) if rec.applicable]
     tights = structure.tight_structures(g, r)
-    records += [structure.outside_degree_check(g, ts) for ts in tights]
+    gains = {ts.T: apply_fill(g, ts, total).gain for ts in tights}
+    for ts in tights:
+        records.append(structure.outside_degree_check(g, ts))
+        records += fill_checks(ts, total, gains[ts.T])
+        if ts.t >= 2 and ts.k2_components:
+            records.append(k2_move_check(g.adj, ts, total))
     clusters = structure.clusters(g, r)
-    records += [cluster_loss_check(cl, 0) for cl in clusters]
-    records.append(discharging_check(g, r, clusters, {}))
+    for cl in clusters:
+        records.append(cluster_loss_check(cl, gains[cl.T]))
+        records += [associated_low_weight_check(g, cl, c, gains[cl.T]) for c in range(2, cl.t + 1)]
+    records.append(discharging_check(n, r, clusters, {cl.T: gains[cl.T] for cl in clusters}))
     if r >= 2 and not any(ts.t >= 2 for ts in tights):
         records.append(strong_inequalities(kv, n, r))
         records.append(chain_bound_check(n, r, total))
     return records
+
+
+def _failure_order(failure):
+    return tuple(failure[key] for key in ("predicate", "graph6", "subject", "lhs", "rhs"))
 
 
 class TestConsistencySweep:
@@ -629,14 +644,51 @@ class TestConsistencySweep:
                 for r in range(top + 1, 7):
                     assert structure.tight_classes(g, r) == []
                     assert structure.clusters(g, r) == []
-                    assert not discharging_check(g, r, [], {}).applicable
+                    assert not discharging_check(g.n, r, [], {}).applicable
                     swept = ({}, [])
-                    enumeration._tally(*swept, enumeration._capped_records(g, r, kv, top))
+                    enumeration._tally(*swept, enumeration._vector_records(g.n, r, kv, True))
                     direct = ({}, [])
                     enumeration._tally(*direct, _per_cap_records(g, r, kv))
                     assert swept == direct
                     pairs += 1
         assert pairs == 2132  # 1,843 of them have r <= n - 1 and are swept
+
+    def test_memo_changes_nothing(self, monkeypatch):
+        """One chunk of every class with n <= 7 tallies exactly what each
+        (graph, cap) pair gives when every check is evaluated on its own,
+        and evaluates the clique-vector checks once per distinct key
+        (r, k-vector, r above the maximum degree): fewer times than there
+        are pairs."""
+        calls = []
+        original = enumeration.extremal_bound_check
+
+        def counted(n, r, k_total):
+            calls.append((n, r, k_total))
+            return original(n, r, k_total)
+
+        monkeypatch.setattr(enumeration, "extremal_bound_check", counted)
+        graphs = [g for n in range(1, 8) for g in generate(n, min(6, max(n - 1, 1)))]
+        tallies, failures = enumeration._sweep_chunk((graphs, 6))
+        direct = ({}, [])
+        keys = set()
+        pairs = 0
+        for g in graphs:
+            kv = clique_vector(g)
+            top = g.max_degree()
+            first = len(direct[1])
+            records = enumeration._graph_records(g, kv)
+            for r in range(max(1, top), min(6, g.n - 1) + 1):
+                records += _per_cap_records(g, r, kv)
+                keys.add((r, kv.counts, r > top))
+                pairs += 1
+            enumeration._tally(*direct, records)
+            for failure in direct[1][first:]:
+                failure["graph6"] = graph6.encode(g)
+        assert tallies == direct[0]
+        assert sorted(failures, key=_failure_order) == sorted(direct[1], key=_failure_order)
+        assert len(failures) == 954
+        assert pairs == 3088
+        assert len(calls) == len(keys) == 784 < pairs
 
     def test_witnesses_encoded_only_for_failing_graphs(self, monkeypatch):
         calls = []
@@ -661,7 +713,7 @@ class TestConsistencySweep:
             top = g.max_degree()
             records = enumeration._graph_records(g, kv)
             for r in range(max(1, top), min(6, g.n - 1) + 1):
-                records += enumeration._capped_records(g, r, kv, top)
+                records += _per_cap_records(g, r, kv)
             assert any(
                 rec.failed
                 and (rec.predicate, rec.subject, rec.lhs, rec.rhs)
