@@ -6,11 +6,13 @@ Every invocation emits one self-describing document (JSON by default,
 * 0 — success, nothing falsified, no parse errors
 * 1 — a verified bound was violated (this would falsify the underlying claim),
   or a ``verify --sweep`` predicate failed outside ``FAILING_BY_DESIGN``
-* 2 — usage error, capacity cap exceeded, or bad arguments; for
-  ``count --tight``, a well-formed line whose maximum degree exceeds ``-r``
-  (that line carries an ``error``, and the other lines are still counted)
+* 2 — usage error, capacity cap exceeded, bad arguments, or a checkpoint
+  line that is not a finished-unit record (bytes not UTF-8 or failure sides
+  not integers included); for ``count``, a line over the 64-vertex capacity
+  or, with ``--tight``, one whose maximum degree exceeds ``-r`` (such a line
+  carries an ``error``, and the other lines are still counted)
 * 3 — at least one malformed graph6 input line (remaining lines processed);
-  this wins over an over-cap line in the same input
+  this wins over a line over the capacity or the cap in the same input
 * 4 — internal fault: two computations of one quantity disagreed, or
   generation produced a class twice (a bug in this package, not a verdict)
 """
@@ -135,8 +137,9 @@ def cmd_count(args) -> int:
     for i, line in enumerate(_read_graph6_lines(args.input), start=1):
         try:
             g = graph6.decode(line)
-        except Graph6ParseError as exc:
-            malformed = True
+        except (Graph6ParseError, CapacityError) as exc:
+            malformed |= isinstance(exc, Graph6ParseError)
+            over_cap |= isinstance(exc, CapacityError)
             records.append({"line": i, "graph6": line, "error": str(exc)})
             continue
         kvec = clique_vector(g)

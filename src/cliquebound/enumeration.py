@@ -654,12 +654,12 @@ def _load_checkpoint(path: str, r_max: int) -> Dict[int, Tuple[Dict[str, List[in
     intact = data[: data.rfind(b"\n") + 1]
     if len(intact) < len(data):
         os.truncate(path, len(intact))
-    for number, line in enumerate(intact.decode("utf-8").splitlines(), start=1):
+    for number, line in enumerate(intact.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(b"#"):
             continue
         try:
-            entry = json.loads(line)
+            entry = json.loads(line.decode("utf-8"))
             n, unit_r_max, unit = entry["n"], entry["r_max"], (entry["tallies"], entry["failures"])
             _check_unit_types(n, unit_r_max, unit)
         except (ValueError, TypeError, KeyError):
@@ -671,8 +671,9 @@ def _load_checkpoint(path: str, r_max: int) -> Dict[int, Tuple[Dict[str, List[in
 
 def _check_unit_types(n, r_max, unit) -> None:
     """Raise TypeError unless a checkpoint record's values have the types
-    that ``_merge`` and the failure sort read: integer n and r_max, tallies
-    mapping names to three integers, failures objects with string sort keys."""
+    that ``_merge``, the failure sort and the report read: integer n and
+    r_max, tallies mapping names to three integers, failures objects with
+    string sort keys and integer sides."""
     tallies, failures = unit
     if not (
         type(n) is int
@@ -684,7 +685,10 @@ def _check_unit_types(n, r_max, unit) -> None:
         )
         and isinstance(failures, list)
         and all(
-            isinstance(f, dict) and all(isinstance(f.get(key), str) for key in _FAILURE_SORT_KEYS)
+            isinstance(f, dict)
+            and all(isinstance(f.get(key), str) for key in _FAILURE_SORT_KEYS)
+            and type(f.get("lhs")) is int
+            and type(f.get("rhs")) is int
             for f in failures
         )
     ):

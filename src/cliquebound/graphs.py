@@ -8,7 +8,7 @@ set algebra is &, |, ^ and membership is ``(mask >> v) & 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import CapacityError
 
@@ -96,17 +96,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)
 
-    def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        for v in range(self.n):
-            for u in bit_list(self.adj[v] & ((1 << v) - 1)):
-                yield (u, v)
-
     def is_clique(self, vs: int) -> bool:
         """True iff the vertex set ``vs`` induces a complete subgraph."""
         m = vs
@@ -158,39 +147,6 @@ def cycle(n: int) -> Graph:
     return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-def path(n: int) -> Graph:
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def complete_bipartite(p: int, q: int) -> Graph:
-    if p + q > MAX_VERTICES:
-        raise CapacityError("complete_bipartite exceeds capacity")
-    left = (1 << p) - 1
-    right = ((1 << (p + q)) - 1) ^ left
-    adj = [right] * p + [left] * q
-    return Graph(p + q, tuple(adj))
-
-
-def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
-    n = sum(part_sizes)
-    full = (1 << n) - 1
-    adj = []
-    start = 0
-    for size in part_sizes:
-        part = ((1 << size) - 1) << start
-        adj.extend([full ^ part] * size)
-        start += size
-    return Graph(n, tuple(adj))
-
-
-def turan(n: int, w: int) -> Graph:
-    """Balanced complete multipartite graph with ``w`` parts."""
-    if not 1 <= w <= n:
-        raise ValueError("turan requires 1 <= w <= n")
-    q, rem = divmod(n, w)
-    return complete_multipartite([q + 1] * rem + [q] * (w - rem))
-
-
 def extremal_graph(n: int, r: int) -> Graph:
     """aK_{r+1} u K_b where n = a(r+1) + b, 0 <= b <= r.
 
@@ -222,43 +178,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
         raise CapacityError("disjoint union exceeds capacity")
     shifted = tuple(row << g.n for row in h.adj)
     return Graph(g.n + h.n, g.adj + shifted)
-
-
-def induced(g: Graph, vs: int) -> Tuple[Graph, List[int]]:
-    """Subgraph induced on the vertex set ``vs``.
-
-    Vertices are relabeled to 0..|vs|-1 in increasing original-label order;
-    the returned label map sends new labels back to original ones.
-    """
-    labels = bit_list(vs)
-    index = {v: i for i, v in enumerate(labels)}
-    adj = []
-    for v in labels:
-        row = 0
-        for u in bit_list(g.adj[v] & vs):
-            row |= 1 << index[u]
-        adj.append(row)
-    return Graph(len(labels), tuple(adj)), labels
-
-
-def connected_components(g: Graph) -> List[int]:
-    """Vertex masks of the connected components, in increasing mask order."""
-    seen = 0
-    components = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = g.adj[v] & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for u in bit_list(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-        components.append(comp)
-        seen |= comp
-    return components
 
 
 def common_neighbors(g: Graph, vs: int) -> int:

@@ -31,10 +31,6 @@ class ConsistencyRecord:
         if not self.applicable and self.passed is not None:
             raise ValueError("pass/fail is defined only when applicable")
 
-    @property
-    def failed(self) -> bool:
-        return self.applicable and not self.passed
-
 
 def not_applicable(predicate: str, subject: str) -> ConsistencyRecord:
     return ConsistencyRecord(predicate, subject, 0, 0, False, None)

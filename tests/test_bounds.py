@@ -29,15 +29,14 @@ from cliquebound.transform import apply_fill
 from cliquebound.graphs import (
     common_neighbors,
     complete,
-    complete_bipartite,
     cycle,
     disjoint_union,
     empty,
     extremal_graph,
     from_edges,
     mask_of,
-    turan,
 )
+from helpers import complete_bipartite, turan
 
 graphs = st.integers(1, 7).flatmap(
     lambda n: st.builds(

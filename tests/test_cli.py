@@ -18,6 +18,7 @@ from cliquebound.cli import (
 from cliquebound.errors import InternalConsistencyError
 from cliquebound.graphs import complete, cycle, disjoint_union, from_edges
 from cliquebound.records import ConsistencyRecord
+from helpers import num_edges
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -193,6 +194,24 @@ class TestCount:
         assert k3["error"] == "max degree 2 exceeds r=1"
         assert bad["line"] == 2 and "n" not in bad
 
+    @pytest.mark.parametrize("tail, exit_code", [("", EXIT_USAGE), ("@@@bad\n", EXIT_PARSE)],
+                             ids=["alone", "with-a-malformed-line"])
+    def test_line_over_the_capacity_is_usage_error(self, capsys, monkeypatch, tail, exit_code):
+        """A graph over the 64-vertex capacity carries its own error, as a
+        line over -r does, and the lines around it are still counted."""
+        empty65 = "~?@@" + "?" * ((65 * 64 // 2 + 5) // 6)  # no edges
+        code, out = run(
+            ["count"],
+            graph6.encode(cycle(5)) + "\n" + empty65 + "\n" + graph6.encode(complete(2)) + "\n" + tail,
+            capsys,
+            monkeypatch,
+        )
+        assert code == exit_code
+        c5, big, k2 = json.loads(out)["results"]["graphs"][:3]
+        assert (c5["k"], k2["k"]) == (11, 4)
+        assert big == {"line": 2, "graph6": empty65,
+                       "error": "graph6 input has 65 vertices; capacity is 64"}
+
     def test_tight_without_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(graph6.encode(cycle(4)) + "\n"))
         with pytest.raises(SystemExit) as exc_info:
@@ -334,16 +353,22 @@ class TestVerify:
     @pytest.mark.parametrize(
         "line",
         [
-            "5",
-            '{"r_max": 2}',
-            '{"n": 1, "r_max": 2, "tallies": 5, "failures": []}',
-            '{"n": 1, "r_max": 2, "tallies": {}, "failures": [5]}',
+            b"5",
+            b'{"r_max": 2}',
+            b'{"n": 1, "r_max": 2, "tallies": 5, "failures": []}',
+            b'{"n": 1, "r_max": 2, "tallies": {}, "failures": [5]}',
+            b"\xff\xfe",
+            b'{"n": 1, "r_max": 2, "tallies": {}, "failures": [{"predicate": "p", "graph6": "@",'
+            b' "subject": "s", "lhs": 1.5, "rhs": "z"}]}',
+            b'{"n": 1, "r_max": 2, "tallies": {}, "failures": [{"predicate": "p", "graph6": "@",'
+            b' "subject": "s", "lhs": true, "rhs": 1}]}',
         ],
-        ids=["number", "no-tallies", "tallies-not-a-dict", "failure-not-an-object"],
+        ids=["number", "no-tallies", "tallies-not-a-dict", "failure-not-an-object", "not-utf-8",
+             "failure-sides-not-integers", "failure-side-a-bool"],
     )
     def test_malformed_checkpoint_line_is_usage_error(self, capsys, tmp_path, line):
         path = tmp_path / "sweep.ckpt"
-        path.write_text("# checkpoint\n" + line + "\n")
+        path.write_bytes(b"# checkpoint\n" + line + b"\n")
         assert main(["--checkpoint", str(path), "verify", "--sweep", "3", "2"]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
 
@@ -361,7 +386,7 @@ class TestTransform:
         assert results["final_k"] == 9
         assert results["trace"][0]["gain"] == 0
         final = graph6.decode(results["final_graph6"])
-        assert final.num_edges() == 3  # K_3 plus an isolated vertex
+        assert num_edges(final) == 3  # K_3 plus an isolated vertex
 
     def test_greedy_from_staging_graph(self, capsys, monkeypatch):
         from cliquebound.graphs import from_edges

@@ -28,11 +28,9 @@ from cliquebound.graphs import (
     empty,
     extremal_graph,
     from_edges,
-    induced,
     mask_of,
-    path,
-    turan,
 )
+from helpers import induced, path, turan
 
 graphs = st.integers(0, 8).flatmap(
     lambda n: st.builds(

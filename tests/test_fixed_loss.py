@@ -15,13 +15,12 @@ from cliquebound.fixed_loss import (
 from cliquebound.graphs import (
     Graph,
     complete,
-    connected_components,
     cycle,
     disjoint_union,
     empty,
     from_edges,
-    path,
 )
+from helpers import connected_components, path
 
 graphs = st.integers(0, 7).flatmap(
     lambda n: st.builds(
@@ -40,7 +39,7 @@ def fixed_loss_by_subset_scan(g: Graph) -> FixedLossBreakdown:
     phi = weighted = 0
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
-            if any(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+            if any((g.adj[u] >> v) & 1 for u, v in combinations(combo, 2)):
                 continue
             term = (1 << min(g.degree(v) for v in combo)) - 1
             phi += term

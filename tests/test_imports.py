@@ -5,6 +5,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,10 @@ RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 MODULES = sorted(path.stem for path in SOURCE.glob("*.py"))
 
 
-def internal_imports(tree: ast.Module):
-    """(node, imported module) for every import of a package module."""
+def package_imports(tree: ast.AST):
+    """(node, alias, module, name) for every alias of an import in ``tree``
+    that loads a package module: the root is ``__init__``, and ``name`` is
+    the name imported from the module, or None for the module itself."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0:
@@ -46,16 +49,18 @@ def internal_imports(tree: ast.Module):
                 base = node.module.split(".") if node.module else []
             else:
                 continue
-            if base:
-                yield node, base[0]
-            else:  # ``from . import x``: a submodule, or a name of __init__
-                for alias in node.names:
-                    yield node, alias.name if alias.name in RANK else "__init__"
+            for alias in node.names:
+                if base:
+                    yield node, alias, base[0], alias.name
+                elif alias.name in RANK:  # ``from . import x``: a submodule
+                    yield node, alias, alias.name, None
+                else:  # or a name of __init__
+                    yield node, alias, "__init__", alias.name
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == PACKAGE:
-                    yield node, parts[1] if len(parts) > 1 else "__init__"
+                    yield node, alias, parts[1] if len(parts) > 1 else "__init__", None
 
 
 def parse(module: str) -> ast.Module:
@@ -70,7 +75,7 @@ def test_every_module_has_a_layer():
 def test_imports_point_down(module):
     upward = [
         (node.lineno, target)
-        for node, target in internal_imports(parse(module))
+        for node, _, target, _ in package_imports(parse(module))
         if RANK[target] > RANK[module]
     ]
     assert upward == [], f"{module} imports from a later layer"
@@ -81,7 +86,7 @@ def test_no_internal_import_inside_a_function(module):
     local = []
     for func in ast.walk(parse(module)):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            local.extend((node.lineno, target) for node, target in internal_imports(func))
+            local.extend((node.lineno, target) for node, _, target, _ in package_imports(func))
     assert local == [], f"{module} imports package modules inside a function"
 
 
@@ -108,66 +113,131 @@ def test_no_unused_module_level_import(module):
 
 
 # Public definitions that nothing in the package or the benchmark reads, each
-# kept on purpose.
+# kept on purpose: ROADMAP item 3 decides whether the sweep checks them or
+# they go.
 UNREAD_BY_DESIGN = {
-    # ROADMAP item 3 decides whether the sweep checks them or they go
     "bounds.chain_vs_main_compare",
     "bounds.galvin_bound",
-    # constructors, oracles and helpers for the tests
-    "graphs.complete_bipartite",
-    "graphs.turan",
-    "graphs.induced",
-    "graphs.connected_components",
-    "graphs.Graph.num_edges",
-    "graphs.Graph.has_edge",
+}
+
+# Public definitions that only the benchmark reads.  They leave the package
+# with the benchmark change that moves their readers test-side.
+READ_ONLY_BY_PERFBENCH = {
+    "graphs.complement",
+    "graphs.Graph.relabel",
+    "counting.brute_force_clique_vector",
+    "structure.clusters",
+    "structure.tight_cliques",
+    "enumeration.SweepReport.failures_for",
+    "enumeration.SweepReport.to_json",
 }
 
 
-def loaded_names(tree: ast.AST, skip=None):
-    """Every name an expression in ``tree`` reads, bare or as an attribute,
-    outside the subtree ``skip``."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        stack.extend(ast.iter_child_nodes(node))
+def loads(tree: ast.AST):
+    """Every name and attribute node that reads a value in ``tree``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def load_counts(tree: ast.AST) -> Counter:
+    """How often ``tree`` loads each bare name and each attribute, keyed
+    ``(ast.Name, name)`` and ``(ast.Attribute, name)``."""
+    return Counter(
+        (type(node), node.id if isinstance(node, ast.Name) else node.attr) for node in loads(tree)
+    )
+
+
+def module_reads(tree: ast.AST):
+    """(module, name) for every name ``tree`` imports from a package module,
+    and for every ``module.name`` it loads through an import of that module."""
+    bound = {}  # name -> the package module an import binds it to
+    reads = set()
+    for node, alias, module, name in package_imports(tree):
+        if name is not None:
+            reads.add((module, name))
+        elif isinstance(node, ast.Import) and not alias.asname:
+            bound[PACKAGE] = "__init__"  # ``import cliquebound.x`` binds the root
+        else:
+            bound[alias.asname or alias.name] = module
+
+    def module_of(expr):
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id)
+        if isinstance(expr, ast.Attribute) and expr.attr in RANK and module_of(expr.value) == "__init__":
+            return expr.attr
+        return None
+
+    for node in loads(tree):
+        if isinstance(node, ast.Attribute) and (module := module_of(node.value)):
+            reads.add((module, node.attr))
+    return reads
 
 
 def public_definitions(module: str, tree: ast.Module):
-    """(dotted name, node) for every public module-level function and class,
-    and every public method and property of those classes."""
+    """(dotted name, node, whether a class member) for every public
+    module-level function and class, and every public method and property
+    of those classes."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        yield f"{module}.{node.name}", node
+        yield f"{module}.{node.name}", node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member
+                    yield f"{module}.{node.name}.{member.name}", member, True
+
+
+def definitions_read_by(readers: dict):
+    """The dotted names of the package's public definitions that the parsed
+    modules ``readers`` read outside the definitions' own bodies.
+
+    A module-level definition is read where a module imports it from its
+    own module, loads ``module.name`` through an import of that module, or,
+    in its own module, loads its bare name.  A method or property is read
+    only through an attribute ``.name``.  So a local variable of another
+    module that shares a definition's name does not count as a read of it."""
+    imported = set().union(*map(module_reads, readers.values()))
+    everywhere = sum(map(load_counts, readers.values()), Counter())
+    read = set()
+    for module in MODULES:
+        own = load_counts(readers[module]) if module in readers else Counter()
+        for name, node, member in public_definitions(module, parse(module)):
+            inside = load_counts(node) if module in readers else Counter()
+            if member:
+                key = (ast.Attribute, node.name)
+                hit = everywhere[key] > inside[key]
+            else:
+                key = (ast.Name, node.name)
+                hit = (module, node.name) in imported or own[key] > inside[key]
+            if hit:
+                read.add(name)
+    return read
+
+
+def package_and_benchmark_readers():
+    """(definitions read by the package, definitions read by ``perfbench``)."""
+    package = {module: parse(module) for module in MODULES}
+    bench = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")}
+    return definitions_read_by(package), definitions_read_by(bench)
 
 
 def test_every_public_definition_is_read():
     """A public module-level function or class, and a public method or
     property of such a class, is read by some code in the package or in
-    ``perfbench``, outside its own definition, unless it is listed in
-    ``UNREAD_BY_DESIGN``.  An import alone does not count."""
-    trees = {module: parse(module) for module in MODULES}
-    trees.update(
-        (f"perfbench/{path.name}", ast.parse(path.read_text(encoding="utf-8")))
-        for path in sorted(PERFBENCH.glob("*.py"))
-    )
-    unread = [
-        name
-        for module in MODULES
-        for name, node in public_definitions(module, trees[module])
-        if not any(node.name in loaded_names(tree, node) for tree in trees.values())
-    ]
-    assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
+    ``perfbench``, unless it is listed in ``UNREAD_BY_DESIGN``."""
+    defined = {name for module in MODULES for name, _, _ in public_definitions(module, parse(module))}
+    by_package, by_bench = package_and_benchmark_readers()
+    assert sorted(defined - by_package - by_bench) == sorted(UNREAD_BY_DESIGN)
+
+
+def test_benchmark_only_readers_are_pinned():
+    """The definitions that ``perfbench`` reads and nothing in the package
+    does are exactly ``READ_ONLY_BY_PERFBENCH``."""
+    by_package, by_bench = package_and_benchmark_readers()
+    assert sorted(by_bench - by_package) == sorted(READ_ONLY_BY_PERFBENCH)
 
 
 # The constructors of a sweep record, ``records.ConsistencyRecord`` and its

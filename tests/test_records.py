@@ -13,15 +13,6 @@ def test_inapplicable_record_must_not_carry_verdict():
         ConsistencyRecord("p", "s", 0, 0, applicable=False, passed=True)
 
 
-def test_failed_property():
-    ok = ConsistencyRecord("p", "s", 1, 2, applicable=True, passed=True)
-    bad = ConsistencyRecord("p", "s", 3, 2, applicable=True, passed=False)
-    skipped = not_applicable("p", "s")
-    assert not ok.failed
-    assert bad.failed
-    assert not skipped.failed
-
-
 def test_not_applicable_helper():
     rec = not_applicable("some_bound", "n=3")
     assert rec.predicate == "some_bound"
@@ -38,7 +29,6 @@ def test_positional_and_keyword_construction_agree():
     assert (positional.predicate, positional.subject, positional.lhs, positional.rhs) == (
         "p", "s", 3, 4,
     )
-    assert positional.failed
 
 
 @pytest.mark.parametrize(

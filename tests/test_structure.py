@@ -15,14 +15,10 @@ from cliquebound.graphs import (
     complement,
     complete,
     common_neighbors,
-    complete_bipartite,
-    connected_components,
     cycle,
     disjoint_union,
     from_edges,
-    induced,
     mask_of,
-    path,
 )
 from cliquebound.structure import (
     TightStructure,
@@ -35,6 +31,7 @@ from cliquebound.structure import (
     tight_cliques,
     tight_structures,
 )
+from helpers import complete_bipartite, connected_components, induced, path
 
 @st.composite
 def graph_with_cap(draw):
@@ -156,7 +153,7 @@ def reference_facts(g, r):
         s_mask = common_neighbors(g, t_mask)
         labels = [v for v in range(g.n) if (s_mask >> v) & 1]
         rows = [
-            sum(1 << j for j, y in enumerate(labels) if y != x and not g.has_edge(x, y))
+            sum(1 << j for j, y in enumerate(labels) if y != x and not (g.adj[x] >> y) & 1)
             for x in labels
         ]
         # T + v is a clique for every v in S; it is tight at weight r - |T|

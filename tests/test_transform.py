@@ -21,7 +21,6 @@ from cliquebound.graphs import (
     disjoint_union,
     from_edges,
     mask_of,
-    path,
 )
 from cliquebound.structure import TightStructure, derive, tight_cliques, tight_structures
 from cliquebound.transform import (
@@ -34,6 +33,7 @@ from cliquebound.transform import (
     k2_gain,
     k2_move_check,
 )
+from helpers import path
 
 
 def staging_graph():
