@@ -63,7 +63,13 @@ from .errors import CapacityError, InternalConsistencyError
 from .fixed_loss import degree_one_bound_check, fixed_loss, max_bound_check
 from .graphs import Graph, bit_list, cycle, disjoint_union, extremal_graph
 from .records import ConsistencyRecord
-from .structure import class_structure, clusters_among, outside_degree_check, tight_classes
+from .structure import (
+    ClassCore,
+    class_structure,
+    clusters_among,
+    outside_degree_check,
+    tight_classes,
+)
 from .transform import fill_checks, fill_gain, k2_move_check
 
 GENERATION_MAX_VERTICES = 12
@@ -474,7 +480,9 @@ def _closing_records(
     return records
 
 
-def _tight_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecord]:
+def _tight_records(
+    g: Graph, r: int, kv: CliqueVector, cores: Dict[int, ClassCore], width: int
+) -> List[ConsistencyRecord]:
     """The checks on the tight cliques of g under its maximum degree r, with
     the closing checks on its clusters.  Each record comes from a predicate
     of ``bounds``, ``transform`` or ``structure``; this only picks which of
@@ -483,13 +491,17 @@ def _tight_records(g: Graph, r: int, kv: CliqueVector) -> List[ConsistencyRecord
     The tight cliques are read class by class (K, X): each nonempty T in K
     gets its per-T records, and the cluster T = K its own.  Every T fills X
     into the same graph, so a class counts one fill gain, on its cluster,
-    and none when K = X, the identity fill of a K_{r+1} component."""
+    and none when K = X, the identity fill of a K_{r+1} component.  A
+    class's core is the first in ``cores`` with its ``ClassCore.key`` in
+    ``width``-bit slots, so equal cores are counted once for all graphs
+    that share ``cores``."""
     k_total = kv.total
     adj = g.adj
     records = []
     clusters = []
     fill_gains: Dict[int, int] = {}
     for k, x, core in tight_classes(g, r):
+        core = cores.setdefault(core.key(width), core)
         cluster = class_structure(adj, k, x, k, core)
         clusters.append(cluster)
         gain = fill_gains[k] = 0 if k == x else fill_gain(adj, cluster)
@@ -522,14 +534,19 @@ def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
     degree) of the chunk; n is the k-vector's k_1.  Their tallies and
     failure dicts are kept for the chunk and added for every later pair
     with that key, the failure dicts copied so that each graph gets its own
-    witness.  A graph's graph6 witness is encoded only if one of its
-    records fails."""
+    witness.  The class cores of ``_tight_records`` are shared likewise,
+    one per distinct ``ClassCore.key``, so each is counted once per chunk.
+    A graph's graph6 witness is encoded only if one of its records fails."""
     graphs, r_max = args
     tallies: Dict[str, List[int]] = {}
     failures: List[dict] = []
     # (r, k-vector, above) -> the (predicate, applicable, passed, failed)
     # tallies and the failure dicts of _vector_records
     memo: Dict[tuple, Tuple[Tuple[tuple, ...], Tuple[dict, ...]]] = {}
+    # ClassCore.key -> the chunk's first core with that key; the slots are as
+    # wide as the largest graph, so keys of graphs of any order are exact
+    cores: Dict[int, ClassCore] = {}
+    width = max((g.n for g in graphs), default=0)
     for g in graphs:
         kv = clique_vector(g)
         top = g.max_degree()
@@ -552,7 +569,7 @@ def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
                 slot[2] += f
             failures.extend(map(dict, part[1]))
             if r == top:
-                _tally(tallies, failures, _tight_records(g, r, kv))
+                _tally(tallies, failures, _tight_records(g, r, kv, cores, width))
         if len(failures) > first:
             g6 = graph6.encode(g)
             for failure in failures[first:]:

@@ -16,8 +16,10 @@ independent sets are the cliques of G[S], and its degrees and K_2
 components are read off G's adjacency rows restricted to S.  Within a
 class the vertices of K - T are adjacent to all of S, so they are isolated
 in R: i(R) = 2^|K - T| k(G[X - K]) and phi(R) = phi(R(X - K)), where R(X - K)
-is the complement of G[X - K].  Both are counted once per class, on its
-core X - K, and shared by every T of the class.
+is the complement of G[X - K].  Both are counted on the class's core
+X - K, on first read, and shared by every T of the class.  They read only
+the core's rows restricted to the core, so the sweep also shares one core
+among all classes of a chunk whose cores have one ``ClassCore.key``.
 """
 
 from __future__ import annotations
@@ -37,21 +39,46 @@ from .records import ConsistencyRecord
 class ClassCore:
     """G's adjacency rows restricted to the core of a class (K, X), the
     vertices X - K.  Its clique count and the fixed loss of its complement
-    are computed on first use; every T of the class shares one core."""
+    are computed on first read and kept; every T of the class shares one
+    core.  Both read only the rows of the core's members restricted to the
+    core, so two cores with one ``key`` give the same values."""
+
+    __slots__ = ("adj", "mask", "_cliques", "_phi")
 
     def __init__(self, adj, mask: int):
         self.adj = adj
         self.mask = mask
+        self._cliques = self._phi = None
 
-    @cached_property
+    @property
     def cliques(self) -> int:
         """k(G[X - K]), the empty clique included."""
-        return clique_count(self.adj, self.mask)
+        if self._cliques is None:
+            self._cliques = clique_count(self.adj, self.mask)
+        return self._cliques
 
-    @cached_property
+    @property
     def phi(self) -> int:
         """phi of the complement of G[X - K]."""
-        return fixed_loss_on_rows(self.adj, self.mask).phi
+        if self._phi is None:
+            self._phi = fixed_loss_on_rows(self.adj, self.mask).phi
+        return self._phi
+
+    def key(self, width: int) -> int:
+        """The core mask, then each member's row restricted to it, by
+        increasing member, packed in ``width``-bit slots.  Exact for cores
+        of graphs on at most ``width`` vertices: equal keys mean equal masks
+        and equal restricted rows, so equal ``cliques`` and ``phi``."""
+        mask, adj = self.mask, self.adj
+        key = mask
+        shift = 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            shift += width
+            key |= (adj[low.bit_length() - 1] & mask) << shift
+        return key
 
 
 @dataclass(frozen=True)
@@ -64,8 +91,10 @@ class TightStructure:
     neighborhood is T u S; each vertex of K - T is adjacent to all of S and
     isolated in R, so i(R) and phi(R) are read off ``core``, G restricted to
     S - K, which the structures of one class share.  ``K`` = 0 (the empty
-    clique's class, and the default) puts all of S in the core.  The K_2
-    components of R are computed on first use and kept with the structure.
+    clique's class, and the default) puts all of S in the core.  The sizes
+    ``t`` = |T| and ``s`` = |S| are counted once, when the structure is
+    built, and the K_2 components of R on first use; both are kept with the
+    structure, which compares and hashes on (T, S, adj, is_cluster, K).
     """
 
     T: int
@@ -74,18 +103,15 @@ class TightStructure:
     is_cluster: bool
     K: int = 0
     core: Optional[ClassCore] = field(default=None, compare=False, repr=False)
+    t: int = field(init=False, compare=False, repr=False)
+    s: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        put = object.__setattr__
+        put(self, "t", self.T.bit_count())
+        put(self, "s", self.S.bit_count())
         if self.core is None:
-            object.__setattr__(self, "core", ClassCore(self.adj, self.S & ~self.K))
-
-    @property
-    def t(self) -> int:
-        return self.T.bit_count()
-
-    @property
-    def s(self) -> int:
-        return self.S.bit_count()
+            put(self, "core", ClassCore(self.adj, self.S & ~self.K))
 
     @property
     def r(self) -> int:

@@ -24,7 +24,7 @@ from cliquebound.canon import (
     labeling_from_root,
     root_partition,
 )
-from cliquebound.counting import clique_vector
+from cliquebound.counting import clique_count, clique_vector
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
     consistency_sweep,
@@ -34,6 +34,7 @@ from cliquebound.enumeration import (
     verify_main,
 )
 from cliquebound.errors import CapacityError, InternalConsistencyError
+from cliquebound.fixed_loss import fixed_loss_on_rows
 from cliquebound.graphs import (
     Graph,
     bit_list,
@@ -602,8 +603,10 @@ class TestConsistencySweep:
         assert calls == [p3]
 
     def test_fixed_loss_counted_once_per_graph_and_once_per_class(self, monkeypatch):
-        """phi(R) is the same for every T of a class (K, X), so the sweep
-        computes it once per class, not once per tight clique."""
+        """phi(R) is the same for every T of a class (K, X), and it reads
+        only the rows of the core X - K restricted to the core, so the sweep
+        computes it once per distinct core of each per-n chunk: fewer times
+        than there are classes, and fewer than there are tight cliques."""
         calls = []
         original = fixed_loss_module.fixed_loss_on_rows
 
@@ -618,13 +621,41 @@ class TestConsistencySweep:
                 monkeypatch.setattr(module, "fixed_loss_on_rows", counted)
         consistency_sweep(5, 4)
         graphs = [g for n in range(1, 6) for g in generate(n, min(4, max(n - 1, 1)))]
+        keys = set()  # (n, core mask, the members' rows restricted to it)
         classes = tights = 0
         for g in graphs:
             for r in range(max(1, g.max_degree()), min(4, g.n - 1) + 1):
-                classes += len(structure.tight_classes(g, r))
+                for _, _, core in structure.tight_classes(g, r):
+                    mask = core.mask
+                    keys.add((g.n, mask, tuple(g.adj[v] & mask for v in bit_list(mask))))
+                    classes += 1
                 tights += len(structure.tight_structures(g, r))
-        assert len(calls) == len(graphs) + classes
-        assert classes < tights  # some class holds more than one tight clique
+        assert len(calls) == len(graphs) + len(keys)
+        assert len(keys) < classes < tights  # some cores repeat; some class holds two T
+
+    def test_shared_class_cores_are_exact(self, monkeypatch):
+        """One chunk of every graph with n <= 7, each under its maximum
+        degree, hands some classes a core first built for another class.
+        The core each class is handed gives the clique count and the fixed
+        loss of the class's own core, counted on its own graph's rows."""
+        handed = []
+        original = enumeration.class_structure
+
+        def recorded(adj, k, x, t, core):
+            if t == k:  # once per class, for its cluster
+                handed.append((adj, x & ~k, core))
+            return original(adj, k, x, t, core)
+
+        monkeypatch.setattr(enumeration, "class_structure", recorded)
+        graphs = [g for n in range(1, 8) for g in generate(n, max(n - 1, 0))]
+        enumeration._sweep_chunk((graphs, 6))
+        for adj, mask, core in handed:
+            assert core.mask == mask
+            assert core.cliques == clique_count(adj, mask)
+            assert core.phi == fixed_loss_on_rows(adj, mask).phi
+        borrowed = sum(core.adj is not adj for adj, _, core in handed)
+        distinct = len({id(core) for _, _, core in handed})
+        assert (len(handed), distinct, borrowed) == (2082, 592, 1477)
 
     def test_every_failure_has_a_witness(self):
         rep = consistency_sweep(5, 4)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -365,6 +366,29 @@ def test_class_core_gives_i_R_and_phi_of_every_tight_clique():
                 assert sorted(cores) == sorted(k for k, _, _ in tight_classes(g, r))
                 classes += len(cores)
     assert (classes, structures) == (2082, 3392)
+
+
+def test_tight_structure_is_a_value():
+    """A TightStructure is frozen, compares and hashes on (T, S, adj,
+    is_cluster, K) whatever core it holds, and stores |T| and |S| as
+    ``t`` and ``s``: checked for every structure of every class with
+    n <= 6, under every cap Delta(G) <= r <= n - 1."""
+    g = cycle(5)
+    ts = derive(g, 2, 0b00001)
+    for name, value in (("T", 0b00010), ("t", 2), ("s", 1), ("core", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ts, name, value)
+    other = derive(g, 2, 0b00001)  # a core of its own
+    assert other.core is not ts.core
+    assert other == ts and hash(other) == hash(ts)
+    structures = 0
+    for n in range(1, 7):
+        for g in generate(n, n - 1):
+            for r in range(g.max_degree(), n):
+                for ts in tight_structures(g, r):
+                    assert (ts.t, ts.s) == (ts.T.bit_count(), ts.S.bit_count())
+                    structures += 1
+    assert structures == 732
 
 
 def test_structures_built_without_a_class_count_on_s():
