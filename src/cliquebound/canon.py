@@ -17,15 +17,17 @@ vertex already tried there.  Each skipped subtree is the image of one
 already searched, with the same leaf strings, so the result is still the
 least graph6 string over all leaves.
 
-``labeling_from_root`` runs the same search and returns, with the form,
-the vertex order of the least leaf and the automorphisms it recorded, plus
-the transposition of each vertex with its least twin.  Every subtree the
-search skips is mapped onto one it searched by a product of these maps, so
-they generate the whole automorphism group (McKay 1981).  The generator
-uses a child's order and generators to decide whether its new vertex is
-the canonical one to delete; relabeled through the order, they become the
-rows and generators of the child's class, whose generators then pick one
-neighbourhood per orbit when the class is extended in turn.
+``labeling_from_root`` runs the same search and returns the least leaf's
+``graph6.ordered_key``, its vertex order and the automorphisms the search
+recorded, plus the transposition of each vertex with its least twin.
+Twins share a root colour, so only the vertices of root cells with two or
+more members are scanned for them.  Every subtree the search skips is
+mapped onto one it searched by a product of these maps, so they generate
+the whole automorphism group (McKay 1981).  The generator uses a child's
+order and generators to decide whether its new vertex is the canonical one
+to delete; the key is the child's class, and the generators, relabeled
+through the order, pick one neighbourhood per orbit when the class is
+extended in turn.
 
 Refinement starts from the degree ranks, so every cell holds vertices of
 one degree, and it ranks vertices by an integer key that sorts like
@@ -47,8 +49,9 @@ ends, so a labeling leaves nothing for the cycle collector.
 
 Leaves are compared by ``graph6.ordered_key``, the integer of their graph6
 bits.  For one vertex count every leaf has the same number of bits, so the
-integers order exactly like the strings, and the least leaf is the same;
-only its key is packed into text, once per labeling.
+integers order exactly like the strings, and the least leaf is the same.
+The search returns the least key, and ``canonical_form`` alone packs it
+into text.
 
 A target cell whose members are all twins of its least vertex is
 individualized whole, in one step and with no refinement: member i gets
@@ -143,7 +146,7 @@ def canonical_form(g: Graph) -> str:
     if g.n <= 1:
         return pack(g.n, 0)
     nbrs = [bit_list(row) for row in g.adj]
-    return _search(g.adj, nbrs, *root_partition(nbrs))[0]
+    return pack(g.n, _search(g.adj, nbrs, *root_partition(nbrs))[0])
 
 
 def root_partition(nbrs) -> Tuple[List[int], int]:
@@ -159,40 +162,48 @@ def root_partition(nbrs) -> Tuple[List[int], int]:
 
 def labeling_from_root(
     rows, nbrs, colors: List[int], count: int
-) -> Tuple[str, List[int], List[List[int]]]:
-    """The canonical form of the graph on n >= 2 vertices with adjacency
+) -> Tuple[int, List[int], List[List[int]]]:
+    """The canonical key of the graph on n >= 2 vertices with adjacency
     ``rows`` and neighbour lists ``nbrs``, searched from its
-    ``root_partition``, ``colors`` with ``count`` cells; the vertex order
-    that encodes to it (``order[i]`` is the vertex in position i); and
-    automorphisms, as vertex maps ``gamma`` (v goes to ``gamma[v]``), that
-    generate the automorphism group: the ones the search records at equal
-    leaves, and the transposition of each vertex with its least twin, which
-    covers what twin pruning skips."""
-    form, order, autos = _search(rows, nbrs, colors, count)
-    # twins share open rows (non-adjacent) or closed rows (adjacent), and no
-    # open row equals a closed one: open or closed row -> least vertex
+    ``root_partition``, ``colors`` with ``count`` cells: the least leaf's
+    ``ordered_key``, which ``pack`` turns into the canonical form.  Also
+    the vertex order that gives that key (``order[i]`` is the vertex in
+    position i), and automorphisms, as vertex maps ``gamma`` (v goes to
+    ``gamma[v]``), that generate the automorphism group: the ones the
+    search records at equal leaves, and the transposition of each vertex
+    with its least twin, which covers what twin pruning skips."""
+    key, order, autos = _search(rows, nbrs, colors, count)
     n = len(rows)
+    if count == n:
+        return key, order, autos
+    # twins share a root colour, so only vertices of shared root cells can
+    # have one; they share open rows (non-adjacent) or closed rows
+    # (adjacent), and no open row equals a closed one: row -> least vertex
+    members = [0] * count
+    for c in colors:
+        members[c] += 1
     least = {}
     for v, row in enumerate(rows):
-        for key in (row, row | 1 << v):
-            w = least.setdefault(key, v)
+        if members[colors[v]] < 2:
+            continue
+        for twin_key in (row, row | 1 << v):
+            w = least.setdefault(twin_key, v)
             if w != v:
                 gamma = list(range(n))
                 gamma[v], gamma[w] = w, v
                 autos.append(gamma)
-    return form, order, autos
+    return key, order, autos
 
 
-def _search(rows, nbrs, colors: List[int], count: int) -> Tuple[str, List[int], List[List[int]]]:
-    """The canonical form of the graph with adjacency ``rows`` and neighbour
-    lists ``nbrs``, searched from the root colouring ``colors`` with
-    ``count`` cells; the vertex order of the least leaf; and the
-    automorphisms the search recorded on the way.  Leaves are compared by
-    their ``ordered_key``, and only the least is packed into text."""
+def _search(rows, nbrs, colors: List[int], count: int) -> Tuple[int, List[int], List[List[int]]]:
+    """The least leaf's ``ordered_key`` for the graph with adjacency
+    ``rows`` and neighbour lists ``nbrs``, searched from the root colouring
+    ``colors`` with ``count`` cells; the vertex order of that leaf; and the
+    automorphisms the search recorded on the way."""
     n = len(rows)
     if count == n:
         order = _inverse(colors)
-        return pack(n, ordered_key(nbrs, order)), order, []
+        return ordered_key(nbrs, order), order, []
     adj = list(rows)
     weight = _weights(n)
     path: List[int] = []  # the vertices individualized above the current node
@@ -272,7 +283,7 @@ def _search(rows, nbrs, colors: List[int], count: int) -> Tuple[str, List[int], 
         # ``search`` holds itself through its closure cell: emptying the
         # cell frees the closure with the frame, not in the cycle collector
         del search
-    return pack(n, best[0]), best[1], autos
+    return best[0], best[1], autos
 
 
 def _inverse(colors: List[int]) -> List[int]:

@@ -29,7 +29,13 @@ from typing import List, Optional
 
 from . import __version__, graph6
 from .counting import clique_vector, independent_vector
-from .enumeration import SWEEP_MAX_VERTICES, consistency_sweep, generate, generate_regular, verify_main
+from .enumeration import (
+    SWEEP_MAX_VERTICES,
+    class_keys,
+    consistency_sweep,
+    generate_regular,
+    verify_main,
+)
 from .errors import CapacityError, Graph6ParseError, InternalConsistencyError
 from .graphs import bit_list, mask_of
 from .structure import clusters_among, derive, tight_structures
@@ -257,17 +263,18 @@ def cmd_transform(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.regular is None:
-        stream = generate(args.n, args.r, workers=args.workers)
+        # each stored key packs straight to its class's canonical graph6
+        lines = (graph6.pack(args.n, key) for key in class_keys(args.n, args.r, args.workers))
     elif args.r < 0:
         raise ValueError("n and r must be nonnegative")
     elif args.regular > args.r:
-        stream = iter(())  # a D-regular graph has maximum degree D > R
+        lines = iter(())  # a D-regular graph has maximum degree D > R
     else:
-        stream = generate_regular(args.n, args.regular, workers=args.workers)
+        lines = map(graph6.encode, generate_regular(args.n, args.regular, workers=args.workers))
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
-        for g in stream:
-            out.write(graph6.encode(g) + "\n")
+        for line in lines:
+            out.write(line + "\n")
     finally:
         if args.out:
             out.close()

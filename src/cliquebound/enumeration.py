@@ -23,13 +23,18 @@ colour, so w* has the least root colour among the candidates, and
 automorphisms keep root colours: a child whose new vertex has a larger
 root colour than some candidate is rejected with no search.  A kept
 child's one labeling (``canon.labeling_from_root``) gives everything its
-class needs as a parent: the child's rows and automorphism generators are
-relabeled through the canonical order and kept with the class, so no parent
-is searched again and no form is decoded.  Level representatives are the
-canonically relabeled graphs, so the output stream is independent of worker
-count and iteration order.  The (n, r) levels form one cached table of
-representatives and their packed generators: each level is built once, from
-the cached level below.
+class needs as a parent: its canonical key, the least leaf's
+``graph6.ordered_key``, and its automorphism generators, relabeled through
+the canonical order and packed, so no parent is searched again.
+
+The (n, r) levels form one cached table, each built once from the cached
+level below.  A level keeps no graphs: it is the sorted keys of its classes
+and their packed generators.  For one n the keys order exactly like the
+canonical graph6 strings, so the sort gives canonical-form order, whatever
+the worker count and iteration order, and equal neighbours after it are
+the exact duplicate check.  A class's rows are unpacked from its key
+(``graph6.unpack``) only when it is read: by ``generate``, one ``Graph`` at
+a time, or by the expansion of the level above, one parent at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -81,12 +87,14 @@ SWEEP_MAX_VERTICES = 9
 
 
 class Level(NamedTuple):
-    """One (n, r) entry of the class table: the canonically labeled
-    representatives, and for each the automorphism generators that its
-    child labeling found, relabeled to match and packed as one ``bytes``
-    of n-byte vertex maps (empty for an asymmetric class)."""
+    """One (n, r) entry of the class table: the vertex count, each class's
+    canonical key (the least leaf's ``graph6.ordered_key``) in increasing
+    order, and for each the automorphism generators that its child
+    labeling found, relabeled through the canonical order and packed as one
+    ``bytes`` of n-byte vertex maps (empty for an asymmetric class)."""
 
-    graphs: List[Graph]
+    n: int
+    keys: List[int]
     generators: List[bytes]
 
 
@@ -95,8 +103,8 @@ _class_cache: Dict[Tuple[int, int], Level] = {}
 
 def _child_canons(
     parent_rows: Tuple[int, ...], generators: bytes, r: int
-) -> List[Tuple[str, Tuple[int, ...], bytes]]:
-    """The canonical (form, rows, packed generators) of the one-vertex
+) -> List[Tuple[int, bytes]]:
+    """The canonical (key, packed generators) of the one-vertex
     extensions of a level representative that keep all degrees <= r and
     whose new vertex is a canonical deletion vertex.
 
@@ -121,7 +129,7 @@ def _child_canons(
     images = [[1 << w for w in generators[i:i + m]] for i in range(0, len(generators), m)]
     seen: Set[int] = set()  # the neighbourhoods in orbits already tried
     new_bit = 1 << m
-    out: List[Tuple[str, Tuple[int, ...], bytes]] = []
+    out: List[Tuple[int, bytes]] = []
     sub = eligible
     while True:
         size = sub.bit_count()
@@ -164,11 +172,11 @@ def _mark_orbit(sub: int, images: List[List[int]], seen: Set[int]) -> None:
 
 def _canonical_child_form(
     rows: Tuple[int, ...], parent_nbrs: List[List[int]]
-) -> Optional[Tuple[str, Tuple[int, ...], bytes]]:
-    """The canonical form of ``rows``, its canonically relabeled rows and its
-    packed automorphism generators, if its last vertex u is a canonical
-    deletion vertex; else None.  ``parent_nbrs`` are the neighbour lists of
-    the parent, the graph without u.
+) -> Optional[Tuple[int, bytes]]:
+    """The canonical key of ``rows`` and its automorphism generators,
+    relabeled through the canonical order and packed, if its last vertex u
+    is a canonical deletion vertex; else None.  ``parent_nbrs`` are the
+    neighbour lists of the parent, the graph without u.
 
     The candidates are the vertices of largest invariant (degree, sorted
     neighbour degrees); u must be one.  The canonical candidate w* is the
@@ -211,26 +219,29 @@ def _canonical_child_form(
     least = min(colors[w] for w in tied)
     if colors[u] != least:
         return None
-    form, order, generators = labeling_from_root(rows, nbrs, colors, count)
+    key, order, generators = labeling_from_root(rows, nbrs, colors, count)
     first = next(w for w in order if colors[w] == least)
     if first != u:
         orbit: Set[int] = set()
         _mark_orbit(1 << u, [[1 << w for w in gamma] for gamma in generators], orbit)
         if 1 << first not in orbit:
             return None
-    # relabel so that order[i] becomes i: the rows then encode to ``form``
+    # relabel so that order[i] becomes i, as in the rows ``key`` unpacks to
     position = [0] * (u + 1)
     for i, v in enumerate(order):
         position[v] = i
-    moved = [1 << i for i in position]  # the bit that vertex w's bit becomes
-    relabeled = tuple([sum(map(moved.__getitem__, nbrs[v])) for v in order])
-    packed = bytes(position[gamma[v]] for gamma in generators for v in order)
-    return form, relabeled, packed
+    return key, bytes(position[gamma[v]] for gamma in generators for v in order)
 
 
-def _expand_chunk(args) -> List[Tuple[str, Tuple[int, ...], bytes]]:
-    parents, r = args
-    return [kept for rows, generators in parents for kept in _child_canons(rows, generators, r)]
+def _expand_chunk(args) -> List[Tuple[int, bytes]]:
+    """The kept children of ``parents``, (key, packed generators) pairs of
+    n-vertex classes, under cap r."""
+    parents, (n, r) = args
+    return [
+        kept
+        for key, generators in parents
+        for kept in _child_canons(graph6.unpack(n, key), generators, r)
+    ]
 
 
 def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
@@ -247,36 +258,46 @@ def _fan_out(chunk_fn, items: list, arg, workers: int) -> list:
 
 def _expand_level(parents: Level, r: int, workers: int) -> Level:
     """The next level from this one, in canonical-form order.  Each child
-    comes with its canonical rows and generators, so no class is decoded
-    and no parent is searched again."""
-    items = list(zip((g.adj for g in parents.graphs), parents.generators))
-    children: list = [kept for part in _fan_out(_expand_chunk, items, r, workers) for kept in part]
+    comes with its canonical key and generators, so no parent is searched
+    again; a parent's rows are unpacked from its key when it is expanded.
+    For one n the keys order like the canonical forms, so equal neighbours
+    after the sort are the exact duplicate-class check."""
+    items = list(zip(parents.keys, parents.generators))
+    arg = (parents.n, r)
+    children = [kept for part in _fan_out(_expand_chunk, items, arg, workers) for kept in part]
     children.sort(key=itemgetter(0))
-    repeated = next((a[0] for a, b in zip(children, children[1:]) if a[0] == b[0]), None)
+    keys = [key for key, _ in children]
+    generators = [packed for _, packed in children]
+    del children
+    n = parents.n + 1
+    repeated = next((a for a, b in zip(keys, islice(keys, 1, None)) if a == b), None)
     if repeated is not None:
         raise InternalConsistencyError(
-            f"class {repeated} generated twice: automorphism generators were missed"
+            f"class {graph6.pack(n, repeated)} generated twice: automorphism generators were missed"
         )
-    generators = [packed for _, _, packed in children]
-    # each child becomes its Graph in place, so its form is freed as the
-    # Graph is built and a level's forms and Graphs are never all held at
-    # once; the rows relabel a validated parent's plus one mirrored new row,
-    # so they are not checked again
-    trusted = Graph._trusted
-    for i, (_, rows, _) in enumerate(children):
-        children[i] = trusted(rows)
-    return Level(children, generators)
+    return Level(n, keys, generators)
+
+
+def class_keys(n: int, r: int, workers: int = 1) -> List[int]:
+    """The canonical key of each isomorphism class of graphs on ``n``
+    vertices with maximum degree at most ``r``, in increasing order:
+    ``graph6.pack(n, key)`` is the class's canonical form, and
+    ``graph6.unpack(n, key)`` the rows of its representative."""
+    return _level(n, r, workers).keys
 
 
 def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
     """One representative per isomorphism class of graphs on ``n`` vertices
-    with maximum degree at most ``r``, in canonical-form order."""
-    return iter(_classes(n, r, workers))
+    with maximum degree at most ``r``, in canonical-form order, each
+    unpacked from its key as it is read.  The rows are those of a
+    canonical graph6 string, so they are not checked again."""
+    trusted, unpack = Graph._trusted, graph6.unpack
+    return (trusted(unpack(n, key)) for key in class_keys(n, r, workers))
 
 
 def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
     """The representatives of the (n, r) level of the class table."""
-    return _level(n, r, workers).graphs
+    return list(generate(n, r, workers))
 
 
 def _level(n: int, r: int, workers: int = 1) -> Level:
@@ -294,10 +315,10 @@ def _level(n: int, r: int, workers: int = 1) -> Level:
     wider = next((c for (cn, cr), c in _class_cache.items() if cn == n and cr > r), None)
     if wider is not None:
         # a wider cached level filters down without regenerating
-        kept = [i for i, g in enumerate(wider.graphs) if g.max_degree() <= r]
-        level = Level([wider.graphs[i] for i in kept], [wider.generators[i] for i in kept])
+        kept = [i for i, k in enumerate(wider.keys) if max(graph6.degrees(n, k)) <= r]
+        level = Level(n, [wider.keys[i] for i in kept], [wider.generators[i] for i in kept])
     elif n <= 1:
-        level = Level([Graph(n, (0,) * n)], [b""])
+        level = Level(n, [0], [b""])
     else:
         level = _expand_level(_level(n - 1, r, workers), r, workers)
     _class_cache[key] = level
@@ -314,8 +335,12 @@ def generate_regular(n: int, d: int, workers: int = 1) -> Iterator[Graph]:
         raise ValueError("n and d must be nonnegative")
     if (n * d) % 2 == 1:
         return iter(())
-    return iter(
-        [g for g in _classes(n, d, workers) if all(g.degree(v) == d for v in range(g.n))]
+    # only the regular classes are unpacked, one at a time
+    degrees, trusted, unpack = graph6.degrees, Graph._trusted, graph6.unpack
+    return (
+        trusted(unpack(n, key))
+        for key in class_keys(n, d, workers)
+        if all(x == d for x in degrees(n, key))
     )
 
 
@@ -364,7 +389,7 @@ def verify_main(n: int, caps: Sequence[int], workers: int = 1) -> List[Verificat
     split = min(caps) < max(caps)
     # per maximum degree d (all at 0 unless split): classes, max k, maximizers
     size, best, winners = [0] * (n + 1), [0] * (n + 1), [[] for _ in range(n + 1)]
-    for g in _classes(n, max(caps), workers):
+    for g in generate(n, max(caps), workers):
         k = clique_count(g.adj, g.vertex_mask)
         d = g.max_degree() if split else 0
         size[d] += 1
@@ -621,7 +646,7 @@ def consistency_sweep(
         else:
             unit = _sweep_unit(n, r_max, workers)
             if checkpoint is not None:
-                emitted = len(_classes(n, r_max))
+                emitted = len(class_keys(n, r_max))
                 _append_checkpoint(checkpoint, n, r_max, emitted, unit)
         _merge((tallies, failures), unit)
     failures.sort(key=itemgetter(*_FAILURE_SORT_KEYS))

@@ -5,12 +5,17 @@ by column (bit (i, j) for i < j, columns in increasing j), into 6-bit
 chunks offset by 63.  One graph per line in all file interfaces.
 
 ``ordered_key`` reads those bits, for any vertex order, as one integer,
-and ``pack`` is the one routine that turns such an integer into text.
-Canonical labeling compares its leaves by the integer and packs only the
-least one.
+``pack`` is the one routine that turns such an integer into text, and
+``unpack`` the one that turns it back into adjacency rows; ``degrees``
+reads the vertex degrees off such an integer.  Canonical labeling
+compares its leaves by the integer, and the generator keeps each class as
+the integer of its least leaf, unpacked when the class is read.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import List, Tuple
 
 from .errors import CapacityError, Graph6ParseError
 from .graphs import MAX_VERTICES, Graph, bit_list
@@ -56,6 +61,44 @@ def pack(n: int, key: int) -> str:
     return header + bytes([(key >> s & 0x3F) + 63 for s in range(length + pad - 6, -1, -6)]).decode()
 
 
+def unpack(n: int, key: int) -> Tuple[int, ...]:
+    """The adjacency rows of the n-vertex graph whose graph6 bits, read as
+    one integer, are ``key``: the inverse of ``ordered_key`` under the
+    identity order.  The last n - 1 bits are the column of vertex n - 1,
+    the n - 2 bits before them that of vertex n - 2, and so on; in the
+    column of j, bit j - 1 - i stands for the edge (i, j)."""
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        column = key & ((1 << j) - 1)
+        key >>= j
+        bit = 1 << j
+        below = 0  # the neighbours i < j of j
+        while column:
+            low = column & -column
+            column ^= low
+            i = j - low.bit_length()
+            adj[i] |= bit
+            below |= 1 << i
+        adj[j] |= below
+    return tuple(adj)
+
+
+def degrees(n: int, key: int) -> List[int]:
+    """The degree of each vertex of the n-vertex graph that ``unpack(n,
+    key)`` gives, read off the key: the bits of the pairs that hold v are
+    the key of the star at v."""
+    return [(key & star).bit_count() for star in _stars(n)]
+
+
+@lru_cache(maxsize=None)
+def _stars(n: int) -> Tuple[int, ...]:
+    """The key of the star at each vertex of n, under the identity order."""
+    return tuple(
+        ordered_key([[u for u in range(n) if u != v] if w == v else [v] for w in range(n)], range(n))
+        for v in range(n)
+    )
+
+
 def decode(text: str) -> Graph:
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -86,20 +129,10 @@ def decode(text: str) -> Graph:
             f"graph6 body has {len(body)} bytes, expected {expected}",
             body_start + min(len(body), expected),
         )
-    adj = [0] * n
-    i, j = 0, 1  # the cell the next bit fills: columns j in order, rows i < j
+    key = 0
     for byte in body:
-        value = byte - 63
-        for k in range(5, -1, -1):
-            bit = (value >> k) & 1
-            if j >= n:
-                if bit:
-                    raise Graph6ParseError("nonzero padding bits", body_start + len(body) - 1)
-                continue
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, tuple(adj))
+        key = key << 6 | (byte - 63)
+    pad = 6 * expected - nbits
+    if key & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bits", body_start + len(body) - 1)
+    return Graph(n, unpack(n, key >> pad))

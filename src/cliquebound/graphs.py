@@ -72,8 +72,8 @@ class Graph:
     @classmethod
     def _trusted(cls, adj: Tuple[int, ...]) -> "Graph":
         """The graph on the rows ``adj`` with none of the checks above, for
-        rows known to be valid: a relabeling of a validated graph's rows
-        plus one new vertex mirrored into the rows it joins."""
+        rows known to be valid: ``graph6.unpack`` sets each edge's bit in
+        both of its rows and no vertex's own bit."""
         # set the fields as the dataclass __init__ does: reading __dict__
         # would give each instance a dict of its own
         g = object.__new__(cls)
@@ -91,7 +91,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)

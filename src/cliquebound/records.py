@@ -25,11 +25,19 @@ class ConsistencyRecord:
     applicable: bool
     passed: Optional[bool]
 
-    def __post_init__(self):
-        if self.applicable and self.passed is None:
-            raise ValueError("applicable records need a pass/fail outcome")
-        if not self.applicable and self.passed is not None:
+    # written by hand: the generated one would check in a __post_init__ call
+    def __init__(self, predicate, subject, lhs, rhs, applicable, passed):
+        if applicable:
+            if passed is None:
+                raise ValueError("applicable records need a pass/fail outcome")
+        elif passed is not None:
             raise ValueError("pass/fail is defined only when applicable")
+        self.predicate = predicate
+        self.subject = subject
+        self.lhs = lhs
+        self.rhs = rhs
+        self.applicable = applicable
+        self.passed = passed
 
 
 def not_applicable(predicate: str, subject: str) -> ConsistencyRecord:

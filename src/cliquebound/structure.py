@@ -179,8 +179,17 @@ def tight_classes(g: Graph, r: int) -> List[Tuple[int, int, ClassCore]]:
 def class_structure(adj, k: int, x: int, t: int, core: ClassCore) -> TightStructure:
     """The tight structure of a nonempty T within the class (K, X): its
     common neighborhood is X - T, and T is a cluster iff T = K.  ``core``
-    is the class's core from ``tight_classes``, shared by its structures."""
-    return TightStructure(t, x & ~t, adj, t == k, k, core)
+    is the class's core from ``tight_classes``, shared by its structures.
+
+    The sweep builds one per tight clique, so the fields are set with one
+    ``__dict__`` update, as the frozen ``__init__`` would set them one
+    ``object.__setattr__`` at a time."""
+    ts = object.__new__(TightStructure)
+    s = x & ~t
+    ts.__dict__.update(
+        T=t, S=s, adj=adj, is_cluster=t == k, K=k, core=core, t=t.bit_count(), s=s.bit_count()
+    )
+    return ts
 
 
 def _by_size(g: Graph, r: int) -> List[Tuple[int, int, int, int, ClassCore]]:

@@ -36,6 +36,7 @@ from cliquebound.counting import (
 from cliquebound.enumeration import (
     _classes,
     _level,
+    class_keys,
     consistency_sweep,
     generate_regular,
     verify_main,
@@ -80,7 +81,7 @@ def test_criterion_02_exhaustive_maximum():
         for rep in verify_main(n, range(1, max(n - 1, 1) + 1)):
             assert rep.max_k == rep.bound, (n, rep.r, rep.max_k, rep.bound)
             assert rep.equality_matches_characterization, (n, rep.r, rep.extremal)
-    assert len(_classes(9, 8)) == 274668  # OEIS A000088
+    assert len(class_keys(9, 8)) == 274668  # OEIS A000088
     # the r=2 exceptional families carry the predicted totals
     for a in range(1, 4):
         c4_family = cycle(4)
@@ -104,11 +105,26 @@ def test_nine_vertex_level_digest():
     change to a class, its order or its carried generators shows here."""
     level = _level(9, 8)
     digest = hashlib.sha256()
-    for g, packed in zip(level.graphs, level.generators):
-        digest.update(f"{graph6.encode(g)} {packed.hex()}\n".encode())
-    assert len(level.graphs) == 274668
+    for key, packed in zip(level.keys, level.generators):
+        digest.update(f"{graph6.pack(9, key)} {packed.hex()}\n".encode())
+    assert len(level.keys) == 274668
     assert digest.hexdigest() == (
         "fc7861295c6b3712b80c3c5e2c11b40d1ca81d88d9b45b9f0e562edf523f553b"
+    )
+
+
+@pytest.mark.slow
+def test_nine_vertex_level_keys():
+    """The (9, 8) level's keys, reading the level criterion 2 built: 274,668
+    of them, and the sha256 of one decimal line per key, in their order.
+    Both values were read off the level while it still held ``Graph``
+    objects, each key as the ``ordered_key`` of a class's rows under the
+    identity order, so the keyed level holds the same classes in the same
+    order."""
+    keys = class_keys(9, 8)
+    assert len(keys) == 274668
+    assert hashlib.sha256("".join(f"{key}\n" for key in keys).encode()).hexdigest() == (
+        "5da9beed9fd4c99e21ec2fd5cf5dd0515db5f83bfbbdd5fee30df7a6733c9fa7"
     )
 
 

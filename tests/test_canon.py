@@ -322,7 +322,8 @@ def test_automorphism_generators_generate_the_automorphism_group(atlas_classes):
         n = g.n
         for h in (g, relabeled(g, rng)):
             nbrs = [bit_list(row) for row in h.adj]
-            form, order, gens = labeling_from_root(h.adj, nbrs, *root_partition(nbrs))
+            key, order, gens = labeling_from_root(h.adj, nbrs, *root_partition(nbrs))
+            form = graph6.pack(n, key)
             assert form == canonical_form(g)
             assert graph6.encode(h.relabel([order.index(v) for v in range(n)])) == form
             for gamma in gens:

@@ -342,7 +342,7 @@ class TestVerify:
             raise AssertionError("worked before rejecting the arguments")
 
         monkeypatch.chdir(tmp_path)
-        for name in ("verify_main", "consistency_sweep", "_read_graph6_lines", "generate"):
+        for name in ("verify_main", "consistency_sweep", "_read_graph6_lines", "class_keys"):
             monkeypatch.setattr(cli, name, no_work)
         with pytest.raises(SystemExit) as exc_info:
             main(argv)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -85,14 +86,15 @@ def _labeled_child_form(rows):
     """The deletion test without the root-cell rule: the candidates of
     largest (degree, sorted neighbour degrees), one full canonical
     labeling, and the orbit test on the first candidate of the canonical
-    order; a kept child's rows and generators relabeled through it."""
+    order; a kept child's key, and its generators relabeled through the
+    order."""
     n = len(rows)
     u = n - 1
     candidates = _candidates(rows)
     if u not in candidates:
         return None
     nbrs = [bit_list(row) for row in rows]
-    form, order, gens = labeling_from_root(rows, nbrs, *root_partition(nbrs))
+    key, order, gens = labeling_from_root(rows, nbrs, *root_partition(nbrs))
     first = next(w for w in order if w in candidates)
     orbit = list(range(n))
     for gamma in gens:
@@ -100,8 +102,7 @@ def _labeled_child_form(rows):
     if _root(orbit, first) != _root(orbit, u):
         return None
     position = {v: i for i, v in enumerate(order)}
-    relabeled = tuple(sum(1 << position[w] for w in bit_list(rows[v])) for v in order)
-    return form, relabeled, bytes(position[gamma[v]] for gamma in gens for v in order)
+    return key, bytes(position[gamma[v]] for gamma in gens for v in order)
 
 
 class TestGenerate:
@@ -196,7 +197,7 @@ class TestGenerate:
         parents = enumeration._level(6, 5)
         assert any(parents.generators)
         enumeration._class_cache[6, 5] = enumeration.Level(
-            parents.graphs, [b""] * len(parents.graphs)
+            parents.n, parents.keys, [b""] * len(parents.keys)
         )
         with pytest.raises(InternalConsistencyError, match="generated twice"):
             enumeration._classes(7, 6)
@@ -217,8 +218,8 @@ class TestGenerate:
                 last[u] = n - 1
                 kept = _child_form(g.relabel(last).adj)
                 if kept is not None:
-                    form, rows, _ = kept
-                    assert form == canonical_form(g) == graph6.encode(Graph(n, rows))
+                    key, _ = kept
+                    assert graph6.pack(n, key) == canonical_form(g)
                     passed.add(u)
             assert passed and passed == orbits[min(passed)], graph6.encode(g)
             invariant = [
@@ -279,7 +280,7 @@ class TestGenerate:
         monkeypatch.setattr(enumeration, "labeling_from_root", counted)
         unsearched = 0
         for n in range(1, 8):
-            forms = set()
+            keys = set()
             for g in generate(n, n - 1):
                 nbrs = [bit_list(row) for row in g.adj]
                 for sub in range(1 << n):
@@ -290,11 +291,11 @@ class TestGenerate:
                     got = enumeration._canonical_child_form(child, nbrs)
                     assert got == _labeled_child_form(child), (graph6.encode(g), sub)
                     if got is not None:
-                        forms.add(got[0])
+                        keys.add(got[0])
                     elif not labeled and n in _candidates(child):
                         unsearched += 1
             # every class on n + 1 vertices is kept from some child
-            assert len(forms) == [2, 4, 11, 34, 156, 1044, 12346][n - 1]
+            assert len(keys) == [2, 4, 11, 34, 156, 1044, 12346][n - 1]
         assert unsearched > 0
 
     def test_carried_generators_generate_the_automorphism_group(self):
@@ -304,8 +305,9 @@ class TestGenerate:
         nx = pytest.importorskip("networkx")
         for n in range(1, 8):
             level = enumeration._level(n, n - 1)
-            assert len(level.graphs) == len(level.generators)
-            for g, packed in zip(level.graphs, level.generators):
+            assert len(level.keys) == len(level.generators)
+            for key, packed in zip(level.keys, level.generators):
+                g = Graph(n, graph6.unpack(n, key))
                 orbit = list(range(n))  # union-find over the carried maps
                 for i in range(0, len(packed), n):
                     gamma = packed[i:i + n]
@@ -352,7 +354,8 @@ class TestGenerate:
 
         def hashed(rows, nbrs, colors, count):
             out = original(rows, nbrs, colors, count)
-            digest.update(f"{(rows, *out)!r}\n".encode())
+            key, order, generators = out
+            digest.update(f"{(rows, graph6.pack(len(rows), key), order, generators)!r}\n".encode())
             lines.append(len(rows))
             return out
 
@@ -363,6 +366,37 @@ class TestGenerate:
         assert digest.hexdigest() == (
             "eb20b74b2c0ca156578bb8d325a63ff8674adacce7dca3dadaddf858d5248757"
         )
+
+    def test_cached_level_keys_strictly_increase(self):
+        """Every level in the class table holds its keys in increasing
+        order with no repeat, one packed generator list per key: ``generate``
+        reads them in canonical-form order, and a repeated class could only
+        sit next to its twin, where the level check looks for it."""
+        for n in range(1, 9):
+            enumeration._level(n, n - 1)
+            enumeration._level(n, 4)
+        for (n, r), level in enumeration._class_cache.items():
+            assert level.n == n
+            assert len(level.keys) == len(level.generators)
+            assert all(a < b for a, b in zip(level.keys, level.keys[1:])), (n, r)
+
+    def test_level_retains_under_128_bytes_per_class(self, monkeypatch):
+        """A cold (8, 4) level, built on the cached (7, 4) level, retains
+        under 128 bytes per class (tracemalloc): a key and a packed
+        generator list each.  A level of ``Graph`` objects retained about
+        245."""
+        monkeypatch.setattr(enumeration, "_class_cache", {})
+        enumeration._level(7, 4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            level = enumeration._level(8, 4)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(level.keys) == 2590
+        assert retained < 128 * len(level.keys), retained / len(level.keys)
 
     def test_generation_leaves_no_cyclic_garbage(self, monkeypatch):
         """A cold (7, 6) build with the cycle collector off leaves it fewer
@@ -725,6 +759,8 @@ class TestConsistencySweep:
         calls = []
 
         class CountingGraph6:
+            unpack = staticmethod(graph6.unpack)
+
             @staticmethod
             def encode(g):
                 calls.append(g)
