@@ -33,8 +33,9 @@ and their packed generators.  For one n the keys order exactly like the
 canonical graph6 strings, so the sort gives canonical-form order, whatever
 the worker count and iteration order, and equal neighbours after it are
 the exact duplicate check.  A class's rows are unpacked from its key
-(``graph6.unpack``) only when it is read: by ``generate``, one ``Graph`` at
-a time, or by the expansion of the level above, one parent at a time.
+(``graph6.unpack``) only when it is read: by ``generate`` or a sweep
+chunk, one ``Graph`` at a time, or by the expansion of the level above,
+one parent at a time.
 """
 
 from __future__ import annotations
@@ -295,11 +296,6 @@ def generate(n: int, r: int, workers: int = 1) -> Iterator[Graph]:
     return (trusted(unpack(n, key)) for key in class_keys(n, r, workers))
 
 
-def _classes(n: int, r: int, workers: int = 1) -> List[Graph]:
-    """The representatives of the (n, r) level of the class table."""
-    return list(generate(n, r, workers))
-
-
 def _level(n: int, r: int, workers: int = 1) -> Level:
     """The class table: every (n, r) level is built once, from the level
     below, and kept.  A cap above n - 1 is clamped, so any cap may be asked
@@ -477,17 +473,22 @@ def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     return records
 
 
-def _vector_records(n: int, r: int, kv: CliqueVector, above: bool) -> List[ConsistencyRecord]:
+def _vector_records(
+    n: int, r: int, kv: CliqueVector, cluster_free: bool
+) -> List[ConsistencyRecord]:
     """The checks under cap r that read only n, r and the clique vector
     ``kv`` of a graph on n vertices: the main bound and the per-size
-    bounds.  A tight clique's members have degree r, so a cap above the
-    maximum degree (``above``) admits no tight clique, and there the
-    closing checks see no cluster and join these: every record of such a
-    (graph, cap) pair is a function of (r, kv, above).  No graph is passed,
-    so ``_sweep_chunk`` evaluates these once per distinct key."""
+    bounds, and with ``cluster_free`` the closing checks of a graph with no
+    cluster of two or more vertices.  Those see no cluster that they read:
+    the discharging check is then not applicable, and the others read only
+    n, r and kv.  So every record of a pair whose cap is above the maximum
+    degree (there is no tight clique then), and every closing record of a
+    pair at the maximum degree with no such cluster, is a function of
+    (r, kv, cluster_free).  No graph is passed, so ``_sweep_chunk``
+    evaluates these once per distinct key."""
     records = [extremal_bound_check(n, r, kv.total)]
     records.extend(rec for rec in bounded_clique_checks(n, r, kv) if rec.applicable)
-    if above:
+    if cluster_free:
         records.extend(_closing_records(n, r, kv, [], {}))
     return records
 
@@ -506,30 +507,32 @@ def _closing_records(
 
 
 def _tight_records(
-    g: Graph, r: int, kv: CliqueVector, cores: Dict[int, ClassCore], width: int
-) -> List[ConsistencyRecord]:
-    """The checks on the tight cliques of g under its maximum degree r, with
-    the closing checks on its clusters.  Each record comes from a predicate
-    of ``bounds``, ``transform`` or ``structure``; this only picks which of
-    them run.
+    g: Graph, r: int, kv: CliqueVector, cores: Dict[int, ClassCore]
+) -> Tuple[List[ConsistencyRecord], bool]:
+    """The checks on the tight cliques of g under its maximum degree r, and
+    whether no cluster has two or more vertices.  The closing checks on its
+    clusters are among the records only if some cluster does: else they
+    are the cluster-free ones of ``_vector_records``, which the caller
+    tallies.  Each record comes from a predicate of ``bounds``,
+    ``transform`` or ``structure``; this only picks which of them run.
 
     The tight cliques are read class by class (K, X): each nonempty T in K
     gets its per-T records, and the cluster T = K its own.  Every T fills X
     into the same graph, so a class counts one fill gain, on its cluster,
-    and none when K = X, the identity fill of a K_{r+1} component.  A
-    class's core is the first in ``cores`` with its ``ClassCore.key`` in
-    ``width``-bit slots, so equal cores are counted once for all graphs
-    that share ``cores``."""
+    given k(G), and none when K = X, the identity fill of a K_{r+1}
+    component.  A class's core is the first in ``cores`` with its
+    ``ClassCore.key`` in g.n-bit slots, so equal cores are counted once for
+    all graphs on g.n vertices that share ``cores``."""
     k_total = kv.total
     adj = g.adj
     records = []
     clusters = []
     fill_gains: Dict[int, int] = {}
     for k, x, core in tight_classes(g, r):
-        core = cores.setdefault(core.key(width), core)
+        core = cores.setdefault(core.key(g.n), core)
         cluster = class_structure(adj, k, x, k, core)
         clusters.append(cluster)
-        gain = fill_gains[k] = 0 if k == x else fill_gain(adj, cluster)
+        gain = fill_gains[k] = 0 if k == x else fill_gain(adj, cluster, k_total)
         t = k
         while t:
             ts = cluster if t == k else class_structure(adj, k, x, t, core)
@@ -545,60 +548,71 @@ def _tight_records(
         for c in range(2, cluster.t + 1):
             records.append(associated_low_weight_check(g, cluster, c, gain))
 
-    records.extend(_closing_records(g.n, r, kv, clusters, fill_gains))
-    return records
+    cluster_free = not any(cluster.t >= 2 for cluster in clusters)
+    if not cluster_free:
+        records.extend(_closing_records(g.n, r, kv, clusters, fill_gains))
+    return records, cluster_free
 
 
 def _sweep_chunk(args) -> Tuple[Dict[str, List[int]], List[dict]]:
-    """The tallies and failure dicts of ``graphs``, each under every cap
-    from its maximum degree up to ``r_max``.
+    """The tallies and failure dicts of the n-vertex classes with canonical
+    ``keys``, each under every cap from its maximum degree up to ``r_max``.
+    Each class is unpacked from its key when it is read.
 
     Each graph gets its cap-independent records and, under its maximum
     degree, its tight-clique records.  The records of ``_vector_records``
-    are built once per distinct key (r, k-vector, r above the maximum
-    degree) of the chunk; n is the k-vector's k_1.  Their tallies and
-    failure dicts are kept for the chunk and added for every later pair
-    with that key, the failure dicts copied so that each graph gets its own
-    witness.  The class cores of ``_tight_records`` are shared likewise,
-    one per distinct ``ClassCore.key``, so each is counted once per chunk.
-    A graph's graph6 witness is encoded only if one of its records fails."""
-    graphs, r_max = args
+    are built once per distinct key (r, k-vector, closing records
+    cluster-free) of the chunk: the last part holds above the maximum
+    degree, and at it when no cluster has two or more vertices.  The chunk
+    counts the pairs that hit each key and adds each key's tallies once,
+    times that count, when it ends; the failure dicts are copied for every
+    pair, so that each graph gets its own witness.  The class cores of
+    ``_tight_records`` are shared likewise, one per distinct
+    ``ClassCore.key``, so each is counted once per chunk.  A graph's
+    graph6 witness is encoded only if one of its records fails."""
+    keys, (n, r_max) = args
     tallies: Dict[str, List[int]] = {}
     failures: List[dict] = []
-    # (r, k-vector, above) -> the (predicate, applicable, passed, failed)
-    # tallies and the failure dicts of _vector_records
-    memo: Dict[tuple, Tuple[Tuple[tuple, ...], Tuple[dict, ...]]] = {}
-    # ClassCore.key -> the chunk's first core with that key; the slots are as
-    # wide as the largest graph, so keys of graphs of any order are exact
+    # (r, k-vector, cluster-free) -> [pairs with the key, the (predicate,
+    # applicable, passed, failed) tallies and the failure dicts of
+    # _vector_records]
+    memo: Dict[tuple, list] = {}
+    # ClassCore.key -> the chunk's first core with that key
     cores: Dict[int, ClassCore] = {}
-    width = max((g.n for g in graphs), default=0)
-    for g in graphs:
+    trusted, unpack = Graph._trusted, graph6.unpack
+    widest = min(r_max, n - 1)
+    for key in keys:
+        g = trusted(unpack(n, key))
         kv = clique_vector(g)
         top = g.max_degree()
         first = len(failures)
         _tally(tallies, failures, _graph_records(g, kv))
-        for r in range(max(1, top), min(r_max, g.n - 1) + 1):
-            key = (r, kv.counts, r > top)
-            part = memo.get(key)
+        for r in range(max(1, top), widest + 1):
+            cluster_free = True
+            if r == top:
+                records, cluster_free = _tight_records(g, r, kv, cores)
+                _tally(tallies, failures, records)
+            shared = (r, kv.counts, cluster_free)
+            part = memo.get(shared)
             if part is None:
                 once: Dict[str, List[int]] = {}
                 failed: List[dict] = []
-                _tally(once, failed, _vector_records(g.n, r, kv, r > top))
-                part = memo[key] = (
-                    tuple((pred, *slot) for pred, slot in once.items()), tuple(failed)
-                )
-            for pred, a, p, f in part[0]:
-                slot = tallies.setdefault(pred, [0, 0, 0])
-                slot[0] += a
-                slot[1] += p
-                slot[2] += f
-            failures.extend(map(dict, part[1]))
-            if r == top:
-                _tally(tallies, failures, _tight_records(g, r, kv, cores, width))
+                _tally(once, failed, _vector_records(n, r, kv, cluster_free))
+                part = memo[shared] = [
+                    0, tuple((pred, *slot) for pred, slot in once.items()), tuple(failed)
+                ]
+            part[0] += 1
+            failures.extend(map(dict, part[2]))
         if len(failures) > first:
             g6 = graph6.encode(g)
             for failure in failures[first:]:
                 failure["graph6"] = g6
+    for hits, counts, _ in memo.values():
+        for pred, a, p, f in counts:
+            slot = tallies.setdefault(pred, [0, 0, 0])
+            slot[0] += hits * a
+            slot[1] += hits * p
+            slot[2] += hits * f
     return tallies, failures
 
 
@@ -654,8 +668,10 @@ def consistency_sweep(
 
 
 def _sweep_unit(n: int, r_max: int, workers: int) -> Tuple[Dict[str, List[int]], List[dict]]:
+    """The tallies and failure dicts of the n-vertex classes.  Workers are
+    handed the classes' keys, and each unpacks one class at a time."""
     unit: Tuple[Dict[str, List[int]], List[dict]] = ({}, [])
-    for part in _fan_out(_sweep_chunk, _classes(n, r_max, workers), r_max, workers):
+    for part in _fan_out(_sweep_chunk, class_keys(n, r_max, workers), (n, r_max), workers):
         _merge(unit, part)
     return unit
 

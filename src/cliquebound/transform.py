@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .counting import clique_vector, cliques_meeting
+from .counting import clique_count, clique_vector, cliques_meeting
 from .errors import InternalConsistencyError
 from .graphs import Graph, bit_list
 from .records import ConsistencyRecord
@@ -69,16 +69,27 @@ def _report(g: Graph, rows, move: str, ts: TightStructure, k_before: int) -> Rew
     )
 
 
-def fill_gain(adj, ts: TightStructure) -> int:
-    """k(G') - k(G) for the fill of ``ts``, on adjacency rows: the fill
-    changes edges only at S and leaves T u S a K_{r+1} component, whose
-    2^(r+1) - 2^t subsets meeting S are then the cliques meeting S.
+def fill_gain(adj, ts: TightStructure, k_total: int) -> int:
+    """k(G') - k(G) for the fill of ``ts``, on the adjacency rows of a graph
+    G with k_total cliques: the fill changes edges only at S and leaves
+    T u S a K_{r+1} component, whose 2^(r+1) - 2^t subsets meeting S are
+    then the cliques meeting S.
+
+    The cliques of G that meet S are counted on the smaller side: as
+    k_total - k(G - S), one count of the vertices outside S, when there
+    are at most r + 1 of them, and else as ``cliques_meeting``, one count
+    per member of S, each on a neighbourhood of at most r vertices.
 
     Every T of a class (K, X) has T u S = X, so every T of the class fills X
     into the same graph, with the same gain.  K = X exactly when X is
     already a K_{r+1} component: that fill is the identity and gains 0, and
     callers skip it rather than count it here."""
-    return (1 << (ts.r + 1)) - (1 << ts.t) - cliques_meeting(adj, ts.S)
+    n = len(adj)
+    if n - ts.s <= ts.r + 1:
+        meeting = k_total - clique_count(adj, ((1 << n) - 1) & ~ts.S)
+    else:
+        meeting = cliques_meeting(adj, ts.S)
+    return (1 << (ts.r + 1)) - (1 << ts.t) - meeting
 
 
 def apply_fill(g: Graph, ts: TightStructure, k_before: int) -> RewriteReport:
@@ -182,10 +193,11 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
     C_4 / K_3 u K_1 equality family cannot cycle.
 
     Candidates are scored on adjacency rows by ``k2_gain`` and
-    ``fill_gain``.  Only the move taken is built as a Graph and counted in
-    full, through ``apply_k2_move`` or ``apply_fill``; a full count that
-    disagrees with the local one raises InternalConsistencyError.  At most
-    ``MAX_STEPS`` moves are taken.
+    ``fill_gain``, the latter given the current count.  Only the move
+    taken is built as a Graph and counted in full, through
+    ``apply_k2_move`` or ``apply_fill``; a full count that disagrees with
+    the local one raises InternalConsistencyError.  At most ``MAX_STEPS``
+    moves are taken.
 
     Candidates come from the classes (K, X) of ``tight_classes``, not
     from every tight clique.  Every nonempty T in K has T u S = X, so its
@@ -216,7 +228,7 @@ def hill_climb(g: Graph, r: int) -> List[RewriteReport]:
                 if ts.k2_components:
                     scored.append((0, -k2_gain(adj, ts), pair, ts))
             ts = class_structure(adj, k, x, low, core)
-            scored.append((1, -fill_gain(adj, ts), low, ts))
+            scored.append((1, -fill_gain(adj, ts, k_current), low, ts))
         improving = [entry for entry in scored if entry[1] < 0]
         if not improving:
             break

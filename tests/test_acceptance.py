@@ -34,10 +34,10 @@ from cliquebound.counting import (
     weight_sums,
 )
 from cliquebound.enumeration import (
-    _classes,
     _level,
     class_keys,
     consistency_sweep,
+    generate,
     generate_regular,
     verify_main,
 )
@@ -168,7 +168,7 @@ def test_criterion_04_weight_identity():
     """t k_t = sum of w(C) over (t-1)-cliques, on every graph of criterion 2's sweep."""
     checked = 0
     for n in range(1, 10):
-        for g in _classes(n, max(n - 1, 1)):
+        for g in generate(n, max(n - 1, 1)):
             v = clique_vector(g)
             sums = weight_sums(g)
             for t in range(1, v.max_size + 2):
@@ -192,7 +192,7 @@ def test_criterion_06_fixed_loss_bounds():
     t0 = time.monotonic()
     checked = 0
     for s in range(0, 8):
-        for r_graph in _classes(s, max(s - 1, 1)):
+        for r_graph in generate(s, max(s - 1, 1)):
             breakdown = fixed_loss(r_graph)
             rec = max_bound_check(r_graph, breakdown)
             assert not rec.applicable or rec.passed, graph6.encode(r_graph)
@@ -225,7 +225,7 @@ def test_criterion_07_signposts():
         for r in range(1, n):
             if n % (r + 1):
                 continue
-            for g in _classes(n, r):
+            for g in generate(n, r):
                 for rec in bounded_clique_checks(n, r, clique_vector(g)):
                     assert not rec.applicable or rec.passed, (graph6.encode(g), r)
     # independent-set power bounds on all regular graphs
@@ -239,7 +239,7 @@ def test_criterion_07_signposts():
                 assert min_ind_check(g, d, ivec).passed is not False, graph6.encode(g)
     # triangle-count ceiling on all graphs with n <= 8
     for n in range(1, 9):
-        for g in _classes(n, max(n - 1, 1)):
+        for g in generate(n, max(n - 1, 1)):
             assert zykov_check(g, clique_vector(g)).passed, graph6.encode(g)
     print("criterion 7 PASS: all signpost bounds clean for n<=9")
 

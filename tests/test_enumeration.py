@@ -28,6 +28,7 @@ from cliquebound.canon import (
 from cliquebound.counting import clique_count, clique_vector
 from cliquebound.enumeration import (
     GENERATION_MAX_VERTICES,
+    class_keys,
     consistency_sweep,
     expected_extremal_forms,
     generate,
@@ -159,7 +160,7 @@ class TestGenerate:
         test made 1,299 and 3,703.  Only the children whose new vertex is
         also in the least root cell of the candidates are labeled, and each
         parent's generators come from the labeling that made it."""
-        assert len(enumeration._classes(n, r)) == classes
+        assert len(class_keys(n, r)) == classes
         assert len(cold_labelings) == labelings
 
     def test_each_level_is_built_once(self, cold_labelings):
@@ -186,7 +187,7 @@ class TestGenerate:
         monkeypatch.setattr(enumeration, "_class_cache", {})
         monkeypatch.setattr(enumeration, "labeling_from_root", counted)
         monkeypatch.setattr(graph6, "decode", no_decode)
-        enumeration._classes(8, 4)
+        class_keys(8, 4)
         assert callers == {"_canonical_child_form": 3294}
 
     def test_missing_parent_generators_repeat_a_class(self, monkeypatch):
@@ -200,7 +201,7 @@ class TestGenerate:
             parents.n, parents.keys, [b""] * len(parents.keys)
         )
         with pytest.raises(InternalConsistencyError, match="generated twice"):
-            enumeration._classes(7, 6)
+            class_keys(7, 6)
 
     def test_orbit_test_keeps_one_vertex_orbit_per_class(self, atlas_classes):
         """For every class C with 2 <= n <= 7, moving each vertex u in turn
@@ -361,7 +362,7 @@ class TestGenerate:
 
         monkeypatch.setattr(enumeration, "_class_cache", {})
         monkeypatch.setattr(enumeration, "labeling_from_root", hashed)
-        enumeration._classes(8, 4)
+        class_keys(8, 4)
         assert len(lines) == 3294
         assert digest.hexdigest() == (
             "eb20b74b2c0ca156578bb8d325a63ff8674adacce7dca3dadaddf858d5248757"
@@ -407,7 +408,7 @@ class TestGenerate:
         gc.collect()
         gc.disable()
         try:
-            enumeration._classes(7, 6)
+            class_keys(7, 6)
             assert gc.collect() < 100
         finally:
             if enabled:
@@ -422,10 +423,10 @@ class TestGenerate:
             assert Graph(g.n, g.adj) == g
 
     def test_narrower_levels_are_served_from_the_table(self, cold_labelings):
-        enumeration._classes(7, 6)
+        class_keys(7, 6)
         built = len(cold_labelings)
         for m in range(1, 7):
-            enumeration._classes(m, m - 1)
+            class_keys(m, m - 1)
         assert len(cold_labelings) == built
 
     def test_capped_counts_match_networkx_atlas(self, monkeypatch):
@@ -668,10 +669,11 @@ class TestConsistencySweep:
         assert len(keys) < classes < tights  # some cores repeat; some class holds two T
 
     def test_shared_class_cores_are_exact(self, monkeypatch):
-        """One chunk of every graph with n <= 7, each under its maximum
-        degree, hands some classes a core first built for another class.
-        The core each class is handed gives the clique count and the fixed
-        loss of the class's own core, counted on its own graph's rows."""
+        """One chunk per n <= 7 of every class on n vertices, each under its
+        maximum degree, hands some classes a core first built for another
+        class.  The core each class is handed gives the clique count and
+        the fixed loss of the class's own core, counted on its own graph's
+        rows."""
         handed = []
         original = enumeration.class_structure
 
@@ -681,15 +683,15 @@ class TestConsistencySweep:
             return original(adj, k, x, t, core)
 
         monkeypatch.setattr(enumeration, "class_structure", recorded)
-        graphs = [g for n in range(1, 8) for g in generate(n, max(n - 1, 0))]
-        enumeration._sweep_chunk((graphs, 6))
+        for n in range(1, 8):
+            enumeration._sweep_chunk((class_keys(n, n - 1), (n, 6)))
         for adj, mask, core in handed:
             assert core.mask == mask
             assert core.cliques == clique_count(adj, mask)
             assert core.phi == fixed_loss_on_rows(adj, mask).phi
         borrowed = sum(core.adj is not adj for adj, _, core in handed)
         distinct = len({id(core) for _, _, core in handed})
-        assert (len(handed), distinct, borrowed) == (2082, 592, 1477)
+        assert (len(handed), distinct, borrowed) == (2082, 689, 1364)
 
     def test_every_failure_has_a_witness(self):
         rep = consistency_sweep(5, 4)
@@ -719,21 +721,33 @@ class TestConsistencySweep:
         assert pairs == 2132  # 1,843 of them have r <= n - 1 and are swept
 
     def test_memo_changes_nothing(self, monkeypatch):
-        """One chunk of every class with n <= 7 tallies exactly what each
-        (graph, cap) pair gives when every check is evaluated on its own,
-        and evaluates the clique-vector checks once per distinct key
-        (r, k-vector, r above the maximum degree): fewer times than there
-        are pairs."""
+        """One chunk per n <= 7 of every class on n vertices tallies exactly
+        what each (graph, cap) pair gives when every check is evaluated on
+        its own, and evaluates the clique-vector checks once per distinct
+        key (r, k-vector, closing records cluster-free): fewer times than
+        there are pairs.  The closing records are cluster-free above the
+        maximum degree, and at it when no cluster has two or more
+        vertices; the strong inequalities are evaluated once per such key
+        with r >= 2."""
         calls = []
-        original = enumeration.extremal_bound_check
+        strong = []
+        originals = enumeration.extremal_bound_check, enumeration.strong_inequalities
 
         def counted(n, r, k_total):
             calls.append((n, r, k_total))
-            return original(n, r, k_total)
+            return originals[0](n, r, k_total)
+
+        def counted_strong(kv, n, r):
+            strong.append((kv.counts, r))
+            return originals[1](kv, n, r)
 
         monkeypatch.setattr(enumeration, "extremal_bound_check", counted)
+        monkeypatch.setattr(enumeration, "strong_inequalities", counted_strong)
+        tallies, failures = {}, []
+        for n in range(1, 8):
+            part = enumeration._sweep_chunk((class_keys(n, min(6, max(n - 1, 1))), (n, 6)))
+            enumeration._merge((tallies, failures), part)
         graphs = [g for n in range(1, 8) for g in generate(n, min(6, max(n - 1, 1)))]
-        tallies, failures = enumeration._sweep_chunk((graphs, 6))
         direct = ({}, [])
         keys = set()
         pairs = 0
@@ -744,7 +758,8 @@ class TestConsistencySweep:
             records = enumeration._graph_records(g, kv)
             for r in range(max(1, top), min(6, g.n - 1) + 1):
                 records += _per_cap_records(g, r, kv)
-                keys.add((r, kv.counts, r > top))
+                cluster_free = r > top or not any(cl.t >= 2 for cl in structure.clusters(g, r))
+                keys.add((r, kv.counts, cluster_free))
                 pairs += 1
             enumeration._tally(*direct, records)
             for failure in direct[1][first:]:
@@ -753,7 +768,8 @@ class TestConsistencySweep:
         assert sorted(failures, key=_failure_order) == sorted(direct[1], key=_failure_order)
         assert len(failures) == 954
         assert pairs == 3088
-        assert len(calls) == len(keys) == 784 < pairs
+        assert len(calls) == len(keys) == 675 < pairs
+        assert len(strong) == len({key for key in keys if key[0] >= 2 and key[2]}) == 495
 
     def test_witnesses_encoded_only_for_failing_graphs(self, monkeypatch):
         calls = []

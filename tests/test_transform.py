@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -167,41 +168,62 @@ class TestK2Move:
             k2_gain(g.adj, derive(g, 3, 0b0011))
 
 
-def assert_gains_match_full_counts(cases):
+def assert_gains_match_full_counts(cases, monkeypatch):
     """For every (graph, cap) of ``cases`` and every tight structure, the
     local gains equal the gains of the rewritten graphs counted in full.
-    At least one fill and one K2 move must be checked."""
-    fills = k2_moves = 0
+    At least one fill and one K2 move must be checked.  Returns how many
+    fills counted the cliques meeting S each way: by ``clique_count`` on
+    the vertices outside S, or by ``cliques_meeting`` on S."""
+    counted = []
+    for name in ("clique_count", "cliques_meeting"):
+        original = getattr(transform, name)
+
+        def recorded(rows, mask, name=name, original=original):
+            counted.append(name)
+            return original(rows, mask)
+
+        monkeypatch.setattr(transform, name, recorded)
+    taken = Counter()
+    k2_moves = 0
     for g, r in cases:
         k = clique_vector(g).total
         for ts in tight_structures(g, r):
-            assert fill_gain(g.adj, ts) == apply_fill(g, ts, k).gain
-            fills += 1
+            counted.clear()
+            assert fill_gain(g.adj, ts, k) == apply_fill(g, ts, k).gain
+            (way,) = counted
+            taken[way] += 1
             if ts.t >= 2 and ts.k2_components:
                 assert k2_gain(g.adj, ts) == apply_k2_move(g, ts, k).gain
                 k2_moves += 1
-    assert fills > 0 and k2_moves > 0
+    assert taken and k2_moves > 0
+    return taken
 
 
-def test_local_gains_match_full_counts():
-    """Every class with n <= 7, every cap the sweep uses."""
-    assert_gains_match_full_counts(
-        (g, r)
-        for n in range(1, 8)
-        for g in generate(n, n - 1)
-        for r in range(max(1, g.max_degree()), n)
+def test_local_gains_match_full_counts(monkeypatch):
+    """Every class with n <= 7, every cap the sweep uses.  Small graphs
+    have few vertices outside S, so both counts are taken."""
+    taken = assert_gains_match_full_counts(
+        (
+            (g, r)
+            for n in range(1, 8)
+            for g in generate(n, n - 1)
+            for r in range(max(1, g.max_degree()), n)
+        ),
+        monkeypatch,
     )
+    assert taken["clique_count"] > 0 and taken["cliques_meeting"] > 0
 
 
-def test_local_gains_match_full_counts_on_random_capped_graphs(random_capped_graph):
+def test_local_gains_match_full_counts_on_random_capped_graphs(monkeypatch, random_capped_graph):
     """Past the n <= 7 classes: seeded degree-capped graphs with n 10-16
-    and r 3-5."""
+    and r 3-5, where both counts are taken too."""
     rng = random.Random(1306)
     cases = []
     for _ in range(36):
         n, r = rng.randint(10, 16), rng.randint(3, 5)
         cases.append((random_capped_graph(rng, n, r), r))
-    assert_gains_match_full_counts(cases)
+    taken = assert_gains_match_full_counts(cases, monkeypatch)
+    assert taken["clique_count"] > 0 and taken["cliques_meeting"] > 0
 
 
 @pytest.fixture
@@ -370,9 +392,9 @@ class TestHillClimb:
         for name in ("fill_gain", "k2_gain"):
             original = getattr(transform, name)
 
-            def counted(adj, ts, original=original):
+            def counted(adj, ts, *k_total, original=original):
                 scored.append((adj, ts.T))
-                return original(adj, ts)
+                return original(adj, ts, *k_total)
 
             monkeypatch.setattr(transform, name, counted)
         # two K_4 components on 0..7, then the staging graph on 8..13
@@ -398,7 +420,7 @@ class TestHillClimb:
         move = gain.removesuffix("_gain")
         assert hill_climb(g, r)[0].move == move
         original = getattr(transform, gain)
-        monkeypatch.setattr(transform, gain, lambda adj, ts: original(adj, ts) + 1)
+        monkeypatch.setattr(transform, gain, lambda adj, ts, *k_total: original(adj, ts, *k_total) + 1)
         with pytest.raises(InternalConsistencyError, match=f"^{move} at T=0x[0-9a-f]+: full count"):
             hill_climb(g, r)
 
