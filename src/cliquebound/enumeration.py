@@ -439,7 +439,9 @@ def _tally(tallies: Dict[str, List[int]], failures: List[dict],
     dict for each failed one.  Its graph6 witness is left as None for the
     caller to fill in, so a graph is encoded only if something fails on it."""
     for rec in records:
-        slot = tallies.setdefault(rec.predicate, [0, 0, 0])
+        slot = tallies.get(rec.predicate)
+        if slot is None:
+            slot = tallies[rec.predicate] = [0, 0, 0]
         if rec.applicable:
             slot[0] += 1
             if rec.passed:
@@ -463,7 +465,7 @@ def _graph_records(g: Graph, kv: CliqueVector) -> List[ConsistencyRecord]:
     breakdown = fixed_loss(g)
     records.append(max_bound_check(g, breakdown))
     records.append(degree_one_bound_check(g, breakdown))
-    degrees = {g.degree(v) for v in range(g.n)} or {0}
+    degrees = set(map(int.bit_count, g.adj)) or {0}
     if len(degrees) == 1:
         d = degrees.pop()
         ivec = independent_vector(g)

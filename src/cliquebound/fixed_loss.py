@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_list
+from .graphs import Graph
 from .records import ConsistencyRecord, not_applicable
 
 
@@ -49,29 +49,40 @@ def fixed_loss_on_rows(rows, mask: int) -> FixedLossBreakdown:
 
     The independent sets of R are the cliques of that subgraph, and the
     R-degree of x is |mask| - 1 - |N(x) & mask|, so R is never built: the
-    cliques are enumerated on ``rows``, carrying the least R-degree.
+    cliques are enumerated on ``rows``, carrying the least R-degree.  The
+    rows may have bits outside ``mask``; every candidate set lies inside it.
     """
     s = mask.bit_count()
     degree = [0] * len(rows)
     ell = 0
-    for x in bit_list(mask):
-        degree[x] = s - 1 - (rows[x] & mask).bit_count()
-        ell += degree[x] == 1
+    m = mask
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        m ^= low
+        d = degree[x] = s - 1 - (rows[x] & mask).bit_count()
+        ell += d == 1
     phi = weighted = 0
-    # (candidates, size, least R-degree) of each clique to extend
-    stack = [(mask, 0, s)]
+    # (candidates, size of a clique with one more candidate, least R-degree)
+    # of each clique to extend; its extensions all have that size, so their
+    # terms are summed before the weighted sum takes size * sum
+    stack = [(mask, 1, s)]
     while stack:
         allowed, size, least = stack.pop()
+        terms = 0
         while allowed:
             low = allowed & -allowed
             v = low.bit_length() - 1
             allowed ^= low
-            d = min(least, degree[v])
-            term = (1 << d) - 1
-            phi += term
-            weighted += (size + 1) * term
-            if allowed & rows[v]:
-                stack.append((allowed & rows[v], size + 1, d))
+            d = degree[v]
+            if d > least:
+                d = least
+            terms += (1 << d) - 1
+            later = allowed & rows[v]
+            if later:
+                stack.append((later, size + 1, d))
+        phi += terms
+        weighted += size * terms
     return FixedLossBreakdown(phi=phi, ell=ell, s=s, weighted_sum=weighted)
 
 
@@ -102,10 +113,10 @@ def has_small_component(r_graph: Graph) -> bool:
     """True if R has a K_1 or K_2 component, read off the rows: an empty
     row, or a single neighbor whose own row is just that vertex."""
     adj = r_graph.adj
-    return any(
-        not row or (not row & (row - 1) and adj[row.bit_length() - 1] == 1 << v)
-        for v, row in enumerate(adj)
-    )
+    for v, row in enumerate(adj):
+        if not row or (not row & (row - 1) and adj[row.bit_length() - 1] == 1 << v):
+            return True
+    return False
 
 
 def degree_one_bound_check(r_graph: Graph, breakdown: FixedLossBreakdown) -> ConsistencyRecord:

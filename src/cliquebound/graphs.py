@@ -96,17 +96,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)
 
-    def is_clique(self, vs: int) -> bool:
-        """True iff the vertex set ``vs`` induces a complete subgraph."""
-        m = vs
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if m & ~self.adj[v]:
-                return False
-        return True
-
     # -- structural edits (all return new graphs) ----------------------
 
     def relabel(self, perm: Sequence[int]) -> "Graph":

@@ -251,26 +251,44 @@ def clusters_among(g: Graph, r: int, tights: List[TightStructure]) -> List[Tight
 
     Each cluster is checked against the definition on G's rows: T is a
     clique, S = N(T) with |S| = r + 1 - |T|, and no v in S has
-    |N(T + v)| = r - |T|.  As a
-    singleton {v} is tight exactly when deg v = r, the clusters must also
-    cover the degree-r vertices.  A mismatch raises rather than silently
-    preferring one computation.
+    |N(T + v)| = r - |T|.  One pass over T's rows gives N(T) and the
+    clique test, and one over S the maximality test.  As a singleton {v}
+    is tight exactly when deg v = r, the clusters must also cover the
+    degree-r vertices.  A mismatch raises rather than silently preferring
+    one computation.
     """
+    adj = g.adj
     maximal = sorted((ts for ts in tights if ts.is_cluster), key=lambda ts: ts.T)
     covered = 0
     for ts in maximal:
-        common = common_neighbors(g, ts.T)
-        if (
-            not g.is_clique(ts.T)
-            or common != ts.S
-            or ts.s != r + 1 - ts.t
-            or any((common & g.adj[v]).bit_count() == r - ts.t for v in bit_list(common))
-        ):
+        t_mask = ts.T
+        common = g.vertex_mask
+        missing = 0  # members of T that some other member is not adjacent to
+        m = t_mask
+        while m:
+            low = m & -m
+            m ^= low
+            row = adj[low.bit_length() - 1]
+            common &= row
+            missing |= (t_mask ^ low) & ~row
+        ok = not missing and common == ts.S and ts.s == r + 1 - ts.t
+        m = common if ok else 0
+        while m:
+            low = m & -m
+            m ^= low
+            # |N(T + v)| = r - |T|: T + v is tight, so T is not maximal
+            if (common & adj[low.bit_length() - 1]).bit_count() == r - ts.t:
+                ok = False
+                break
+        if not ok:
             raise InternalConsistencyError(
                 f"cluster T={ts.T:#x} is not a maximal tight clique under r={r}"
             )
-        covered |= ts.T
-    tight_vertices = mask_of(v for v in range(g.n) if g.degree(v) == r)
+        covered |= t_mask
+    tight_vertices = 0
+    for v, row in enumerate(adj):
+        if row.bit_count() == r:
+            tight_vertices |= 1 << v
     if covered != tight_vertices:
         raise InternalConsistencyError(
             f"clusters cover {covered:#x}, but the degree-{r} vertices are {tight_vertices:#x}"

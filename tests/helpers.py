@@ -20,6 +20,17 @@ def edges(g: Graph) -> Iterator[Tuple[int, int]]:
             yield (u, v)
 
 
+def is_clique(g: Graph, vs: int) -> bool:
+    """True iff the vertex set ``vs`` induces a complete subgraph of ``g``."""
+    m = vs
+    while m:
+        low = m & -m
+        m ^= low
+        if m & ~g.adj[low.bit_length() - 1]:
+            return False
+    return True
+
+
 def path(n: int) -> Graph:
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 

@@ -36,7 +36,7 @@ from cliquebound.graphs import (
     from_edges,
     mask_of,
 )
-from helpers import complete_bipartite, turan
+from helpers import complete_bipartite, is_clique, turan
 
 graphs = st.integers(1, 7).flatmap(
     lambda n: st.builds(
@@ -340,7 +340,7 @@ def _discharged(g, r, clusters):
     for size in range(2, g.n + 1):
         for c in combinations(range(g.n), size):
             mask = mask_of(c)
-            if not g.is_clique(mask):
+            if not is_clique(g, mask):
                 continue
             weight = common_neighbors(g, mask).bit_count()
             shared = [(mask & cluster).bit_count() for cluster in clusters]

@@ -30,7 +30,7 @@ from cliquebound.graphs import (
     from_edges,
     mask_of,
 )
-from helpers import induced, path, turan
+from helpers import induced, is_clique, path, turan
 
 graphs = st.integers(0, 8).flatmap(
     lambda n: st.builds(
@@ -108,7 +108,7 @@ class TestWeights:
         g = disjoint_union(cycle(4), complete(3))
         for mask, size, weight in clique_weights(g):
             assert mask.bit_count() == size
-            assert g.is_clique(mask)
+            assert is_clique(g, mask)
             assert common_neighbors(g, mask).bit_count() == weight
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -9,18 +10,20 @@ from cliquebound.fixed_loss import (
     complete_graph_fixed_loss,
     degree_one_bound_check,
     fixed_loss,
+    fixed_loss_on_rows,
     has_small_component,
     max_bound_check,
 )
 from cliquebound.graphs import (
     Graph,
+    complement,
     complete,
     cycle,
     disjoint_union,
     empty,
     from_edges,
 )
-from helpers import connected_components, path
+from helpers import connected_components, induced, path
 
 graphs = st.integers(0, 7).flatmap(
     lambda n: st.builds(
@@ -80,6 +83,28 @@ class TestFixedLoss:
                 assert fixed_loss(g) == fixed_loss_by_subset_scan(g), g
                 seen += 1
         assert seen == 1253
+
+    def test_rows_restricted_to_a_proper_mask_match_the_subset_scan(self):
+        """``fixed_loss_on_rows(g.adj, mask)`` is the whole breakdown of the
+        complement of G[mask], as the subset scan reads it on that graph
+        built explicitly, where the rows have bits outside the mask, as a
+        class core's do.  Every class with n <= 7 under three seeded masks,
+        and seeded random graphs with 8 <= n <= 12 under two each."""
+        rng = random.Random(35)
+        cases = [
+            (g, rng.getrandbits(n)) for n in range(1, 8) for g in generate(n, n - 1) for _ in range(3)
+        ]
+        for n in range(8, 13):
+            for _ in range(8):
+                p = rng.uniform(0.3, 0.7)
+                g = from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+                cases.extend((g, rng.getrandbits(n)) for _ in range(2))
+        outside = 0
+        for g, mask in cases:
+            expected = fixed_loss_by_subset_scan(complement(induced(g, mask)[0]))
+            assert fixed_loss_on_rows(g.adj, mask) == expected, (g, mask)
+            outside += any(g.adj[v] & ~mask for v in range(g.n) if (mask >> v) & 1)
+        assert (len(cases), outside) == (3836, 3690)
 
     @given(graphs)
     def test_breakdown_is_consistent(self, g):

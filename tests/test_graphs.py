@@ -20,6 +20,7 @@ from helpers import (
     complete_multipartite,
     connected_components,
     induced,
+    is_clique,
     num_edges,
     path,
     turan,
@@ -70,7 +71,7 @@ class TestConstructions:
     def test_complete(self):
         g = complete(4)
         assert num_edges(g) == 6
-        assert g.is_clique(0b1111)
+        assert is_clique(g, 0b1111)
 
     def test_cycle_and_path(self):
         assert num_edges(cycle(5)) == 5
@@ -94,7 +95,7 @@ class TestConstructions:
         comps = sorted(c.bit_count() for c in connected_components(g))
         assert comps == [2, 4, 4]
         for c in connected_components(g):
-            assert g.is_clique(c)
+            assert is_clique(g, c)
 
 
 class TestOperations:

@@ -274,6 +274,15 @@ class TestClusters:
         [
             # each flagged T breaks one clause of the definition only
             pytest.param(cycle(4), 3, (0b0101, 0b1010), "T=0x5 is not a", id="non-clique"),
+            # K_5 less the edges 12 and 34: T = {0, 1, 2} lacks only 12,
+            # an edge away from its least member
+            pytest.param(
+                from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]),
+                4,
+                (0b00111, 0b11000),
+                "T=0x7 is not a",
+                id="non-clique-off-the-least-member",
+            ),
             pytest.param(cycle(4), 2, (0b0001, 0b0110), "T=0x1 is not a", id="S-not-N(T)"),
             pytest.param(cycle(4), 3, (0b0001, 0b1010), "T=0x1 is not a", id="not-tight"),
             # {0} of K_4 extends to the tight {0, 1}
